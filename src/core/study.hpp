@@ -28,7 +28,7 @@
 
 namespace iotls::core {
 
-/// Wall/CPU cost of one lazily-run experiment (the parallel engine's
+/// Wall/CPU cost of one lazily-run experiment (the parallel fan-out's
 /// speedup report; `tasks` = per-device units fanned out over the pool).
 struct ExperimentTiming {
   std::string name;
@@ -51,12 +51,6 @@ class IotlsStudy {
     /// concurrency, 1 = serial. Every table and figure is byte-identical
     /// across all values (see DESIGN.md, "Concurrency model").
     std::size_t threads = 0;
-    /// Drive every experiment's connections through per-worker session
-    /// engines (src/engine/): whole-device chains interleave on each
-    /// thread and each engine tick batches its crypto. Every table,
-    /// figure, trace, and store artifact is byte-identical to the
-    /// synchronous path (DESIGN.md §14; bench_engine gates on parity).
-    bool engine = false;
     /// CA universe override (nullptr = CaUniverse::standard()); mostly for
     /// tests that want a smaller, faster universe.
     const pki::CaUniverse* universe = nullptr;
@@ -129,7 +123,7 @@ class IotlsStudy {
     return obs::MetricsRegistry::global();
   }
   /// Structured handshake traces collected so far (merged in catalog order
-  /// by the experiment engine — byte-identical at any thread count).
+  /// by the experiment drivers — byte-identical at any thread count).
   [[nodiscard]] const obs::TraceLog& traces() const { return trace_log_; }
 
   /// Timings of the experiments run so far, in execution order. The data

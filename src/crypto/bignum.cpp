@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/hex.hpp"
-#include "crypto/batch.hpp"
-#include "crypto/montgomery.hpp"
+#include "crypto/mont64.hpp"
 #include "obs/profile.hpp"
 
 namespace iotls::crypto {
@@ -286,12 +285,7 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& divisor) const {
 BigUint BigUint::modexp(const BigUint& exp, const BigUint& m) const {
   const obs::ProfileZone zone("crypto/modexp");
   if (m.is_zero()) throw common::CryptoError("modexp: zero modulus");
-  if (m.is_odd()) {
-    // Inside an engine tick the thread-local Mont64 context cache is warm;
-    // the result is bit-identical either way (batch.hpp).
-    if (crypto_batch_active()) return batch_modexp(*this, exp, m);
-    return Montgomery(m).pow(*this, exp);
-  }
+  if (m.is_odd()) return mont64_modexp(*this, exp, m);
   return modexp_plain(exp, m);
 }
 

@@ -1,9 +1,9 @@
 // Arbitrary-precision unsigned integers for the RSA/DHE substrate.
 //
 // Schoolbook add/sub/mul/div over 32-bit limbs; modular exponentiation for
-// odd moduli runs on the Montgomery kernel (crypto/montgomery.hpp), with
-// the schoolbook square-and-multiply kept as the even-modulus fallback and
-// cross-check oracle. `bench_crypto` and `bench_ablation_keysize` quantify
+// odd moduli runs on the cached 64-bit Montgomery kernel (crypto/mont64.hpp),
+// with the schoolbook square-and-multiply kept as the even-modulus fallback
+// and cross-check oracle. `bench_crypto` and `bench_ablation_keysize` quantify
 // the costs.
 #pragma once
 
@@ -60,8 +60,8 @@ class BigUint {
   [[nodiscard]] BigUint shift_right(std::size_t bits) const;
 
   /// Modular exponentiation: this^exp mod m (m > 0). Odd moduli (every
-  /// RSA/DH modulus) dispatch to Montgomery fixed-window exponentiation;
-  /// even moduli fall back to the schoolbook path below.
+  /// RSA/DH modulus) go to the per-thread Mont64 context cache
+  /// (crypto/mont64.hpp); even moduli fall back to the schoolbook path below.
   [[nodiscard]] BigUint modexp(const BigUint& exp, const BigUint& m) const;
 
   /// Schoolbook square-and-multiply with a full division per step — the
@@ -89,8 +89,7 @@ class BigUint {
   [[nodiscard]] std::uint64_t low_u64() const;
 
  private:
-  friend class Montgomery;  // limb-level access for the reduction kernel
-  friend class Mont64;      // 64-bit-limb kernel (batched engine dispatch)
+  friend class Mont64;  // limb-level access for the reduction kernel
 
   void trim();
 

@@ -48,8 +48,8 @@ void count_cache_miss(const char* cache_name);
 /// A sharded digest -> u64 memo table. Shard picked from a key byte not
 /// used by the in-shard hash; each shard is generational — when it reaches
 /// capacity it is cleared rather than evicted entry-by-entry, which keeps
-/// memory bounded on workloads with unbounded distinct keys (e.g. SKE
-/// signatures over per-connection randoms).
+/// memory bounded on workloads with unbounded distinct keys (e.g. the
+/// certificate chains of a long run of freshly issued server identities).
 class DigestCache {
  public:
   using Key = std::array<std::uint8_t, 32>;

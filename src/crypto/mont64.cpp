@@ -1,12 +1,26 @@
 #include "crypto/mont64.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
+
+#include "crypto/cache.hpp"
 
 namespace iotls::crypto {
 
 namespace {
 
 using u128 = unsigned __int128;
+
+// Per-thread warm contexts, most-recently-used first. The hot working set
+// is tiny (a server key's two CRT primes plus the fixed DH group primes),
+// so a linear scan with move-to-front beats any map.
+constexpr std::size_t kMaxContexts = 32;
+
+std::vector<std::unique_ptr<Mont64>>& contexts() {
+  thread_local std::vector<std::unique_ptr<Mont64>> cache;
+  return cache;
+}
 
 }  // namespace
 
@@ -293,5 +307,28 @@ BigUint Mont64::pow(const BigUint& base, const BigUint& exp) const {
   mont_mul(result_, one_plain_, result_);
   return unpad(result_);
 }
+
+BigUint mont64_modexp(const BigUint& base, const BigUint& exp,
+                      const BigUint& m) {
+  auto& cache = contexts();
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    if (cache[i]->modulus() == m) {
+      const auto it = cache.begin() + static_cast<std::ptrdiff_t>(i);
+      if (i != 0) std::rotate(cache.begin(), it, it + 1);
+      count_cache_hit("mont64_context");
+      return cache.front()->pow(base, exp);
+    }
+  }
+  count_cache_miss("mont64_context");
+  auto context = std::make_unique<Mont64>(m);
+  BigUint result = context->pow(base, exp);
+  cache.insert(cache.begin(), std::move(context));
+  if (cache.size() > kMaxContexts) cache.pop_back();
+  return result;
+}
+
+std::size_t mont64_context_count() { return contexts().size(); }
+
+void mont64_contexts_clear() { contexts().clear(); }
 
 }  // namespace iotls::crypto

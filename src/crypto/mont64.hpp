@@ -1,26 +1,24 @@
-// 64-bit-limb Montgomery kernel for the engine's batched crypto dispatch.
+// 64-bit-limb Montgomery kernel: the single odd-modulus modexp path.
 //
-// The 32-bit `Montgomery` context (montgomery.hpp) rebuilds its reduction
-// constants — a Newton inverse plus an Algorithm-D division for R^2 — on
-// every `BigUint::modexp` call, and allocates a fresh accumulator per
-// multiply. That is fine when handshakes run one at a time, but the session
-// engine (src/engine/) retires thousands of private ops per tick against a
-// handful of distinct moduli (the server key's two CRT primes and the fixed
-// DH group primes). `Mont64` is the warm-path kernel those ticks dispatch
-// to (crypto/batch.hpp):
+// `BigUint::modexp` sends every odd modulus (every RSA and DH modulus, and
+// each Miller-Rabin candidate during key generation) here through
+// `mont64_modexp`, and keeps the schoolbook `modexp_plain` for even moduli
+// and as the test oracle. The kernel:
 //
-//   - 64-bit limbs with an `unsigned __int128` accumulator: half the limb
-//     count, a quarter of the multiply-accumulate steps per CIOS pass;
-//   - construction once per modulus, cached per thread for the lifetime of
-//     the batch scope, so the Newton/R^2 setup amortises to zero;
-//   - member-owned scratch (accumulator, window table) sized at
-//     construction — steady-state exponentiation performs no allocation.
+//   - uses 64-bit limbs with an `unsigned __int128` accumulator: half the
+//     limb count, a quarter of the multiply-accumulate steps per CIOS pass;
+//   - is constructed once per modulus and cached per thread, so the
+//     Newton-inverse and R^2 setup of a hot modulus (a server key's CRT
+//     primes, the fixed DH group primes) amortises to zero;
+//   - owns its scratch (accumulator, window table), sized at construction,
+//     so steady-state exponentiation performs no allocation.
 //
-// The kernel computes exactly base^exp mod m — bit-identical to both the
-// 32-bit Montgomery path and the schoolbook oracle — so dispatching to it
-// never changes a table, trace, or store byte (the determinism contract).
+// The kernel computes exactly base^exp mod m, bit-identical to the
+// schoolbook oracle, so the cache changes when setup work happens, never
+// what is computed (the determinism contract).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +28,7 @@ namespace iotls::crypto {
 
 /// Reusable reduction context for one odd modulus, 64-bit limbs.
 /// Scratch buffers are member-owned, so a context is single-thread-use;
-/// the batch dispatcher caches contexts thread-locally.
+/// mont64_modexp caches contexts thread-locally.
 class Mont64 {
  public:
   /// Throws CryptoError unless `modulus` is odd (and therefore nonzero).
@@ -76,5 +74,19 @@ class Mont64 {
   mutable Limbs result_;     // accumulator scratch for pow
   Limbs one_plain_;          // the plain value 1, padded (from_mont factor)
 };
+
+/// base^exp mod m through this thread's cache of Mont64 contexts. Requires
+/// an odd modulus. The cache is move-to-front and holds at most 32
+/// contexts: a key-generation loop builds one context per prime candidate,
+/// and the bound keeps that churn from growing the cache without limit
+/// while the few hot moduli stay at the front.
+[[nodiscard]] BigUint mont64_modexp(const BigUint& base, const BigUint& exp,
+                                    const BigUint& m);
+
+/// Number of contexts currently cached on this thread (tests).
+[[nodiscard]] std::size_t mont64_context_count();
+
+/// Drop this thread's cached contexts (tests; values re-derive identically).
+void mont64_contexts_clear();
 
 }  // namespace iotls::crypto

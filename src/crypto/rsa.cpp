@@ -261,6 +261,13 @@ bool rsa_verify(const RsaPublicKey& key, common::BytesView message,
   return ok;
 }
 
+bool rsa_verify_uncached(const RsaPublicKey& key, common::BytesView message,
+                         common::BytesView signature) {
+  const std::size_t k = (key.n.bit_length() + 7) / 8;
+  if (signature.size() != k) return false;
+  return rsa_verify_impl(key, message, signature, k);
+}
+
 common::Bytes rsa_encrypt(const RsaPublicKey& key, common::Rng& rng,
                           common::BytesView plaintext) {
   const std::size_t k = key.modulus_bytes();

@@ -78,9 +78,17 @@ BigUint rsa_private_op(const RsaPrivateKey& key, const BigUint& c);
 /// Sign SHA-256(message) with EMSA-PKCS1-v1_5-style padding.
 common::Bytes rsa_sign(const RsaPrivateKey& key, common::BytesView message);
 
-/// Verify a signature produced by rsa_sign.
+/// Verify a signature produced by rsa_sign. Verdicts are memoised in the
+/// signature-verification cache (crypto/cache.hpp), which pays off for the
+/// certificate signatures every chain validation re-checks.
 bool rsa_verify(const RsaPublicKey& key, common::BytesView message,
                 common::BytesView signature);
+
+/// rsa_verify without the memo, for signatures over fresh per-connection
+/// data: a ServerKeyExchange signs both hello randoms, so its verdict can
+/// never be looked up again and caching it would only grow the cache.
+bool rsa_verify_uncached(const RsaPublicKey& key, common::BytesView message,
+                         common::BytesView signature);
 
 /// Raw RSA encryption of a short secret (for the RSA key exchange).
 /// Pads with random nonzero bytes, PKCS#1-v1.5 type 2 style.

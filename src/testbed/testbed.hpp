@@ -43,7 +43,7 @@ class Testbed {
 
   /// Options for an isolated single-device replica of this testbed: same
   /// seed, shared (const) CA universe and revocation list, own network /
-  /// cloud endpoints / runtime. The experiment engine builds one per task
+  /// cloud endpoints / runtime. The experiment drivers build one per task
   /// so device fan-outs share no mutable state.
   [[nodiscard]] Options sandbox_options(const std::string& device_name) const;
 
@@ -70,13 +70,6 @@ class Testbed {
   /// Re-point connection tracing (forwards to the network).
   void set_trace(obs::TraceLog* trace) { network_.set_trace(trace); }
   [[nodiscard]] obs::TraceLog* trace() const { return network_.trace(); }
-
-  /// Route every runtime's connections through a session engine (nullptr =
-  /// back to synchronous transports). Called by the experiment drivers on
-  /// per-device sandboxes before running chains through engine::map.
-  void set_engine(engine::Engine* engine) {
-    for (auto& [name, runtime] : runtimes_) runtime->set_engine(engine);
-  }
 
  private:
   Options options_;

@@ -1,9 +1,8 @@
-// Per-connection wire accounting, shared by both record schedulers.
+// Per-connection wire accounting for Transport.
 //
-// Extracted from Transport so the engine's Conduit (src/engine/) reports
-// exactly the same metrics, span events, and close totals as the
-// synchronous path — the note/close sequence is part of the determinism
-// contract (trace output must be byte-identical across schedulers).
+// Counts records and bytes and emits the `record`/`close` span events of
+// one connection. The note/close sequence is part of the determinism
+// contract: trace output must be byte-identical at any thread count.
 #pragma once
 
 #include <cstddef>

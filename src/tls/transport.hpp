@@ -4,11 +4,8 @@
 // delivered synchronously and the session's reply records are queued for the
 // client to read. The gateway capture and the interceptor both slot in as
 // taps/wrappers around this interface — equivalent to the paper's on-path
-// vantage point, with no threads and perfect reproducibility.
-//
-// The session engine (src/engine/) replaces this class with an arena-backed
-// Conduit for interleaved connections; both report through the shared
-// RecordLedger so observability output is identical across schedulers.
+// vantage point, with no threads and perfect reproducibility. Wire
+// accounting and span events go through a RecordLedger.
 #pragma once
 
 #include <functional>

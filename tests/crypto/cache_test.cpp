@@ -93,6 +93,15 @@ TEST_F(CryptoCacheTest, VerifyCachedEqualsUncachedForGoodAndBadSignatures) {
   set_crypto_cache_enabled(false);
   EXPECT_TRUE(rsa_verify(kp.pub, msg, sig));
   EXPECT_FALSE(rsa_verify(kp.pub, msg, bad));
+
+  // The memo-free variant (ServerKeyExchange signatures) agrees, including
+  // on a signature one byte wider than the modulus.
+  set_crypto_cache_enabled(true);
+  EXPECT_TRUE(rsa_verify_uncached(kp.pub, msg, sig));
+  EXPECT_FALSE(rsa_verify_uncached(kp.pub, msg, bad));
+  auto wide = sig;
+  wide.insert(wide.begin(), 0x00);
+  EXPECT_FALSE(rsa_verify_uncached(kp.pub, msg, wide));
 }
 
 TEST_F(CryptoCacheTest, ClearForcesRederivationWithSameResult) {

@@ -1,26 +1,24 @@
-// Differential coverage for the 64-bit batched kernel (crypto/mont64.hpp,
-// crypto/batch.hpp): Mont64 must agree bit-for-bit with the 32-bit
-// Montgomery context and the schoolbook oracle, and the batch scope must
-// change dispatch without changing values.
+// Differential coverage for the odd-modulus kernel (crypto/mont64.hpp):
+// Mont64 and BigUint::modexp must agree bit-for-bit with the schoolbook
+// `modexp_plain` oracle, and the per-thread context cache must stay
+// bounded and private to its thread.
 #include "crypto/mont64.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/pool.hpp"
 #include "common/rng.hpp"
-#include "crypto/batch.hpp"
-#include "crypto/montgomery.hpp"
 
 namespace {
 
 using iotls::common::Rng;
-using iotls::crypto::batch_context_count;
-using iotls::crypto::batch_contexts_clear;
-using iotls::crypto::batch_modexp;
 using iotls::crypto::BigUint;
-using iotls::crypto::crypto_batch_active;
-using iotls::crypto::CryptoBatchScope;
 using iotls::crypto::Mont64;
-using iotls::crypto::Montgomery;
+using iotls::crypto::mont64_context_count;
+using iotls::crypto::mont64_contexts_clear;
 
 BigUint random_odd(Rng& rng, std::size_t bits) {
   BigUint m = BigUint::random_bits(rng, bits);
@@ -42,17 +40,16 @@ TEST(Mont64Test, MatchesSchoolbookOracleAcrossSizes) {
   }
 }
 
-TEST(Mont64Test, MatchesMontgomery32OnRsaShapedInputs) {
+TEST(Mont64Test, MatchesOracleOnRsaShapedInputs) {
   Rng rng(0xC1A0);
   const BigUint p = BigUint::generate_prime(rng, 256);
   const BigUint q = BigUint::generate_prime(rng, 256);
   const BigUint n = p.mul(q);
   const Mont64 mont64(n);
-  const Montgomery mont32(n);
   for (int i = 0; i < 8; ++i) {
     const BigUint base = BigUint::random_below(rng, n);
     const BigUint exp = BigUint::random_bits(rng, 512);
-    EXPECT_EQ(mont64.pow(base, exp), mont32.pow(base, exp)) << "i=" << i;
+    EXPECT_EQ(mont64.pow(base, exp), base.modexp_plain(exp, n)) << "i=" << i;
   }
 }
 
@@ -111,65 +108,81 @@ TEST(Mont64Test, ContextIsReusableAcrossCalls) {
   EXPECT_EQ(mont.pow(base, exp), first);
 }
 
-TEST(BatchDispatchTest, ScopeTogglesDispatch) {
-  EXPECT_FALSE(crypto_batch_active());
-  {
-    CryptoBatchScope outer;
-    EXPECT_TRUE(crypto_batch_active());
-    {
-      CryptoBatchScope inner;
-      EXPECT_TRUE(crypto_batch_active());
+TEST(ModexpDispatchTest, UnitModulusGivesZero) {
+  // Everything is 0 mod 1, including x^0 and the base-2 ladder.
+  const BigUint one(1);
+  for (std::uint64_t base : {0u, 2u, 5u, 12345u}) {
+    for (std::uint64_t exp : {0u, 1u, 3u, 65537u}) {
+      EXPECT_EQ(BigUint(base).modexp(BigUint(exp), one), BigUint())
+          << "base=" << base << " exp=" << exp;
     }
-    EXPECT_TRUE(crypto_batch_active());
   }
-  EXPECT_FALSE(crypto_batch_active());
 }
 
-TEST(BatchDispatchTest, ScopedModexpIsBitIdentical) {
-  Rng rng(0xBA7C);
-  const BigUint m = random_odd(rng, 512);
-  const BigUint base = BigUint::random_bits(rng, 512);
-  const BigUint exp = BigUint::random_bits(rng, 512);
-  const BigUint unscoped = base.modexp(exp, m);
-  batch_contexts_clear();
-  {
-    CryptoBatchScope scope;
-    EXPECT_EQ(base.modexp(exp, m), unscoped);  // cold context
-    EXPECT_EQ(base.modexp(exp, m), unscoped);  // warm context
+TEST(ModexpDispatchTest, OddAndEvenModuliMatchOracle) {
+  Rng rng(0x306);
+  for (int i = 0; i < 200; ++i) {
+    const BigUint base = BigUint::random_bits(rng, 80);
+    const BigUint exp = BigUint::random_bits(rng, 40);
+    const BigUint odd = random_odd(rng, 72);
+    ASSERT_EQ(base.modexp(exp, odd), base.modexp_plain(exp, odd));
+    // Even moduli take the schoolbook fallback; results must still agree.
+    BigUint even = BigUint::random_bits(rng, 72);
+    if (even.is_odd()) even = even.add(BigUint(1));
+    if (even.is_zero()) even = BigUint(2);
+    ASSERT_EQ(base.modexp(exp, even), base.modexp_plain(exp, even));
   }
-  EXPECT_EQ(base.modexp(exp, m), unscoped);  // back on the unscoped path
 }
 
-TEST(BatchDispatchTest, ContextCacheIsBoundedAndWarm) {
-  batch_contexts_clear();
+TEST(ModexpDispatchTest, ZeroModulusThrows) {
+  EXPECT_THROW((void)BigUint(3).modexp(BigUint(4), BigUint()),
+               iotls::common::CryptoError);
+}
+
+TEST(ModexpDispatchTest, ContextCacheIsBoundedAndWarm) {
+  mont64_contexts_clear();
   Rng rng(0xCAFE);
-  CryptoBatchScope scope;
   const BigUint base(7);
   const BigUint exp(65537);
   // Hammer with more distinct moduli than the cache holds.
   for (int i = 0; i < 48; ++i) {
     const BigUint m = random_odd(rng, 96);
-    EXPECT_EQ(batch_modexp(base, exp, m), base.modexp_plain(exp, m));
+    EXPECT_EQ(base.modexp(exp, m), base.modexp_plain(exp, m));
   }
-  EXPECT_LE(batch_context_count(), 32u);
+  EXPECT_LE(mont64_context_count(), 32u);
   // A repeated modulus is served from the warm cache with the same value.
   const BigUint m = random_odd(rng, 128);
   const BigUint expected = base.modexp_plain(exp, m);
-  EXPECT_EQ(batch_modexp(base, exp, m), expected);
-  const std::size_t count = batch_context_count();
-  EXPECT_EQ(batch_modexp(base, exp, m), expected);
-  EXPECT_EQ(batch_context_count(), count);
-  batch_contexts_clear();
-  EXPECT_EQ(batch_context_count(), 0u);
+  EXPECT_EQ(base.modexp(exp, m), expected);
+  const std::size_t count = mont64_context_count();
+  EXPECT_EQ(base.modexp(exp, m), expected);
+  EXPECT_EQ(mont64_context_count(), count);
+  mont64_contexts_clear();
+  EXPECT_EQ(mont64_context_count(), 0u);
 }
 
-TEST(BatchDispatchTest, EvenModulusStaysOnSchoolbookPath) {
-  // modexp must keep its even-modulus fallback inside a batch scope.
-  CryptoBatchScope scope;
-  const BigUint m(1u << 20);
-  const BigUint base(12345);
-  const BigUint exp(677);
-  EXPECT_EQ(base.modexp(exp, m), base.modexp_plain(exp, m));
+TEST(ModexpDispatchTest, ConcurrentWorkersMatchOracle) {
+  // Eight workers share one set of moduli; each thread builds its own
+  // contexts, so no scratch buffer is ever touched by two threads.
+  Rng rng(0x7A5C);
+  std::vector<BigUint> moduli;
+  for (int i = 0; i < 6; ++i) moduli.push_back(random_odd(rng, 256));
+  struct Case {
+    BigUint base, exp, m;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 96; ++i) {
+    cases.push_back({BigUint::random_bits(rng, 256),
+                     BigUint::random_bits(rng, 128),
+                     moduli[static_cast<std::size_t>(i) % moduli.size()]});
+  }
+  const auto got = iotls::common::parallel_map(
+      8, cases, [](const Case& c) { return c.base.modexp(c.exp, c.m); });
+  ASSERT_EQ(got.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(got[i], cases[i].base.modexp_plain(cases[i].exp, cases[i].m))
+        << "case=" << i;
+  }
 }
 
 }  // namespace
