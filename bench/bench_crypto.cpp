@@ -32,20 +32,9 @@
 
 namespace {
 
+using iotls::bench::time_ms;
 using iotls::common::Rng;
 using iotls::crypto::BigUint;
-
-/// Median-free, deliberately simple: total wall time over `iters` calls.
-/// The quantities we gate on are 5x-scale ratios; run-to-run noise of a
-/// few percent does not matter.
-template <typename Fn>
-double time_ms(std::size_t iters, Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) fn(i);
-  const std::chrono::duration<double, std::milli> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count() / static_cast<double>(iters);
-}
 
 /// Reduced-universe study (same shape as the determinism tests): enough
 /// devices and months to exercise every cache, small enough to run in CI.

@@ -71,9 +71,9 @@ std::string store_bytes(const std::string& dir) {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_fleet.json";
   const std::uint64_t instances = static_cast<std::uint64_t>(
-      iotls::bench::strict_env_long("IOTLS_BENCH_FLEET_INSTANCES", 1'000'000));
+      iotls::common::strict_env_long("IOTLS_BENCH_FLEET_INSTANCES", 1'000'000));
   const std::size_t threads = static_cast<std::size_t>(
-      iotls::bench::strict_env_long("IOTLS_THREADS", 0));
+      iotls::common::strict_env_long("IOTLS_THREADS", 0));
   iotls::bench::profile_from_env();
 
   const std::vector<std::string> devices = bench_devices();

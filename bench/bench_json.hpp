@@ -6,6 +6,8 @@
 // so iotls-bench-track can ingest any lane without per-lane knowledge.
 #pragma once
 
+#include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -26,6 +28,18 @@ struct Measurement {
   double value = 0.0;
   std::string unit;
 };
+
+/// Mean wall time per call, in ms, over `iters` calls of `fn(i)`.
+/// Median-free, deliberately simple: the gated quantities are ratios well
+/// above run-to-run noise, and ablation rows are informational.
+template <typename Fn>
+double time_ms(std::size_t iters, Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) fn(i);
+  const std::chrono::duration<double, std::milli> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() / static_cast<double>(iters);
+}
 
 inline std::string bench_json_escape(const std::string& s) {
   std::string out;

@@ -42,11 +42,7 @@ int main(int argc, char** argv) {
   const iotls::obs::WallTimer total;
 
   iotls::lint::LintOptions options;
-  // iotls-lint: allow(determinism) — bench root override, not a study knob.
-  const char* root_env = std::getenv("IOTLS_LINT_ROOT");
-  options.root = (root_env != nullptr && *root_env != '\0')
-                     ? std::filesystem::path(root_env)
-                     : std::filesystem::path(IOTLS_REPO_ROOT);
+  options.root = iotls::common::env_string("IOTLS_LINT_ROOT", IOTLS_REPO_ROOT);
 
   // Split the walk from the lex+rules pass so the JSON separates filesystem
   // cost from analysis cost.

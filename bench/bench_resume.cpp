@@ -2,7 +2,9 @@
 // ones against the same 1024-bit server identity, one connection at a
 // time. A resumed handshake skips the certificate chain, its validation
 // and the RSA private operation, so the ratio measures what the ticket
-// path saves. Results land in BENCH_resume.json for CI trending.
+// path saves. A last row times one ticket seal+unseal, the symmetric work
+// the server adds to each resumption. Results land in BENCH_resume.json
+// for CI trending.
 //
 // Knobs:
 //   IOTLS_BENCH_CONNS              handshakes per lane (default 1024)
@@ -23,6 +25,7 @@
 #include "crypto/rsa.hpp"
 #include "pki/ca.hpp"
 #include "tls/client.hpp"
+#include "tls/secrets.hpp"
 #include "tls/server.hpp"
 #include "tls/transport.hpp"
 #include "x509/certificate.hpp"
@@ -32,6 +35,9 @@ namespace {
 using iotls::common::Rng;
 
 constexpr iotls::common::SimDate kNow{2021, 3, 1};
+
+/// Seal+unseal round trips timed for the ticket row.
+constexpr std::size_t kTicketIters = 4096;
 
 /// Shared handshake material: one CA, one 1024-bit server identity (the
 /// study's upper working key size), ticket-capable client config.
@@ -122,6 +128,20 @@ int main(int argc, char** argv) {
   record("resumed_handshakes_per_sec", resumed, "hs/s");
   const double resumed_ratio = resumed / full;
   record("resumed_vs_full", resumed_ratio, "x");
+
+  const auto ticket_key =
+      iotls::common::to_bytes("ticket-key-material-32-bytes!!!!");
+  const auto master = iotls::common::to_bytes(
+      "master-secret-material-48-bytes-aaaaaaaaaaaaaaa");
+  const double seal_unseal_ms =
+      iotls::bench::time_ms(kTicketIters, [&](std::size_t) {
+        const auto ticket =
+            iotls::tls::seal_ticket(ticket_key, 0xC02F, master);
+        volatile bool sink =
+            iotls::tls::unseal_ticket(ticket_key, ticket).has_value();
+        (void)sink;
+      });
+  record("ticket_seal_unseal", 1000.0 * seal_unseal_ms, "us/op");
 
   if (!iotls::bench::write_bench_json(out_path, "resume", conns,
                                       total.elapsed_ms(), results)) {

@@ -1,4 +1,5 @@
-// Shared helpers for the table/figure reproduction binaries.
+// Shared helpers for the paper reproduction (bench_study) and the lanes
+// that reuse its study options.
 #pragma once
 
 #include <chrono>
@@ -12,11 +13,6 @@
 #include "core/study.hpp"
 
 namespace iotls::bench {
-
-// The strict knob parser moved to common/env.hpp so library code
-// (crypto's IOTLS_CRYPTO_CACHE switch) shares the same semantics; keep
-// the old name visible for the bench binaries.
-using common::strict_env_long;
 
 /// Standard study options for reproduction binaries: full passive window,
 /// paper-scale connection counts. Environment knobs:

@@ -4,10 +4,13 @@
 // delivered synchronously and the session's reply records are queued for the
 // client to read. The gateway capture and the interceptor both slot in as
 // taps/wrappers around this interface — equivalent to the paper's on-path
-// vantage point, with no threads and perfect reproducibility. Wire
-// accounting and span events go through a RecordLedger.
+// vantage point, with no threads and perfect reproducibility. The
+// transport also counts each connection's records and bytes and emits its
+// `record`/`close` span events; that sequence is part of the determinism
+// contract: trace output must be byte-identical at any thread count.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -15,7 +18,6 @@
 
 #include "obs/trace.hpp"
 #include "tls/record.hpp"
-#include "tls/record_ledger.hpp"
 
 namespace iotls::tls {
 
@@ -46,7 +48,7 @@ class Transport {
   /// TraceLevel::Full every record in both directions becomes a `record`
   /// event; at any enabled level close() emits a `close` event with the
   /// record/byte totals.
-  void set_span(obs::Span* span) { ledger_.set_span(span); }
+  void set_span(obs::Span* span) { span_ = span; }
 
   /// Send a record; the session's replies become readable via receive().
   void send(const TlsRecord& record);
@@ -63,15 +65,25 @@ class Transport {
   /// most `unread + compaction threshold`.
   [[nodiscard]] std::size_t inbox_retained() const { return inbox_.size(); }
 
+  /// Close the connection: per-connection histograms, a `close` span
+  /// event with the four totals, then the session's on_close. Idempotent.
   void close();
 
  private:
+  /// Account one record on the wire (metrics counters; at TraceLevel::Full
+  /// a `record` span event with direction/type/bytes/message).
+  void note(bool client_to_server, const TlsRecord& record);
+
   std::shared_ptr<ServerSession> session_;
   std::vector<TlsRecord> inbox_;
   std::size_t inbox_pos_ = 0;
   std::vector<Tap> taps_;
   bool closed_ = false;
-  RecordLedger ledger_;
+  obs::Span* span_ = nullptr;
+  std::size_t records_to_server_ = 0;
+  std::size_t records_to_client_ = 0;
+  std::size_t bytes_to_server_ = 0;
+  std::size_t bytes_to_client_ = 0;
 };
 
 }  // namespace iotls::tls

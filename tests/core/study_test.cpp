@@ -42,6 +42,66 @@ TEST(Study, Table4MatchesPaperMatrix) {
   EXPECT_EQ(amenable, 2);  // Table 4: only MbedTLS and OpenSSL
 }
 
+TEST(Study, Table5MatchesPaperCounts) {
+  // Per-device downgraded/total destinations (EXPERIMENTS.md, Table 5).
+  const std::map<std::string, std::pair<int, int>> paper = {
+      {"Amazon Echo Dot", {7, 9}},   {"Amazon Echo Plus", {6, 7}},
+      {"Amazon Echo Spot", {11, 15}}, {"Apple HomePod", {7, 9}},
+      {"Fire TV", {13, 21}},          {"Google Home Mini", {5, 5}},
+      {"Roku TV", {8, 15}},
+  };
+  const auto& rows = study().downgrade_report().rows;
+  ASSERT_EQ(rows.size(), paper.size());
+  for (const auto& row : rows) {
+    ASSERT_TRUE(paper.count(row.device)) << row.device;
+    EXPECT_EQ(row.downgraded_destinations, paper.at(row.device).first)
+        << row.device;
+    EXPECT_EQ(row.total_destinations, paper.at(row.device).second)
+        << row.device;
+  }
+}
+
+TEST(Study, Table6HasEighteenRows) {
+  const auto& rows = study().old_version_report().rows;
+  ASSERT_EQ(rows.size(), 18u);
+  for (const auto& row : rows) {
+    if (row.device == "Samsung Fridge" || row.device == "Samsung Dryer") {
+      EXPECT_FALSE(row.tls10) << row.device;  // TLS 1.1 only
+      EXPECT_TRUE(row.tls11) << row.device;
+    }
+    if (row.device == "Wemo Plug") {
+      EXPECT_TRUE(row.tls10);  // TLS 1.0 only
+      EXPECT_FALSE(row.tls11);
+    }
+  }
+}
+
+TEST(Study, Table7MatchesPaperCounts) {
+  const auto& report = study().interception_report();
+  ASSERT_EQ(report.rows.size(), 11u);
+  EXPECT_EQ(report.devices_without_any_validation, 7);
+  EXPECT_EQ(report.devices_with_sensitive_leaks, 7);  // 7/11 leak
+  // The Amazon devices fail only hostname validation, on one destination.
+  const std::map<std::string, int> hostname_only = {
+      {"Amazon Echo Plus", 8},
+      {"Amazon Echo Dot", 9},
+      {"Amazon Echo Spot", 17},
+      {"Fire TV", 21},
+  };
+  int found = 0;
+  for (const auto& row : report.rows) {
+    if (!hostname_only.count(row.device)) continue;
+    ++found;
+    EXPECT_FALSE(row.no_validation) << row.device;
+    EXPECT_FALSE(row.invalid_basic_constraints) << row.device;
+    EXPECT_TRUE(row.wrong_hostname) << row.device;
+    EXPECT_EQ(row.vulnerable_destinations, 1) << row.device;
+    EXPECT_EQ(row.total_destinations, hostname_only.at(row.device))
+        << row.device;
+  }
+  EXPECT_EQ(found, 4);
+}
+
 TEST(Study, Table9HasEightDevicesWithPaperBands) {
   const auto& results = study().root_store_results();
   ASSERT_EQ(results.size(), 8u);  // Table 9 rows

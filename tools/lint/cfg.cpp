@@ -51,16 +51,10 @@ class Builder {
     return out;
   }
 
-  /// The statement's node, with a Suspend node inserted before it when the
-  /// statement contains a suspension point.
-  int stmt_node(const Stmt& s, std::vector<int>* preds) {
-    if (s.suspends) {
-      const int susp = add(CfgNode::Kind::Suspend, &s, s.line);
-      connect(*preds, susp);
-      *preds = {susp};
-    }
+  /// The statement's node, entered from every node in `preds`.
+  int stmt_node(const Stmt& s, const std::vector<int>& preds) {
     const int node = add(CfgNode::Kind::Stmt, &s, s.line);
-    connect(*preds, node);
+    connect(preds, node);
     return node;
   }
 
@@ -70,7 +64,7 @@ class Builder {
       case Stmt::Kind::Compound:
         return emit_compound(s, std::move(preds), nullptr, nullptr);
       case Stmt::Kind::If: {
-        const int head = stmt_node(s, &preds);
+        const int head = stmt_node(s, preds);
         std::vector<int> exits;
         if (!s.children.empty()) {
           const std::vector<int> then_exits = emit(s.children[0], {head});
@@ -86,7 +80,7 @@ class Builder {
       }
       case Stmt::Kind::While:
       case Stmt::Kind::DoWhile: {
-        const int head = stmt_node(s, &preds);
+        const int head = stmt_node(s, preds);
         std::vector<int> breaks, continues;
         jumps_.push_back({&breaks, &continues, scopes_.size()});
         std::vector<int> body_exits;
@@ -100,7 +94,7 @@ class Builder {
         return exits;
       }
       case Stmt::Kind::For: {
-        const int head = stmt_node(s, &preds);
+        const int head = stmt_node(s, preds);
         scopes_.push_back(s.decl_names);
         std::vector<int> breaks, continues;
         jumps_.push_back({&breaks, &continues, scopes_.size()});
@@ -123,7 +117,7 @@ class Builder {
         return exits;
       }
       case Stmt::Kind::Switch: {
-        const int head = stmt_node(s, &preds);
+        const int head = stmt_node(s, preds);
         std::vector<int> breaks;
         jumps_.push_back({&breaks, nullptr, scopes_.size()});
         std::vector<int> exits;
@@ -160,13 +154,13 @@ class Builder {
         return exits;
       }
       case Stmt::Kind::Return: {
-        const int node = stmt_node(s, &preds);
+        const int node = stmt_node(s, preds);
         route_out(node, 0, cfg_.exit);
         return {};
       }
       case Stmt::Kind::Break:
       case Stmt::Kind::Continue: {
-        const int node = stmt_node(s, &preds);
+        const int node = stmt_node(s, preds);
         for (auto it = jumps_.rbegin(); it != jumps_.rend(); ++it) {
           const bool wants_continue = s.kind == Stmt::Kind::Continue;
           std::vector<int>* sink = wants_continue ? it->continues
@@ -181,7 +175,7 @@ class Builder {
       case Stmt::Kind::Case:
       case Stmt::Kind::Decl:
       case Stmt::Kind::Expr: {
-        const int node = stmt_node(s, &preds);
+        const int node = stmt_node(s, preds);
         if (s.kind == Stmt::Kind::Decl && !scopes_.empty()) {
           for (const auto& n : s.decl_names) scopes_.back().push_back(n);
         }

@@ -1,15 +1,10 @@
-// Control-flow graph over a parsed function (parse.hpp), with coroutine
-// suspension points as first-class nodes.
+// Control-flow graph over a parsed function (parse.hpp).
 //
-// Each statement becomes a node; `co_await` / `co_yield` statements get a
-// dedicated Suspend node INSERTED BEFORE the statement node (facts live at
-// the suspension are exactly those established by earlier statements).
-// Leaving a lexical scope — by falling off a compound, or jumping out via
-// break / continue / return — inserts a ScopeExit node naming the locals
-// whose lifetime ends, so RAII facts (locks, profile zones) can be killed
-// precisely on every path. `co_return` routes to the exit node directly:
-// locals are destroyed before the coroutine's final suspend, so it is not
-// a hazardous suspension.
+// Each statement becomes a node. Leaving a lexical scope — by falling off
+// a compound, or jumping out via break / continue / return — inserts a
+// ScopeExit node naming the locals whose lifetime ends, so dataflow facts
+// tied to a local (secret-taint's tainted names) die precisely on every
+// path.
 #pragma once
 
 #include <string>
@@ -20,9 +15,9 @@
 namespace iotls::lint {
 
 struct CfgNode {
-  enum class Kind { Entry, Exit, Stmt, Suspend, ScopeExit };
+  enum class Kind { Entry, Exit, Stmt, ScopeExit };
   Kind kind = Kind::Stmt;
-  const Stmt* stmt = nullptr;          // Stmt / Suspend
+  const Stmt* stmt = nullptr;          // Stmt
   int line = 0;
   std::vector<std::string> dying;      // ScopeExit: names leaving scope
   std::vector<int> succ;

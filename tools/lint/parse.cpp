@@ -47,7 +47,6 @@ class Parser {
   explicit Parser(const std::vector<Token>& toks) : toks_(toks) {}
 
   ParsedFile run() {
-    collect_thread_locals();
     scan(0, toks_.size());
     return std::move(out_);
   }
@@ -60,32 +59,6 @@ class Parser {
   }
   [[nodiscard]] bool at_ident(std::size_t i, std::string_view text) const {
     return i < toks_.size() && is_ident(toks_[i], text);
-  }
-
-  void collect_thread_locals() {
-    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (!at_ident(i, "thread_local")) continue;
-      // Declared name: last identifier before the first `=`, `;`, `(` or
-      // `{` at top level relative to the declaration.
-      std::size_t j = i + 1;
-      std::size_t name = kNpos;
-      while (j < toks_.size()) {
-        const Token& t = toks_[j];
-        if (t.kind == TokenKind::Ident) {
-          name = j;
-          ++j;
-        } else if (is_punct(t, "<")) {
-          const std::size_t past = skip_template_args(toks_, j, toks_.size());
-          if (past == kNpos) break;
-          j = past;
-        } else if (is_punct(t, "::") || is_punct(t, "*") || is_punct(t, "&")) {
-          ++j;
-        } else {
-          break;
-        }
-      }
-      if (name != kNpos) out_.thread_locals.push_back(toks_[name].text);
-    }
   }
 
   // ----------------------------------------------------- function finder
@@ -237,7 +210,6 @@ class Parser {
     std::size_t next = 0;
     fn.body = parse_compound(k, &next);
     fn.body_end = next;
-    finish_function(&fn);
     if (!ret.empty()) {
       out_.declarations.push_back({name, ret, nodiscard, fn.line});
     }
@@ -444,25 +416,18 @@ class Parser {
     return s;
   }
 
-  /// Parse a parenthesized head `(...)` at i; records the range on s and
-  /// checks it for suspension tokens. Returns the index just past ")".
+  /// Parse a parenthesized head `(...)` at i and record the range on s.
+  /// Returns the index just past ")".
   std::size_t parse_head(std::size_t i, Stmt* s) {
     if (!at(i, "(")) return i;
     const std::size_t close = skip_balanced(toks_, i, "(", ")");
     s->head_begin = i + 1;
     s->head_end = close > 0 ? close - 1 : i + 1;
-    for (std::size_t j = s->head_begin; j < s->head_end; ++j) {
-      if (at_ident(j, "co_await") || at_ident(j, "co_yield")) {
-        s->suspends = true;
-      }
-    }
     return close;
   }
 
-  /// Consume one `...;` statement starting at i, balancing brackets,
-  /// extracting nested lambda bodies as their own Functions, and noting
-  /// suspension tokens that belong to THIS statement (lambda bodies
-  /// excluded). Sets s->end.
+  /// Consume one `...;` statement starting at i, balancing brackets and
+  /// extracting nested lambda bodies as their own Functions. Sets s->end.
   void scan_expression(std::size_t i, Stmt* s) {
     int paren = 0, bracket = 0, brace = 0;
     std::size_t j = i;
@@ -493,9 +458,6 @@ class Parser {
           ++j;
           break;
         }
-      } else if (t.kind == TokenKind::Ident &&
-                 (t.text == "co_await" || t.text == "co_yield")) {
-        s->suspends = true;
       }
       ++j;
     }
@@ -543,7 +505,6 @@ class Parser {
     std::size_t next = 0;
     fn.body = parse_compound(k, &next);
     fn.body_end = next;
-    finish_function(&fn);
     out_.functions.push_back(std::move(fn));
     return next;
   }
@@ -624,24 +585,6 @@ class Parser {
     head.end = stop;  // exclusive of the `;` / `:` separator
     classify_decl(&head);
     for (auto& n : head.decl_names) s->decl_names.push_back(std::move(n));
-  }
-
-  /// Post-pass: mark coroutines (any own-statement suspension or a
-  /// `co_return` statement).
-  void finish_function(Function* fn) {
-    fn->is_coroutine = tree_is_coroutine(fn->body);
-  }
-
-  bool tree_is_coroutine(const Stmt& s) {
-    if (s.suspends) return true;
-    if (s.kind == Stmt::Kind::Return && s.begin < toks_.size() &&
-        is_ident(toks_[s.begin], "co_return")) {
-      return true;
-    }
-    for (const Stmt& c : s.children) {
-      if (tree_is_coroutine(c)) return true;
-    }
-    return false;
   }
 
   const std::vector<Token>& toks_;

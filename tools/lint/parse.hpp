@@ -5,15 +5,14 @@
 // parameter list, constructor init lists, trailing return types), their
 // bodies parsed into a tree of compound / selection / iteration / jump
 // statements with token ranges. Lambda bodies nested inside statements are
-// extracted as their own Function entries, so a coroutine lambda is
-// analyzed as the coroutine it is and its `co_await`s are never
-// attributed to the enclosing function.
+// extracted as their own Function entries, so a lambda's statements are
+// never attributed to the enclosing function.
 //
 // This is still NOT a conforming C++ parser (no types, no overload
 // resolution, no templates beyond balanced skipping). It only needs to be
 // faithful enough that the CFG (cfg.hpp) and the dataflow rules
-// (rules.cpp) see real statement structure, declaration names, and
-// suspension points across the styles used in this tree.
+// (rules.cpp) see real statement structure and declaration names across
+// the styles used in this tree.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +50,6 @@ struct Stmt {
   std::vector<Stmt> children;
   /// Names introduced by this statement (Decl, or a For's init clause).
   std::vector<std::string> decl_names;
-  /// This statement's own tokens (lambda bodies excluded) contain
-  /// `co_await` or `co_yield`.
-  bool suspends = false;
 };
 
 /// A parsed function (or extracted lambda) body.
@@ -64,7 +60,6 @@ struct Function {
   int line = 0;              // line of the name token
   std::size_t body_begin = 0, body_end = 0;  // token range of `{...}`
   Stmt body;                 // Kind::Compound
-  bool is_coroutine = false; // body contains co_await / co_yield / co_return
   bool is_lambda = false;
 };
 
@@ -80,8 +75,6 @@ struct FnDecl {
 struct ParsedFile {
   std::vector<Function> functions;   // definitions, lambdas included
   std::vector<FnDecl> declarations;  // prototypes AND definitions
-  /// Names of variables declared `thread_local` in this file.
-  std::vector<std::string> thread_locals;
 };
 
 /// Parse one lexed file. Never throws: unparseable regions are skipped.

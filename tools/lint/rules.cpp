@@ -474,225 +474,6 @@ std::size_t skip_nested(const std::vector<TokenRange>& skips,
 }
 
 // ---------------------------------------------------------------------------
-// RAII-region-across-suspension machinery (lock + thread-local RAII rules)
-// ---------------------------------------------------------------------------
-
-struct RaiiFact {
-  std::string name;  // variable name
-  std::string type;  // RAII type that made it a fact
-};
-
-/// End of the declarator-type region of a Decl statement: the index of the
-/// declared name. The RAII type of interest is always spelled before the
-/// name, and stopping there keeps lambda initializers out of the scan.
-std::size_t decl_type_end(const Tokens& toks, const Stmt& s, std::size_t b,
-                          std::size_t e) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (toks[i].kind == TokenKind::Ident &&
-        toks[i].text == s.decl_names.front()) {
-      return i;
-    }
-  }
-  return e;
-}
-
-/// Find RAII facts of `types` in coroutine `fn`, solve liveness over the
-/// CFG, and report every suspension point where one is live.
-void check_raii_across_suspension(
-    const SourceFile& file, const Function& fn, const Cfg& cfg,
-    const std::vector<std::string>& types, const char* rule,
-    const char* hazard, std::vector<Finding>* out) {
-  const Tokens& toks = file.lex.tokens;
-
-  // Fact universe: declarations whose statement names one of the RAII
-  // types, plus `m.lock()` statements for the lock rule (type "mutex").
-  std::vector<RaiiFact> facts;
-  std::map<std::string, std::size_t> fact_ids;
-  const bool lock_rule = std::string_view(rule) == "lock-across-suspension";
-  auto fact_id = [&](const std::string& name,
-                     const std::string& type) -> std::size_t {
-    const auto it = fact_ids.find(name);
-    if (it != fact_ids.end()) return it->second;
-    fact_ids[name] = facts.size();
-    facts.push_back({name, type});
-    return facts.size() - 1;
-  };
-
-  // First pass: discover facts so the bitsets can be sized.
-  for (const CfgNode& node : cfg.nodes) {
-    if (node.kind != CfgNode::Kind::Stmt || node.stmt == nullptr) continue;
-    const Stmt& s = *node.stmt;
-    std::size_t b = 0, e = 0;
-    own_range(s, &b, &e);
-    if (s.kind == Stmt::Kind::Decl && !s.decl_names.empty()) {
-      const std::size_t type_end = decl_type_end(toks, s, b, e);
-      for (std::size_t i = b; i < type_end; ++i) {
-        if (toks[i].kind == TokenKind::Ident &&
-            in_list(types, toks[i].text)) {
-          fact_id(s.decl_names.front(), toks[i].text);
-          break;
-        }
-      }
-    } else if (lock_rule && e >= b + 4 && toks[b].kind == TokenKind::Ident &&
-               (is_punct(toks[b + 1], ".") || is_punct(toks[b + 1], "->")) &&
-               is_ident(toks[b + 2], "lock") && is_punct(toks[b + 3], "(")) {
-      fact_id(toks[b].text, "mutex");
-    }
-  }
-  if (facts.empty()) return;
-
-  FlowProblem problem;
-  problem.nfacts = facts.size();
-  problem.gen.assign(cfg.nodes.size(), BitSet(facts.size()));
-  problem.kill.assign(cfg.nodes.size(), BitSet(facts.size()));
-  for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-    const CfgNode& node = cfg.nodes[n];
-    if (node.kind == CfgNode::Kind::ScopeExit) {
-      for (const auto& name : node.dying) {
-        const auto it = fact_ids.find(name);
-        if (it != fact_ids.end()) problem.kill[n].set(it->second);
-      }
-      continue;
-    }
-    if (node.kind != CfgNode::Kind::Stmt || node.stmt == nullptr) continue;
-    const Stmt& s = *node.stmt;
-    std::size_t b = 0, e = 0;
-    own_range(s, &b, &e);
-    if (s.kind == Stmt::Kind::Decl && !s.decl_names.empty()) {
-      const std::size_t type_end = decl_type_end(toks, s, b, e);
-      for (std::size_t i = b; i < type_end; ++i) {
-        if (toks[i].kind == TokenKind::Ident &&
-            in_list(types, toks[i].text)) {
-          problem.gen[n].set(fact_ids.at(s.decl_names.front()));
-          break;
-        }
-      }
-    } else if (lock_rule && e >= b + 4 && toks[b].kind == TokenKind::Ident &&
-               (is_punct(toks[b + 1], ".") || is_punct(toks[b + 1], "->"))) {
-      const auto it = fact_ids.find(toks[b].text);
-      if (it != fact_ids.end() && is_punct(toks[b + 3], "(")) {
-        if (is_ident(toks[b + 2], "lock")) problem.gen[n].set(it->second);
-        if (is_ident(toks[b + 2], "unlock")) problem.kill[n].set(it->second);
-      }
-    }
-    // `g.unlock()` on a unique_lock releases the RAII fact too.
-    if (e >= b + 4 && toks[b].kind == TokenKind::Ident &&
-        (is_punct(toks[b + 1], ".") || is_punct(toks[b + 1], "->")) &&
-        is_ident(toks[b + 2], "unlock") && is_punct(toks[b + 3], "(")) {
-      const auto it = fact_ids.find(toks[b].text);
-      if (it != fact_ids.end()) problem.kill[n].set(it->second);
-    }
-  }
-
-  const FlowResult flow = solve_forward(cfg, problem);
-  for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-    if (cfg.nodes[n].kind != CfgNode::Kind::Suspend) continue;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!flow.in[n].test(f)) continue;
-      out->push_back(
-          {file.path, cfg.nodes[n].line, rule,
-           "'" + facts[f].name + "' (" + facts[f].type + ") in '" +
-               fn.name + "' is live across a suspension point; " + hazard});
-    }
-  }
-}
-
-void rule_lock_across_suspension(const Ctx& ctx, std::vector<Finding>* out) {
-  for (std::size_t f = 0; f < ctx.files.size(); ++f) {
-    const auto& functions = ctx.parsed[f].functions;
-    for (std::size_t k = 0; k < functions.size(); ++k) {
-      if (!functions[k].is_coroutine) continue;
-      check_raii_across_suspension(
-          ctx.files[f], functions[k], ctx.cfgs[f][k], ctx.config.lock_types,
-          "lock-across-suspension",
-          "a parked coroutine resumes on a later tick with the mutex still "
-          "held, stalling every connection that needs it — release before "
-          "co_await",
-          out);
-    }
-  }
-}
-
-void rule_thread_local_across_suspension(const Ctx& ctx,
-                                         std::vector<Finding>* out) {
-  for (std::size_t f = 0; f < ctx.files.size(); ++f) {
-    const SourceFile& file = ctx.files[f];
-    const ParsedFile& parsed = ctx.parsed[f];
-    for (std::size_t k = 0; k < parsed.functions.size(); ++k) {
-      const Function& fn = parsed.functions[k];
-      if (!fn.is_coroutine) continue;
-      const Cfg& cfg = ctx.cfgs[f][k];
-      check_raii_across_suspension(
-          file, fn, cfg, ctx.config.thread_local_raii_types,
-          "thread-local-across-suspension",
-          "its destructor touches thread_local state and may run on a "
-          "different thread after resume — scope it between suspension "
-          "points",
-          out);
-
-      // Direct reads of thread_local variables on both sides of a
-      // suspension: fact pair (read, read-then-suspended) per name.
-      const std::vector<std::string>& names = parsed.thread_locals;
-      if (names.empty()) continue;
-      const std::size_t n_names = names.size();
-      const std::vector<TokenRange> skips = nested_lambda_ranges(parsed, fn);
-      FlowProblem problem;
-      problem.nfacts = 2 * n_names;  // [i]=read, [n_names+i]=crossed
-      problem.gen.assign(cfg.nodes.size(), BitSet(problem.nfacts));
-      problem.kill.assign(cfg.nodes.size(), BitSet(problem.nfacts));
-      const Tokens& toks = file.lex.tokens;
-      std::vector<std::vector<std::size_t>> mentions(cfg.nodes.size());
-      for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-        const CfgNode& node = cfg.nodes[n];
-        if (node.kind != CfgNode::Kind::Stmt || node.stmt == nullptr) {
-          continue;
-        }
-        std::size_t b = 0, e = 0;
-        own_range(*node.stmt, &b, &e);
-        for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-          const std::size_t past = skip_nested(skips, i);
-          if (past != i) {
-            i = past - 1;
-            continue;
-          }
-          if (toks[i].kind != TokenKind::Ident) continue;
-          for (std::size_t x = 0; x < n_names; ++x) {
-            if (toks[i].text == names[x]) {
-              problem.gen[n].set(x);
-              mentions[n].push_back(x);
-            }
-          }
-        }
-      }
-      const Cfg& c = cfg;
-      problem.transfer = [&c, n_names](int n, BitSet& outset) {
-        if (c.nodes[n].kind == CfgNode::Kind::Suspend) {
-          for (std::size_t x = 0; x < n_names; ++x) {
-            if (outset.test(x)) outset.set(n_names + x);
-          }
-        }
-        return false;  // fall through to gen/kill
-      };
-      const FlowResult flow = solve_forward(cfg, problem);
-      std::set<std::pair<int, std::size_t>> reported;
-      for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-        for (const std::size_t x : mentions[n]) {
-          if (!flow.in[n].test(n_names + x)) continue;
-          if (!reported.insert({cfg.nodes[n].line, x}).second) continue;
-          out->push_back(
-              {file.path, cfg.nodes[n].line,
-               "thread-local-across-suspension",
-               "thread_local '" + names[x] + "' is accessed on both sides "
-               "of a suspension point in '" + fn.name + "'; the coroutine "
-               "may resume on a different thread — confine the access to "
-               "one side or capture a plain local"});
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: secret-taint
 // ---------------------------------------------------------------------------
 
@@ -1160,10 +941,8 @@ const std::vector<std::string>& rule_names() {
       "banned-api",
       "determinism",
       "include-hygiene",
-      "lock-across-suspension",
       "raw-io",
       "secret-taint",
-      "thread-local-across-suspension",
       "timing-hygiene",
       "unchecked-result"};
   return kNames;
@@ -1229,8 +1008,6 @@ RunResult run_rules_full(const std::vector<SourceFile>& files,
          }
        }},
       {"alert-exhaustive", rule_alert_exhaustive},
-      {"lock-across-suspension", rule_lock_across_suspension},
-      {"thread-local-across-suspension", rule_thread_local_across_suspension},
       {"secret-taint", rule_secret_taint},
       {"unchecked-result", rule_unchecked_result},
   };

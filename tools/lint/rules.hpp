@@ -1,7 +1,7 @@
 // iotls-lint v2 rule engine: token rules plus CFG/dataflow rules over the
 // scoped parser (parse.hpp, cfg.hpp, dataflow.hpp).
 //
-// Ten named rules enforce the project invariants review keeps
+// Eight named rules enforce the project invariants review keeps
 // re-checking by hand (DESIGN.md §9):
 //
 //   determinism      no wall-clock / ambient randomness / getenv / pointer
@@ -14,16 +14,6 @@
 //                    code outside the CheckedFile chokepoint
 //   timing-hygiene   no raw std::chrono clock reads outside the obs timing
 //                    chokepoint and the bench harness
-//   lock-across-suspension
-//                    no std::mutex / lock_guard / unique_lock region that
-//                    spans a co_await/co_yield suspension edge in coroutine
-//                    code — a parked coroutine resumes on a later tick with
-//                    the mutex still held, deadlocking the batch
-//   thread-local-across-suspension
-//                    no thread_local state (or RAII types over it: the
-//                    ProfileZone cursor) live on both
-//                    sides of a suspension point — the resume may run on a
-//                    different thread's state
 //   secret-taint     values derived from key/ticket/premaster material must
 //                    not reach trace/log/metrics/format sinks except via an
 //                    allowlisted digest wrapper; taint propagates through
@@ -92,17 +82,6 @@ struct RuleConfig {
   /// Everything else measures time through obs::WallTimer /
   /// obs::profile_now_ns so clock access stays auditable in one place.
   std::vector<std::string> timing_allowed_fragments = {"src/obs/", "bench/"};
-
-  // ---- coroutine-safety rules (lock/thread-local across suspension) ----
-
-  /// RAII lock types whose lifetime may not span a suspension edge.
-  std::vector<std::string> lock_types = {"lock_guard", "unique_lock",
-                                         "scoped_lock", "shared_lock"};
-  /// RAII types whose constructor/destructor touch thread_local state
-  /// (the ProfileZone cursor): constructing one before a suspension and
-  /// destroying it after is a cross-thread hazard once a scheduler resumes
-  /// the coroutine elsewhere.
-  std::vector<std::string> thread_local_raii_types = {"ProfileZone"};
 
   // ---------------------------- secret-taint ----------------------------
 
