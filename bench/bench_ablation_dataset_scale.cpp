@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/fold.hpp"
 #include "analysis/longitudinal.hpp"
 #include "analysis/summary.hpp"
 #include "bench_json.hpp"
@@ -71,14 +72,20 @@ int main(int argc, char** argv) {
 
   const auto dataset = testbed::generate_passive_dataset(generator());
   const auto months = analysis::study_months();
+  record("BM_FoldDataset", time_ms(kAnalyzeIters, [&](std::size_t) {
+           volatile std::uint64_t sink =
+               analysis::fold_dataset(dataset, months).total_connections;
+           (void)sink;
+         }));
+  const auto fold = analysis::fold_dataset(dataset, months);
   record("BM_AnalyzeVersionSeries", time_ms(kAnalyzeIters, [&](std::size_t) {
            volatile std::size_t sink =
-               analysis::all_version_series(dataset, months).size();
+               analysis::all_version_series(fold).size();
            (void)sink;
          }));
   record("BM_Summarize", time_ms(kAnalyzeIters, [&](std::size_t) {
            volatile std::uint64_t sink =
-               analysis::summarize(dataset).total_connections;
+               analysis::summarize(fold).total_connections;
            (void)sink;
          }));
 

@@ -1,6 +1,7 @@
 // Query lane: columnar scan throughput with and without column projection,
-// predicate-pushdown block skip ratio, compaction throughput, and the
-// scan-vs-oracle differential parity gate, emitted as BENCH_query.json.
+// a selective query's time and predicate-pushdown block skip ratio,
+// compaction throughput, and the scan-vs-oracle differential parity gate,
+// emitted as BENCH_query.json.
 //
 // Knobs:
 //   IOTLS_THREADS  scan/compact fan-out width (0 = hardware); results are
@@ -90,7 +91,8 @@ int main(int argc, char** argv) {
     return std::make_pair(result.stats.rows_scanned, std::uint64_t{0});
   });
 
-  // Pushdown lane: the selective predicate with block skipping on and off.
+  // Pushdown lane: the selective predicate, whose block summaries let the
+  // scan skip most blocks unread.
   iotls::query::QueryOptions push;
   push.filter = selective;
   push.threads = threads;
@@ -98,13 +100,6 @@ int main(int argc, char** argv) {
   const auto push_tp = iotls::bench::timed_throughput([&] {
     const auto result = iotls::query::run_query(dir, push);
     push_stats = result.stats;
-    return std::make_pair(result.stats.rows_scanned, std::uint64_t{0});
-  });
-  push.pushdown = false;
-  iotls::query::ScanStats nopush_stats;
-  const auto nopush_tp = iotls::bench::timed_throughput([&] {
-    const auto result = iotls::query::run_query(dir, push);
-    nopush_stats = result.stats;
     return std::make_pair(result.stats.rows_scanned, std::uint64_t{0});
   });
   const double skip_ratio =
@@ -139,7 +134,6 @@ int main(int argc, char** argv) {
   iotls::bench::print_throughput("scan_full", full_tp);
   iotls::bench::print_throughput("scan_projected", projected_tp);
   iotls::bench::print_throughput("pushdown", push_tp);
-  iotls::bench::print_throughput("no_pushdown", nopush_tp);
   iotls::bench::print_throughput("compact", compact_tp);
   std::printf("%-24s %llu/%llu blocks scanned (skip ratio %.3f)\n",
               "pushdown_blocks",
@@ -159,7 +153,6 @@ int main(int argc, char** argv) {
                                   : 0.0,
        "x"},
       {"pushdown_ms", push_tp.wall_ms, "ms"},
-      {"no_pushdown_ms", nopush_tp.wall_ms, "ms"},
       {"pushdown_skip_ratio", skip_ratio, "fraction"},
       {"compact_groups", compact_tp.records_per_sec(), "groups/s"},
       {"compact_bytes", compact_tp.mib_per_sec(), "MiB/s"},

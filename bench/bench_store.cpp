@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/fold.hpp"
 #include "analysis/longitudinal.hpp"
 #include "analysis/revocation.hpp"
 #include "analysis/summary.hpp"
@@ -95,19 +96,21 @@ int main(int argc, char** argv) {
   Artifacts streamed;
   double streamed_ms = 0.0;
   {
-    const std::size_t threads = options.threads;
+    iotls::analysis::FoldOptions fold_options;
+    fold_options.threads = options.threads;
     const auto tp = iotls::bench::timed_throughput([&] {
+      const auto fold =
+          iotls::analysis::fold_store(cursor, months, fold_options);
       streamed.fig1 = iotls::analysis::render_fig1(
-          iotls::analysis::all_version_series(cursor, months, threads),
-          months);
+          iotls::analysis::all_version_series(fold), months);
       streamed.fig2 = iotls::analysis::render_fig2(
-          iotls::analysis::all_cipher_series(cursor, months, threads));
+          iotls::analysis::all_cipher_series(fold));
       streamed.fig3 = iotls::analysis::render_fig3(
-          iotls::analysis::all_cipher_series(cursor, months, threads));
+          iotls::analysis::all_cipher_series(fold));
       streamed.table8 = iotls::analysis::render_table8(
-          iotls::analysis::analyze_revocation(cursor, threads), 40);
+          iotls::analysis::analyze_revocation(fold), 40);
       streamed.summary = iotls::analysis::render_summary(
-          iotls::analysis::summarize(cursor, threads));
+          iotls::analysis::summarize(fold));
       return std::make_pair(std::uint64_t{0}, std::uint64_t{0});
     });
     streamed_ms = tp.wall_ms;

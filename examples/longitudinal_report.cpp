@@ -8,6 +8,7 @@
 // capture store (DESIGN.md §11) — inspect it with `iotls-store`.
 #include <cstdio>
 
+#include "analysis/fold.hpp"
 #include "analysis/longitudinal.hpp"
 #include "analysis/summary.hpp"
 #include "common/table.hpp"
@@ -23,8 +24,14 @@ int main(int argc, char** argv) {
   gen.count_scale = 0.05;  // report tool: shapes identical, faster counts
   const auto dataset = testbed::generate_passive_dataset(gen);
   const auto months = analysis::study_months();
+  const auto fold = analysis::fold_dataset(dataset, months);
+  // A device without traffic gets all-empty tallies (every cell gray).
+  const auto it = fold.tallies.find(device);
+  const analysis::MonthTallies tallies =
+      it != fold.tallies.end() ? it->second
+                               : analysis::MonthTallies(months.size());
 
-  const auto series = analysis::version_series(dataset, device, months);
+  const auto series = analysis::version_series_from(tallies, device, months);
   std::printf("\n%s — advertised TLS versions by month (%s .. %s)\n",
               device.c_str(), months.front().str().c_str(),
               months.back().str().c_str());
@@ -34,13 +41,13 @@ int main(int argc, char** argv) {
   std::printf("(TLS1.2-exclusive: %s)\n",
               series.tls12_exclusive() ? "yes" : "no");
 
-  const auto ciphers = analysis::cipher_series(dataset, device, months);
+  const auto ciphers = analysis::cipher_series_from(tallies, device, months);
   std::printf("\ninsecure advertised  |%s|\n",
               common::heat_strip(ciphers.insecure_advertised).c_str());
   std::printf("strong established   |%s|\n",
               common::heat_strip(ciphers.strong_established).c_str());
 
-  const auto summary = analysis::summarize(dataset);
+  const auto summary = analysis::summarize(fold);
   std::printf("\n== study-wide ==\n%s",
               analysis::render_summary(summary).c_str());
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/pool.hpp"
+#include "obs/profile.hpp"
 #include "tls/ciphersuite.hpp"
 
 namespace iotls::analysis {
@@ -81,6 +82,8 @@ void DatasetFold::add(const testbed::PassiveConnectionGroup& group,
     const auto max = rec.max_advertised_version();
     max_versions[rec.device].insert(max);
     if (max == tls::ProtocolVersion::Tls1_3) tls13_advertising += n;
+    const Party party = classify_party(rec.device, rec.destination);
+    party_buckets[party][tls::bucket_of(max)] += n;
   }
   const bool has_rc4 = std::any_of(
       rec.advertised_suites.begin(), rec.advertised_suites.end(),
@@ -123,6 +126,10 @@ void DatasetFold::merge(const DatasetFold& other) {
   }
   null_anon_devices.insert(other.null_anon_devices.begin(),
                            other.null_anon_devices.end());
+  for (const auto& [party, buckets] : other.party_buckets) {
+    auto& mine = party_buckets[party];
+    for (const auto& [bucket, n] : buckets) mine[bucket] += n;
+  }
   stapling_devices.insert(other.stapling_devices.begin(),
                           other.stapling_devices.end());
   for (const auto& [device, uses] : other.fingerprint_uses) {
@@ -147,6 +154,7 @@ std::vector<std::string> DatasetFold::devices() const {
 DatasetFold fold_dataset(const testbed::PassiveDataset& dataset,
                          const std::vector<common::Month>& months,
                          const FoldOptions& options) {
+  const obs::ProfileZone zone("analysis/fold_dataset");
   DatasetFold fold;
   fold.months = months;
   for (const auto& group : dataset.groups()) {
@@ -158,25 +166,7 @@ DatasetFold fold_dataset(const testbed::PassiveDataset& dataset,
 DatasetFold fold_store(const store::DatasetCursor& cursor,
                        const std::vector<common::Month>& months,
                        const FoldOptions& options) {
-  const auto partials = common::parallel_map(
-      options.threads, cursor.shard_paths(), [&](const std::string& path) {
-        DatasetFold partial;
-        partial.months = months;
-        store::DatasetCursor one(std::vector<std::string>{path});
-        one.for_each([&](const testbed::PassiveConnectionGroup& group) {
-          partial.add(group, options.fingerprints);
-        });
-        return partial;
-      });
-  DatasetFold fold;
-  fold.months = months;
-  for (const auto& partial : partials) fold.merge(partial);
-  return fold;
-}
-
-DatasetFold fold_store_scan(const store::DatasetCursor& cursor,
-                            const std::vector<common::Month>& months,
-                            const FoldOptions& options) {
+  const obs::ProfileZone zone("analysis/fold_store");
   // DatasetFold::add reads advertised versions + suites; fingerprinting
   // additionally hashes extensions/groups/sigalgs.
   const std::uint32_t fields =
@@ -187,37 +177,26 @@ DatasetFold fold_store_scan(const store::DatasetCursor& cursor,
       options.threads, cursor.shard_paths(), [&](const std::string& path) {
         DatasetFold partial;
         partial.months = months;
-        const store::ShardIndex index = store::read_shard_index(path);
-        store::StringDictionary dict;
-        const bool standalone = index.footer.has_stats;
-        if (standalone) {
-          for (const auto& entry : index.footer.dictionary) {
-            dict.append(entry);
-          }
-        }
-        store::BlockFetcher fetcher(index);
-        store::ProjectedRow row;
         testbed::PassiveConnectionGroup group;
-        for (std::size_t i = 0; i < index.blocks.size(); ++i) {
-          const common::Bytes payload = fetcher.fetch(i);
-          store::ProjectedBlockCursor block(payload, index.header, fields,
-                                            &dict, standalone);
-          while (block.next(&row)) {
-            net::HandshakeRecord& rec = group.record;
-            rec.device = dict.at(row.device_id);
-            rec.month = row.month;
-            rec.advertised_versions = row.advertised_versions;
-            rec.advertised_suites = row.advertised_suites;
-            rec.extension_types = row.extension_types;
-            rec.advertised_groups = row.advertised_groups;
-            rec.advertised_sigalgs = row.advertised_sigalgs;
-            rec.requested_ocsp_staple = row.requested_ocsp_staple;
-            rec.established_version = row.established_version;
-            rec.established_suite = row.established_suite;
-            group.count = row.count;
-            partial.add(group, options.fingerprints);
-          }
-        }
+        store::scan_shard_rows(
+            path, fields, nullptr,
+            [&](const store::ProjectedRow& row,
+                const store::StringDictionary& dict) {
+              net::HandshakeRecord& rec = group.record;
+              rec.device = dict.at(row.device_id);
+              rec.destination = dict.at(row.dest_id);
+              rec.month = row.month;
+              rec.advertised_versions = row.advertised_versions;
+              rec.advertised_suites = row.advertised_suites;
+              rec.extension_types = row.extension_types;
+              rec.advertised_groups = row.advertised_groups;
+              rec.advertised_sigalgs = row.advertised_sigalgs;
+              rec.requested_ocsp_staple = row.requested_ocsp_staple;
+              rec.established_version = row.established_version;
+              rec.established_suite = row.established_suite;
+              group.count = row.count;
+              partial.add(group, options.fingerprints);
+            });
         return partial;
       });
   DatasetFold fold;

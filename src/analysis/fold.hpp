@@ -1,12 +1,15 @@
-// Out-of-core dataset folding.
+// Dataset folding: the one input of every passive analysis.
 //
-// Every longitudinal/summary/revocation/fingerprint aggregate in this
-// module is a *commutative integer accumulation* keyed by (device, month,
-// bucket): per-shard partial folds merge to exactly the integers a single
+// Figs 1-3, Table 8's stapling column, the §5.1 summary and party
+// breakdown, and the passive fingerprint study are all *commutative
+// integer accumulations* keyed by (device, month, bucket). A DatasetFold
+// holds those integers; the analyses in longitudinal/summary/revocation/
+// party/fpstudy take nothing else. Two functions build one: fold_dataset
+// (an in-memory PassiveDataset) and fold_store (a capture store, shard by
+// shard). Per-shard partial folds merge to exactly the integers a single
 // in-memory pass produces, so the derived doubles — and the rendered
-// figures — are byte-identical whether a dataset is folded in memory, or
-// streamed shard by shard across any number of threads (DESIGN.md §11's
-// parity invariant).
+// figures — are byte-identical either way, across any number of threads
+// (DESIGN.md §11's parity invariant).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/party.hpp"
 #include "common/simtime.hpp"
 #include "fingerprint/fingerprint.hpp"
 #include "store/reader.hpp"
@@ -49,14 +53,16 @@ struct DatasetFold {
   /// Per-device month tallies (window-filtered, like the figures).
   std::map<std::string, MonthTallies> tallies;
 
-  // §5.1 summary inputs (whole dataset, not window-filtered — matching the
-  // in-memory summarize()).
+  // §5.1 summary inputs (whole dataset, not window-filtered).
   std::uint64_t total_connections = 0;
   std::map<std::string, std::uint64_t> connections_per_device;
   std::uint64_t tls13_advertising = 0;
   std::uint64_t rc4_advertising = 0;
   std::map<std::string, std::set<tls::ProtocolVersion>> max_versions;
   std::set<std::string> null_anon_devices;
+  /// §5.1 hypothesis check: destination party → advertised-max-version
+  /// bucket → weighted connections.
+  std::map<Party, std::map<tls::VersionBucket, std::uint64_t>> party_buckets;
 
   // Table 8 input: devices whose traffic requests OCSP stapling.
   std::set<std::string> stapling_devices;
@@ -91,18 +97,12 @@ DatasetFold fold_dataset(const testbed::PassiveDataset& dataset,
 
 /// Out-of-core: fold each shard independently (parallel over shards, one
 /// block resident per worker), then merge the partials in shard order.
+/// Shards are read on the columnar scan path (store::scan_shard_rows,
+/// DESIGN.md §12), which materializes only the list columns the fold
+/// reads — advertised versions and suites; the fingerprint lists stay
+/// undecoded unless FoldOptions::fingerprints asks for them.
 DatasetFold fold_store(const store::DatasetCursor& cursor,
                        const std::vector<common::Month>& months,
                        const FoldOptions& options = FoldOptions{});
-
-/// Same fold on the columnar scan path (DESIGN.md §12): shards are
-/// frame-walk indexed and decoded through ProjectedBlockCursor, which
-/// materializes only the list columns the fold reads — advertised versions
-/// and suites; the fingerprint lists stay undecoded unless
-/// FoldOptions::fingerprints asks for them. Byte-identical to fold_store
-/// on every store (with or without block stats) at every thread count.
-DatasetFold fold_store_scan(const store::DatasetCursor& cursor,
-                            const std::vector<common::Month>& months,
-                            const FoldOptions& options = FoldOptions{});
 
 }  // namespace iotls::analysis

@@ -118,23 +118,6 @@ FingerprintStudy passive_fingerprint_study(const DatasetFold& fold) {
   return study;
 }
 
-FingerprintStudy passive_fingerprint_study(
-    const testbed::PassiveDataset& dataset) {
-  FoldOptions options;
-  options.fingerprints = true;
-  return passive_fingerprint_study(
-      fold_dataset(dataset, std::vector<common::Month>{}, options));
-}
-
-FingerprintStudy passive_fingerprint_study(const store::DatasetCursor& cursor,
-                                           std::size_t threads) {
-  FoldOptions options;
-  options.threads = threads;
-  options.fingerprints = true;
-  return passive_fingerprint_study(
-      fold_store(cursor, std::vector<common::Month>{}, options));
-}
-
 std::string render_sharing_graph(const FingerprintStudy& study) {
   std::string out;
   const auto clusters = study.graph.clusters();

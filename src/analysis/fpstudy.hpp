@@ -32,15 +32,10 @@ struct FingerprintStudy {
 FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
                                        std::size_t threads = 0);
 
-/// Passive variants of §5.3: fingerprints extracted from the captured
+/// Passive variant of §5.3: fingerprints extracted from the captured
 /// ClientHellos of the longitudinal dataset, weighted by connection
-/// counts. The three overloads (in-memory, pre-folded, streamed from a
-/// capture store) produce identical studies.
-FingerprintStudy passive_fingerprint_study(
-    const testbed::PassiveDataset& dataset);
+/// counts. Needs a fold built with FoldOptions::fingerprints.
 FingerprintStudy passive_fingerprint_study(const DatasetFold& fold);
-FingerprintStudy passive_fingerprint_study(const store::DatasetCursor& cursor,
-                                           std::size_t threads = 0);
 
 /// Text rendering of the sharing graph (cluster list + edges).
 std::string render_sharing_graph(const FingerprintStudy& study);

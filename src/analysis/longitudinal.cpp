@@ -25,37 +25,6 @@ std::vector<double> to_fractions(const std::vector<std::uint64_t>& counts,
   return out;
 }
 
-/// Per-device in-memory tally (the fold path reaches the same MonthTallies
-/// via DatasetFold::add — one accumulation code path for both).
-MonthTallies accumulate(const testbed::PassiveDataset& dataset,
-                        const std::string& device,
-                        const std::vector<common::Month>& months) {
-  MonthTallies acc(months.size());
-  const int base = months.empty() ? 0 : months.front().index();
-  for (const auto* group : dataset.for_device(device)) {
-    acc.add(group->record, group->count, base);
-  }
-  return acc;
-}
-
-/// Shared ordering + construction behind the all_* overloads.
-template <typename Series, typename Build>
-std::vector<Series> series_for_devices(const std::vector<std::string>& devices,
-                                       const Build& build) {
-  std::vector<Series> out;
-  out.reserve(devices.size());
-  for (const auto& device : devices) out.push_back(build(device));
-  return out;
-}
-
-void sort_fig1(std::vector<VersionSeries>* series) {
-  // Fig 1 ordering: mixed-version devices first.
-  std::stable_sort(series->begin(), series->end(),
-                   [](const VersionSeries& a, const VersionSeries& b) {
-                     return !a.tls12_exclusive() && b.tls12_exclusive();
-                   });
-}
-
 }  // namespace
 
 bool VersionSeries::tls12_exclusive(double threshold) const {
@@ -87,42 +56,18 @@ VersionSeries version_series_from(const MonthTallies& tallies,
   return series;
 }
 
-VersionSeries version_series(const testbed::PassiveDataset& dataset,
-                             const std::string& device,
-                             const std::vector<common::Month>& months) {
-  return version_series_from(accumulate(dataset, device, months), device,
-                             months);
-}
-
-std::vector<VersionSeries> all_version_series(
-    const testbed::PassiveDataset& dataset,
-    const std::vector<common::Month>& months) {
-  auto out = series_for_devices<VersionSeries>(
-      dataset.devices(), [&](const std::string& device) {
-        return version_series(dataset, device, months);
-      });
-  sort_fig1(&out);
-  return out;
-}
-
 std::vector<VersionSeries> all_version_series(const DatasetFold& fold) {
-  auto out = series_for_devices<VersionSeries>(
-      fold.devices(), [&](const std::string& device) {
-        return version_series_from(fold.tallies.at(device), device,
-                                   fold.months);
-      });
-  sort_fig1(&out);
+  std::vector<VersionSeries> out;
+  out.reserve(fold.tallies.size());
+  for (const auto& [device, tallies] : fold.tallies) {
+    out.push_back(version_series_from(tallies, device, fold.months));
+  }
+  // Fig 1 ordering: mixed-version devices first.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const VersionSeries& a, const VersionSeries& b) {
+                     return !a.tls12_exclusive() && b.tls12_exclusive();
+                   });
   return out;
-}
-
-std::vector<VersionSeries> all_version_series(
-    const store::DatasetCursor& cursor,
-    const std::vector<common::Month>& months, std::size_t threads) {
-  // Folded on the columnar scan path: Figs 1-2 read only the advertised
-  // version/suite lists, so three of the five list columns stay undecoded.
-  FoldOptions options;
-  options.threads = threads;
-  return all_version_series(fold_store_scan(cursor, months, options));
 }
 
 double CipherSeries::max_insecure_advertised() const {
@@ -160,36 +105,13 @@ CipherSeries cipher_series_from(const MonthTallies& tallies,
   return series;
 }
 
-CipherSeries cipher_series(const testbed::PassiveDataset& dataset,
-                           const std::string& device,
-                           const std::vector<common::Month>& months) {
-  return cipher_series_from(accumulate(dataset, device, months), device,
-                            months);
-}
-
-std::vector<CipherSeries> all_cipher_series(
-    const testbed::PassiveDataset& dataset,
-    const std::vector<common::Month>& months) {
-  return series_for_devices<CipherSeries>(
-      dataset.devices(), [&](const std::string& device) {
-        return cipher_series(dataset, device, months);
-      });
-}
-
 std::vector<CipherSeries> all_cipher_series(const DatasetFold& fold) {
-  return series_for_devices<CipherSeries>(
-      fold.devices(), [&](const std::string& device) {
-        return cipher_series_from(fold.tallies.at(device), device,
-                                  fold.months);
-      });
-}
-
-std::vector<CipherSeries> all_cipher_series(
-    const store::DatasetCursor& cursor,
-    const std::vector<common::Month>& months, std::size_t threads) {
-  FoldOptions options;
-  options.threads = threads;
-  return all_cipher_series(fold_store_scan(cursor, months, options));
+  std::vector<CipherSeries> out;
+  out.reserve(fold.tallies.size());
+  for (const auto& [device, tallies] : fold.tallies) {
+    out.push_back(cipher_series_from(tallies, device, fold.months));
+  }
+  return out;
 }
 
 std::string render_version_heatmap(const std::vector<VersionSeries>& series,

@@ -1,5 +1,5 @@
-// Longitudinal analyses over the passive dataset — the computations behind
-// Figs 1, 2 and 3.
+// Longitudinal analyses over a folded passive dataset — the computations
+// behind Figs 1, 2 and 3.
 #pragma once
 
 #include <map>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analysis/fold.hpp"
-#include "testbed/longitudinal.hpp"
 #include "tls/version.hpp"
 
 namespace iotls::analysis {
@@ -31,28 +30,16 @@ struct VersionSeries {
   [[nodiscard]] bool tls12_exclusive(double threshold = 0.95) const;
 };
 
-VersionSeries version_series(const testbed::PassiveDataset& dataset,
-                             const std::string& device,
-                             const std::vector<common::Month>& months);
-
-/// Build a device's series from already-folded tallies — the single code
-/// path both the in-memory and the streamed analyses go through (this is
-/// what makes streamed results byte-identical).
+/// Build a device's series from its folded tallies — the single code path
+/// both the in-memory and the streamed analyses go through (this is what
+/// makes streamed results byte-identical).
 VersionSeries version_series_from(const MonthTallies& tallies,
                                   const std::string& device,
                                   const std::vector<common::Month>& months);
 
-/// All devices, Fig 1 ordering (non-exclusive devices first).
-std::vector<VersionSeries> all_version_series(
-    const testbed::PassiveDataset& dataset,
-    const std::vector<common::Month>& months);
+/// All devices over the fold's months, Fig 1 ordering (non-exclusive
+/// devices first).
 std::vector<VersionSeries> all_version_series(const DatasetFold& fold);
-
-/// Out-of-core overload: fold the store (parallel over shards), then build
-/// the same series.
-std::vector<VersionSeries> all_version_series(
-    const store::DatasetCursor& cursor,
-    const std::vector<common::Month>& months, std::size_t threads = 0);
 
 /// Fig 2 / Fig 3: per-device monthly ciphersuite-quality fractions.
 struct CipherSeries {
@@ -67,21 +54,12 @@ struct CipherSeries {
   [[nodiscard]] double mean_strong_established() const;
 };
 
-CipherSeries cipher_series(const testbed::PassiveDataset& dataset,
-                           const std::string& device,
-                           const std::vector<common::Month>& months);
-
 CipherSeries cipher_series_from(const MonthTallies& tallies,
                                 const std::string& device,
                                 const std::vector<common::Month>& months);
 
-std::vector<CipherSeries> all_cipher_series(
-    const testbed::PassiveDataset& dataset,
-    const std::vector<common::Month>& months);
+/// All devices over the fold's months, in device order.
 std::vector<CipherSeries> all_cipher_series(const DatasetFold& fold);
-std::vector<CipherSeries> all_cipher_series(
-    const store::DatasetCursor& cursor,
-    const std::vector<common::Month>& months, std::size_t threads = 0);
 
 /// Render helpers (text heatmaps in the paper's row layout).
 std::string render_version_heatmap(const std::vector<VersionSeries>& series,
@@ -90,8 +68,7 @@ std::string render_cipher_heatmap(const std::vector<CipherSeries>& series,
                                   bool insecure, bool advertised);
 
 /// Full-figure renderings (headers + device filters + heatmaps) — the
-/// exact text IotlsStudy emits, factored out so the streamed pipeline
-/// renders through the same code.
+/// exact text IotlsStudy emits, whichever way the fold was built.
 std::string render_fig1(const std::vector<VersionSeries>& series,
                         const std::vector<common::Month>& months);
 std::string render_fig2(const std::vector<CipherSeries>& series);

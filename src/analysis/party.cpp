@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "analysis/fold.hpp"
 #include "devices/catalog.hpp"
 
 namespace iotls::analysis {
@@ -57,17 +58,8 @@ double PartyVersionBreakdown::divergence() const {
   return sum;
 }
 
-PartyVersionBreakdown party_version_breakdown(
-    const testbed::PassiveDataset& dataset) {
-  PartyVersionBreakdown breakdown;
-  for (const auto& g : dataset.groups()) {
-    if (g.record.advertised_versions.empty()) continue;
-    const Party party =
-        classify_party(g.record.device, g.record.destination);
-    const auto bucket = tls::bucket_of(g.record.max_advertised_version());
-    breakdown.counts[party][bucket] += g.count;
-  }
-  return breakdown;
+PartyVersionBreakdown party_version_breakdown(const DatasetFold& fold) {
+  return PartyVersionBreakdown{fold.party_buckets};
 }
 
 std::string render_party_breakdown(const PartyVersionBreakdown& breakdown) {

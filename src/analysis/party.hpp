@@ -4,13 +4,15 @@
 // configurations — the paper found no such pattern.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 
-#include "testbed/longitudinal.hpp"
 #include "tls/version.hpp"
 
 namespace iotls::analysis {
+
+struct DatasetFold;
 
 enum class Party { First, Third, Unknown };
 
@@ -33,9 +35,9 @@ struct PartyVersionBreakdown {
   [[nodiscard]] double divergence() const;
 };
 
-/// Breakdown over advertised maximum versions.
-PartyVersionBreakdown party_version_breakdown(
-    const testbed::PassiveDataset& dataset);
+/// Breakdown over advertised maximum versions (the whole dataset, not
+/// window-filtered).
+PartyVersionBreakdown party_version_breakdown(const DatasetFold& fold);
 
 std::string render_party_breakdown(const PartyVersionBreakdown& breakdown);
 

@@ -17,34 +17,11 @@ int RevocationSummary::non_checking_count(int total_devices) const {
   return total_devices - static_cast<int>(checking.size());
 }
 
-RevocationSummary analyze_revocation(const testbed::PassiveDataset& dataset) {
-  RevocationSummary summary = revocation_from_catalog();
-
-  // Stapling re-derived from traffic: a device supports stapling iff some
-  // captured ClientHello carries status_request.
-  std::set<std::string> stapling;
-  for (const auto& group : dataset.groups()) {
-    if (group.record.requested_ocsp_staple) {
-      stapling.insert(group.record.device);
-    }
-  }
-  summary.stapling_devices.assign(stapling.begin(), stapling.end());
-  return summary;
-}
-
 RevocationSummary analyze_revocation(const DatasetFold& fold) {
   RevocationSummary summary = revocation_from_catalog();
   summary.stapling_devices.assign(fold.stapling_devices.begin(),
                                   fold.stapling_devices.end());
   return summary;
-}
-
-RevocationSummary analyze_revocation(const store::DatasetCursor& cursor,
-                                     std::size_t threads) {
-  FoldOptions options;
-  options.threads = threads;
-  return analyze_revocation(
-      fold_store(cursor, std::vector<common::Month>{}, options));
 }
 
 std::string render_table8(const RevocationSummary& summary,

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "analysis/fold.hpp"
-#include "testbed/longitudinal.hpp"
 
 namespace iotls::analysis {
 
@@ -24,16 +23,10 @@ struct RevocationSummary {
   [[nodiscard]] int non_checking_count(int total_devices) const;
 };
 
-/// Analyze the passive dataset (stapling from traffic) combined with the
-/// catalogue (CRL/OCSP).
-RevocationSummary analyze_revocation(const testbed::PassiveDataset& dataset);
-
-/// Shared reduction (stapling devices come pre-folded).
+/// Stapling from the folded traffic (a device staples iff some captured
+/// ClientHello carries status_request) combined with the catalogue
+/// (CRL/OCSP).
 RevocationSummary analyze_revocation(const DatasetFold& fold);
-
-/// Out-of-core overload over a capture-store cursor.
-RevocationSummary analyze_revocation(const store::DatasetCursor& cursor,
-                                     std::size_t threads = 0);
 
 /// Specification-only variant (no dataset needed).
 RevocationSummary revocation_from_catalog();

@@ -51,17 +51,6 @@ StudySummary summarize(const DatasetFold& fold) {
   return summary;
 }
 
-StudySummary summarize(const testbed::PassiveDataset& dataset) {
-  return summarize(fold_dataset(dataset, study_months()));
-}
-
-StudySummary summarize(const store::DatasetCursor& cursor,
-                       std::size_t threads) {
-  FoldOptions options;
-  options.threads = threads;
-  return summarize(fold_store(cursor, study_months(), options));
-}
-
 std::string render_summary(const StudySummary& summary) {
   char buf[1024];
   std::snprintf(

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/fold.hpp"
-#include "testbed/longitudinal.hpp"
 
 namespace iotls::analysis {
 
@@ -27,15 +26,9 @@ struct StudySummary {
   int null_anon_advertising_devices = 0;
 };
 
-StudySummary summarize(const testbed::PassiveDataset& dataset);
-
-/// Shared reduction both the in-memory and the streamed paths go through.
+/// The §5.1 reduction; the TLS1.2-exclusive count reads the fold's month
+/// window, everything else the whole dataset.
 StudySummary summarize(const DatasetFold& fold);
-
-/// Out-of-core overload: stream the shards (parallel), never materializing
-/// the dataset. Byte-identical to the in-memory summary.
-StudySummary summarize(const store::DatasetCursor& cursor,
-                       std::size_t threads = 0);
 
 std::string render_summary(const StudySummary& summary);
 

@@ -106,6 +106,16 @@ const testbed::PassiveDataset& IotlsStudy::passive_dataset() {
   return *passive_;
 }
 
+const analysis::DatasetFold& IotlsStudy::passive_fold() {
+  if (!passive_fold_) {
+    const auto& dataset = passive_dataset();
+    passive_fold_ = timed("passive-fold", 0, [&] {
+      return analysis::fold_dataset(dataset, analysis::study_months());
+    });
+  }
+  return *passive_fold_;
+}
+
 store::StoreWriteReport IotlsStudy::export_passive_store(
     const std::string& dir, store::StoreOptions options) {
   options.seed = options_.seed ^ 0x9A55;
@@ -156,10 +166,7 @@ const mitm::InterceptionReport& IotlsStudy::interception_report() {
 
 const analysis::RevocationSummary& IotlsStudy::revocation_summary() {
   if (!revocation_) {
-    const auto& dataset = passive_dataset();
-    revocation_ = timed("revocation", 0, [&] {
-      return analysis::analyze_revocation(dataset);
-    });
+    revocation_ = analysis::analyze_revocation(passive_fold());
   }
   return *revocation_;
 }
@@ -280,7 +287,7 @@ const analysis::FingerprintStudy& IotlsStudy::fingerprint_study() {
 }
 
 const analysis::StudySummary& IotlsStudy::summary() {
-  if (!summary_) summary_ = analysis::summarize(passive_dataset());
+  if (!summary_) summary_ = analysis::summarize(passive_fold());
   return *summary_;
 }
 
@@ -404,21 +411,17 @@ std::string IotlsStudy::render_table9() {
 }
 
 std::string IotlsStudy::render_fig1() {
-  const auto months = analysis::study_months();
-  return analysis::render_fig1(
-      analysis::all_version_series(passive_dataset(), months), months);
+  const auto& fold = passive_fold();
+  return analysis::render_fig1(analysis::all_version_series(fold),
+                               fold.months);
 }
 
 std::string IotlsStudy::render_fig2() {
-  return analysis::render_fig2(
-      analysis::all_cipher_series(passive_dataset(),
-                                  analysis::study_months()));
+  return analysis::render_fig2(analysis::all_cipher_series(passive_fold()));
 }
 
 std::string IotlsStudy::render_fig3() {
-  return analysis::render_fig3(
-      analysis::all_cipher_series(passive_dataset(),
-                                  analysis::study_months()));
+  return analysis::render_fig3(analysis::all_cipher_series(passive_fold()));
 }
 
 std::string IotlsStudy::render_fig4() {
@@ -445,7 +448,7 @@ std::string IotlsStudy::render_summary() {
   std::string out = analysis::render_summary(summary());
   out += "\n";
   out += analysis::render_party_breakdown(
-      analysis::party_version_breakdown(passive_dataset()));
+      analysis::party_version_breakdown(passive_fold()));
   out += "\n" + render_timings();
   return out;
 }

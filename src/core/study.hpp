@@ -80,6 +80,9 @@ class IotlsStudy {
 
   // ---- datasets & experiment results (lazily computed, cached) ----
   const testbed::PassiveDataset& passive_dataset();
+  /// The passive dataset folded once over the study window — the single
+  /// input Figs 1-3, Table 8 and the §5.1 summary are derived from.
+  const analysis::DatasetFold& passive_fold();
   /// Write the passive dataset into `dir` as a sharded capture store
   /// (seed/window metadata filled from this study's options).
   store::StoreWriteReport export_passive_store(const std::string& dir,
@@ -151,6 +154,7 @@ class IotlsStudy {
   std::unique_ptr<probe::RootStoreProber> prober_;
 
   std::optional<testbed::PassiveDataset> passive_;
+  std::optional<analysis::DatasetFold> passive_fold_;
   std::optional<std::vector<LibraryProbeRow>> table4_;
   std::optional<mitm::DowngradeReport> downgrade_;
   std::optional<mitm::OldVersionReport> old_versions_;

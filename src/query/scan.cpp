@@ -163,54 +163,33 @@ struct ShardScan {
   ScanStats stats;
 };
 
-ShardScan scan_shard(const std::string& path, const Compiled& query,
-                     bool pushdown) {
+ShardScan scan_shard(const std::string& path, const Compiled& query) {
   const obs::ProfileZone zone("query/scan_shard");
-  const store::ShardIndex index = store::read_shard_index(path);
   ShardScan out;
   out.stats.shards = 1;
-  out.stats.blocks_total = index.blocks.size();
-
-  store::StringDictionary dict;
-  const bool standalone = index.footer.has_stats;
-  if (standalone) {
-    for (const std::string& entry : index.footer.dictionary) {
-      dict.append(entry);
-    }
-  }
-
-  store::BlockFetcher fetcher(index);
-  store::ProjectedRow row;
   std::vector<std::string> cells(query.output.size());
-  for (std::size_t i = 0; i < index.blocks.size(); ++i) {
-    if (standalone && pushdown &&
-        eval_stats(query.expr, index.footer.block_stats[i],
-                   index.footer.dictionary) == Tri::No) {
-      continue;  // summaries prove no row in this block can match
-    }
-    const common::Bytes payload = fetcher.fetch(i);
-    store::ProjectedBlockCursor cursor(payload, index.header, query.fields,
-                                       &dict, standalone);
-    if (standalone &&
-        cursor.rows_total() != index.footer.block_stats[i].groups) {
-      throw store::StoreCorruptionError(
-          path + ": block " + std::to_string(i) + " holds " +
-          std::to_string(cursor.rows_total()) +
-          " groups but the footer stats claim " +
-          std::to_string(index.footer.block_stats[i].groups));
-    }
-    while (cursor.next(&row)) {
-      ++out.stats.rows_scanned;
-      if (!eval_row(query.expr, row, dict)) continue;
-      ++out.stats.rows_matched;
-      out.stats.connections_matched += row.count;
-      for (std::size_t col = 0; col < query.output.size(); ++col) {
-        cells[col] = row_cell(query.output[col], row, dict);
-      }
-      out.rows.push_back(cells);
-    }
-    ++out.stats.blocks_scanned;
-  }
+  out.stats.blocks_total = store::scan_shard_rows(
+      path, query.fields,
+      [&](const store::BlockStats& stats,
+          const store::StringDictionary& dict) {
+        // Summaries prove no row of a No block can match.
+        if (eval_stats(query.expr, stats, dict.entries()) == Tri::No) {
+          return false;
+        }
+        ++out.stats.blocks_scanned;
+        return true;
+      },
+      [&](const store::ProjectedRow& row,
+          const store::StringDictionary& dict) {
+        ++out.stats.rows_scanned;
+        if (!eval_row(query.expr, row, dict)) return;
+        ++out.stats.rows_matched;
+        out.stats.connections_matched += row.count;
+        for (std::size_t col = 0; col < query.output.size(); ++col) {
+          cells[col] = row_cell(query.output[col], row, dict);
+        }
+        out.rows.push_back(cells);
+      });
   return out;
 }
 
@@ -256,7 +235,7 @@ QueryResult run_query(const std::string& dir, const QueryOptions& options) {
   const std::vector<std::string> paths = store::list_shards(dir);
   const auto scans = common::parallel_map(
       options.threads, paths, [&](const std::string& path) {
-        return scan_shard(path, query, options.pushdown);
+        return scan_shard(path, query);
       });
 
   QueryResult result;
@@ -310,11 +289,8 @@ std::string explain_query(const std::string& dir,
   const Compiled query = compile(options);
   const std::vector<std::string> paths = store::list_shards(dir);
   std::uint64_t blocks = 0;
-  std::uint64_t with_stats = 0;
   for (const std::string& path : paths) {
-    const store::ShardIndex index = store::read_shard_index(path);
-    blocks += index.blocks.size();
-    if (index.footer.has_stats) ++with_stats;
+    blocks += store::read_shard_index(path).blocks.size();
   }
   std::string plan = "plan: columnar scan\n";
   plan += "  filter: " + to_string(query.expr) + "\n";
@@ -337,10 +313,8 @@ std::string explain_query(const std::string& dir,
   plan += "  list columns decoded: " +
           (lists.empty() ? std::string("none") : common::join(lists, ", ")) +
           "\n";
-  plan += "  pushdown: " + std::string(options.pushdown ? "on" : "off") + "\n";
-  plan += "  shards: " + std::to_string(paths.size()) + " (" +
-          std::to_string(with_stats) + " with block stats), blocks: " +
-          std::to_string(blocks) + "\n";
+  plan += "  shards: " + std::to_string(paths.size()) +
+          ", blocks: " + std::to_string(blocks) + "\n";
   return plan;
 }
 

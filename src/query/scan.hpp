@@ -4,18 +4,14 @@
 // headers and the footer (block payloads are seeked over), skips every
 // block whose BlockStats verdict is a definite No, and decodes surviving
 // blocks through ProjectedBlockCursor — materializing only the list
-// columns the filter and projection touch. Shards fan out over the thread
-// pool and merge in sorted-path order, so results are byte-identical at
-// every thread count.
+// columns the filter and projection touch. The block walk itself is
+// store::scan_shard_rows, the same one the analysis fold reads through.
+// Shards fan out over the thread pool and merge in sorted-path order, so
+// results are byte-identical at every thread count.
 //
 // `run_query_naive` is the oracle: a sequential ShardReader walk that
 // decodes everything and filters decoded groups. The differential query
 // suite asserts the two produce identical bytes for arbitrary queries.
-//
-// Shards without the footer-stats extension (written before it existed, or
-// with `block_stats = false`) take the sequential in-shard path
-// automatically — pushdown needs the summaries, and standalone block
-// decode needs the footer dictionary.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +31,12 @@ struct QueryOptions {
   std::vector<std::string> group_by;
   /// Worker threads for the shard fan-out (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Use block summaries to skip non-matching blocks.
-  bool pushdown = true;
 };
 
 struct ScanStats {
   std::uint64_t shards = 0;
   std::uint64_t blocks_total = 0;
-  std::uint64_t blocks_scanned = 0;  // == blocks_total without pushdown
+  std::uint64_t blocks_scanned = 0;  // blocks not skipped by pushdown
   std::uint64_t rows_scanned = 0;
   std::uint64_t rows_matched = 0;
   std::uint64_t connections_matched = 0;  // sum of matched rows' counts
@@ -62,7 +56,7 @@ std::vector<std::string> default_columns();
 /// store.
 QueryResult run_query(const std::string& dir, const QueryOptions& options);
 
-/// Decode-everything oracle (sequential; ignores threads/pushdown). Keep
+/// Decode-everything oracle (sequential; ignores threads). Keep
 /// independent of run_query — the differential suite diffs the two.
 QueryResult run_query_naive(const std::string& dir,
                             const QueryOptions& options);

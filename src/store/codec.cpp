@@ -209,50 +209,48 @@ void BlockEncoder::add(const testbed::PassiveConnectionGroup& group,
   const auto& r = group.record;
   const std::uint32_t device_id = dict->intern(r.device);
   const std::uint32_t dest_id = dict->intern(r.destination);
-  if (stats_enabled_) {
-    BlockStats& s = pending_stats_;
-    const bool first = s.groups == 0;
-    track_string(r.device, device_id, first, &device_min_, &s.device_min_id,
-                 &device_max_, &s.device_max_id);
-    track_string(r.destination, dest_id, first, &dest_min_, &s.dest_min_id,
-                 &dest_max_, &s.dest_max_id);
-    const auto month_index = static_cast<std::uint32_t>(r.month.index());
-    if (first || month_index < s.month_min) s.month_min = month_index;
-    if (first || month_index > s.month_max) s.month_max = month_index;
-    if (first || group.count < s.count_min) s.count_min = group.count;
-    if (first || group.count > s.count_max) s.count_max = group.count;
-    for (const auto v : r.advertised_versions) {
-      s.adv_version_mask |= static_cast<std::uint8_t>(1u
-                                                      << version_stats_bit(v));
-    }
-    for (const auto suite : r.advertised_suites) {
-      s.suite_bloom |= 1ull << (suite % 64);
-    }
-    if (r.established_version.has_value()) {
-      s.est_version_mask |= static_cast<std::uint8_t>(
-          1u << version_stats_bit(*r.established_version));
-    } else {
-      s.est_version_mask |= BlockStats::kEstNoneBit;
-    }
-    if (r.established_suite.has_value()) {
-      s.est_version_mask |= BlockStats::kEstSuiteBit;
-      if (*r.established_suite < s.est_suite_min) {
-        s.est_suite_min = *r.established_suite;
-      }
-      if (*r.established_suite > s.est_suite_max) {
-        s.est_suite_max = *r.established_suite;
-      }
-    } else {
-      s.est_version_mask |= BlockStats::kEstNoSuiteBit;
-    }
-    s.bool_mask |= bool_pair_bit(0, r.handshake_complete);
-    s.bool_mask |= bool_pair_bit(1, r.application_data_seen);
-    s.bool_mask |= bool_pair_bit(2, r.sent_sni);
-    s.bool_mask |= bool_pair_bit(3, r.requested_ocsp_staple);
-    s.alert_dir_mask |= static_cast<std::uint8_t>(
-        1u << static_cast<int>(r.first_fatal_alert_direction));
-    ++s.groups;
+  BlockStats& s = pending_stats_;
+  const bool first = s.groups == 0;
+  track_string(r.device, device_id, first, &device_min_, &s.device_min_id,
+               &device_max_, &s.device_max_id);
+  track_string(r.destination, dest_id, first, &dest_min_, &s.dest_min_id,
+               &dest_max_, &s.dest_max_id);
+  const auto month_index = static_cast<std::uint32_t>(r.month.index());
+  if (first || month_index < s.month_min) s.month_min = month_index;
+  if (first || month_index > s.month_max) s.month_max = month_index;
+  if (first || group.count < s.count_min) s.count_min = group.count;
+  if (first || group.count > s.count_max) s.count_max = group.count;
+  for (const auto v : r.advertised_versions) {
+    s.adv_version_mask |= static_cast<std::uint8_t>(1u << version_stats_bit(v));
   }
+  for (const auto suite : r.advertised_suites) {
+    s.suite_bloom |= 1ull << (suite % 64);
+  }
+  if (r.established_version.has_value()) {
+    s.est_version_mask |= static_cast<std::uint8_t>(
+        1u << version_stats_bit(*r.established_version));
+  } else {
+    s.est_version_mask |= BlockStats::kEstNoneBit;
+  }
+  if (r.established_suite.has_value()) {
+    s.est_version_mask |= BlockStats::kEstSuiteBit;
+    if (*r.established_suite < s.est_suite_min) {
+      s.est_suite_min = *r.established_suite;
+    }
+    if (*r.established_suite > s.est_suite_max) {
+      s.est_suite_max = *r.established_suite;
+    }
+  } else {
+    s.est_version_mask |= BlockStats::kEstNoSuiteBit;
+  }
+  s.bool_mask |= bool_pair_bit(0, r.handshake_complete);
+  s.bool_mask |= bool_pair_bit(1, r.application_data_seen);
+  s.bool_mask |= bool_pair_bit(2, r.sent_sni);
+  s.bool_mask |= bool_pair_bit(3, r.requested_ocsp_staple);
+  s.alert_dir_mask |= static_cast<std::uint8_t>(
+      1u << static_cast<int>(r.first_fatal_alert_direction));
+  ++s.groups;
+
   put_varint(&body_, device_id);
   put_varint(&body_, dest_id);
   put_svarint(&body_, r.month.index() - prev_month_index_);
@@ -307,21 +305,17 @@ common::Bytes BlockEncoder::finish(StringDictionary* dict) {
   body_.clear();
   count_ = 0;
   fresh_ = true;
-  if (stats_enabled_) {
-    last_stats_ = pending_stats_;
-    pending_stats_ = BlockStats{};
-    device_min_.clear();
-    device_max_.clear();
-    dest_min_.clear();
-    dest_max_.clear();
-  }
+  last_stats_ = std::exchange(pending_stats_, BlockStats{});
+  device_min_.clear();
+  device_max_.clear();
+  dest_min_.clear();
+  dest_max_.clear();
   return payload;
 }
 
 void decode_block(common::BytesView payload, const ShardHeader& header,
                   StringDictionary* dict,
-                  std::vector<testbed::PassiveConnectionGroup>* out,
-                  bool dict_preloaded) {
+                  std::vector<testbed::PassiveConnectionGroup>* out) {
   const obs::ProfileZone zone("store/decode_block");
   CodecReader reader(payload);
 
@@ -331,10 +325,7 @@ void decode_block(common::BytesView payload, const ShardHeader& header,
   }
   for (std::uint64_t i = 0; i < new_entries; ++i) {
     const std::uint64_t len = reader.varint();
-    std::string entry = reader.str(static_cast<std::size_t>(len));
-    // With a preloaded (footer) dictionary the entries already exist at
-    // their assigned ids; the in-block copies are only walked past.
-    if (!dict_preloaded) dict->append(std::move(entry));
+    dict->append(reader.str(static_cast<std::size_t>(len)));
   }
 
   const std::uint64_t group_count = reader.varint();
@@ -477,7 +468,6 @@ common::Bytes encode_shard_footer(const ShardFooter& footer) {
   put_varint(&payload, footer.groups);
   put_varint(&payload, footer.blocks);
   put_varint(&payload, footer.dict_entries);
-  if (!footer.has_stats) return payload;
   payload.push_back(kFooterStatsVersion);
   put_varint(&payload, footer.block_stats.size());
   for (const auto& stats : footer.block_stats) {
@@ -497,14 +487,15 @@ ShardFooter decode_shard_footer(common::BytesView payload) {
   footer.groups = reader.varint();
   footer.blocks = reader.varint();
   footer.dict_entries = reader.varint();
-  if (reader.empty()) return footer;  // v1 footer: totals only
-
+  if (reader.empty()) {
+    throw StoreFormatError(
+        "footer carries totals only (no block stats or dictionary)");
+  }
   const std::uint8_t version = reader.u8();
   if (version != kFooterStatsVersion) {
     throw StoreFormatError("unsupported footer stats version " +
                            std::to_string(version));
   }
-  footer.has_stats = true;
   const std::uint64_t stats_count = reader.varint();
   if (stats_count != footer.blocks) {
     throw StoreFormatError("footer stats cover " +
@@ -546,10 +537,9 @@ ShardFooter decode_shard_footer(common::BytesView payload) {
 ProjectedBlockCursor::ProjectedBlockCursor(common::BytesView payload,
                                            const ShardHeader& header,
                                            std::uint32_t fields,
-                                           StringDictionary* dict,
-                                           bool dict_preloaded)
+                                           const StringDictionary& dict)
     : reader_(payload),
-      dict_(dict),
+      dict_(&dict),
       fields_(fields),
       prev_month_index_(header.first.index()) {
   const std::uint64_t new_entries = reader_.varint();
@@ -558,8 +548,7 @@ ProjectedBlockCursor::ProjectedBlockCursor(common::BytesView payload,
   }
   for (std::uint64_t i = 0; i < new_entries; ++i) {
     const std::uint64_t len = reader_.varint();
-    std::string entry = reader_.str(static_cast<std::size_t>(len));
-    if (!dict_preloaded) dict_->append(std::move(entry));
+    (void)reader_.str(static_cast<std::size_t>(len));
   }
   rows_total_ = reader_.varint();
   if (rows_total_ > reader_.remaining() && rows_total_ != 0) {

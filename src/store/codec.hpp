@@ -6,7 +6,9 @@
 // names appear once per shard, groups carry small integer ids. New
 // dictionary entries ride in the block that first uses them, so a shard is
 // decodable in one forward streaming pass — the reader never needs more
-// than one block in memory.
+// than one block in memory. The shard footer repeats the whole dictionary
+// next to per-block column summaries, so the scan path can also fetch and
+// decode any single block on its own.
 //
 // Block payload layout (framed and CRC'd by writer/reader, format.hpp):
 //   varint new_dict_entries; [varint len, bytes]*   strings, id = next slot
@@ -78,7 +80,7 @@ class StringDictionary {
 
   [[nodiscard]] std::size_t size() const { return by_id_.size(); }
 
-  /// Every entry in id order (the extended footer persists this).
+  /// Every entry in id order (the shard footer persists this).
   [[nodiscard]] const std::vector<std::string>& entries() const {
     return by_id_;
   }
@@ -95,14 +97,14 @@ class StringDictionary {
 };
 
 // ---------------------------------------------------------------------------
-// Per-block column summaries (extended footer, DESIGN.md §12)
+// Per-block column summaries (shard footer, DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
 /// Bit for a protocol version in the stats masks: wire code - 0x0300.
 std::uint8_t version_stats_bit(tls::ProtocolVersion v);
 
 /// Min/max + occurrence summaries of one group block's columns, written to
-/// the extended shard footer so the query layer can skip whole blocks
+/// the shard footer so the query layer can skip whole blocks
 /// without reading their payloads. Every field is a *conservative union*
 /// over the block's rows: a predicate that cannot match the summary cannot
 /// match any row.
@@ -142,13 +144,11 @@ struct BlockStats {
 // ---------------------------------------------------------------------------
 
 /// Streaming encoder state for one block: the dictionary persists across
-/// blocks, the month-delta baseline resets each block. With `stats`
-/// enabled the encoder also accumulates the block's column summaries for
-/// the extended footer.
+/// blocks, the month-delta baseline resets each block. The encoder also
+/// accumulates the block's column summaries for the shard footer.
 class BlockEncoder {
  public:
-  explicit BlockEncoder(common::Month delta_base, bool stats = false)
-      : delta_base_(delta_base), stats_enabled_(stats) {}
+  explicit BlockEncoder(common::Month delta_base) : delta_base_(delta_base) {}
 
   /// Append one group to the pending block.
   void add(const testbed::PassiveConnectionGroup& group,
@@ -158,7 +158,7 @@ class BlockEncoder {
   /// reset for the next block.
   [[nodiscard]] common::Bytes finish(StringDictionary* dict);
 
-  /// Column summaries of the block just `finish()`ed (stats mode only).
+  /// Column summaries of the block just `finish()`ed.
   [[nodiscard]] const BlockStats& last_stats() const { return last_stats_; }
 
   [[nodiscard]] std::size_t pending_groups() const { return count_; }
@@ -171,7 +171,6 @@ class BlockEncoder {
   common::Bytes body_;
   std::size_t count_ = 0;
   bool fresh_ = true;
-  bool stats_enabled_;
   BlockStats last_stats_;
   // Min/max tracking for the pending block (compared as strings, stored as
   // dictionary ids).
@@ -180,46 +179,41 @@ class BlockEncoder {
 };
 
 /// Decode a whole block payload, appending groups to `out`. The dictionary
-/// is extended with the block's new entries first (unless `dict_preloaded`,
-/// in which case the block's dictionary section is skipped — the caller has
-/// already loaded the shard's full dictionary from an extended footer).
-/// Throws StoreFormatError on any structural violation (the frame CRC has
-/// already been checked, so a failure here means an encoder bug or a forged
-/// frame).
+/// is extended with the block's new entries first, so blocks must be
+/// decoded in shard order. Throws StoreFormatError on any structural
+/// violation (the frame CRC has already been checked, so a failure here
+/// means an encoder bug or a forged frame).
 ///
 /// This is the naive decode-everything path — the full-scan oracle the
 /// differential query suite measures `ProjectedBlockCursor` against. Keep
 /// the two implementations independent.
 void decode_block(common::BytesView payload, const ShardHeader& header,
                   StringDictionary* dict,
-                  std::vector<testbed::PassiveConnectionGroup>* out,
-                  bool dict_preloaded = false);
+                  std::vector<testbed::PassiveConnectionGroup>* out);
 
 // ---------------------------------------------------------------------------
 // Shard footer
 // ---------------------------------------------------------------------------
 
-/// Footer payload. The three totals are the original (v1) footer; shards
-/// written with block stats append an extension carrying the per-block
-/// summaries and the full dictionary (so any block can be decoded without
-/// replaying the ones before it). Both forms parse — old shards simply
-/// have `has_stats == false` and take the sequential full-scan path.
+/// Footer payload: the three totals, then a version byte, one BlockStats
+/// record per group block and the shard's full dictionary (so any block
+/// can be decoded without replaying the ones before it).
 struct ShardFooter {
   std::uint64_t groups = 0;
   std::uint64_t blocks = 0;
   std::uint64_t dict_entries = 0;
-  bool has_stats = false;
-  std::vector<BlockStats> block_stats;   // size == blocks when has_stats
-  std::vector<std::string> dictionary;   // size == dict_entries when set
+  std::vector<BlockStats> block_stats;   // size == blocks
+  std::vector<std::string> dictionary;   // size == dict_entries
 };
 
-/// Version byte introducing the footer extension.
+/// Version byte that follows the footer totals.
 inline constexpr std::uint8_t kFooterStatsVersion = 1;
 
 common::Bytes encode_shard_footer(const ShardFooter& footer);
 
-/// Parse either footer form; throws StoreFormatError on malformed input or
-/// internally inconsistent counts.
+/// Parse a footer; throws StoreFormatError on malformed input, internally
+/// inconsistent counts, or a footer that stops after the totals (the
+/// stats-less form no shard carries any more).
 ShardFooter decode_shard_footer(common::BytesView payload);
 
 // ---------------------------------------------------------------------------
@@ -265,16 +259,14 @@ struct ProjectedRow {
 };
 
 /// Streaming decoder for one block payload that materializes only the
-/// requested fields. With `dict_preloaded` the block's dictionary section
-/// is skipped (ids resolve against the footer dictionary, so blocks decode
-/// standalone after a pushdown skip); otherwise new entries are appended to
-/// `dict` exactly like `decode_block`. Throws StoreFormatError on any
-/// structural violation. `payload` must outlive the cursor.
+/// requested fields. Ids resolve against `dict`, the shard's full footer
+/// dictionary, so any block decodes standalone; the block's own dictionary
+/// section is only walked past. Throws StoreFormatError on any structural
+/// violation. `payload` and `dict` must outlive the cursor.
 class ProjectedBlockCursor {
  public:
   ProjectedBlockCursor(common::BytesView payload, const ShardHeader& header,
-                       std::uint32_t fields, StringDictionary* dict,
-                       bool dict_preloaded);
+                       std::uint32_t fields, const StringDictionary& dict);
 
   /// Decode the next row into `*row` (reusing its buffers); false at end of
   /// block. The cursor verifies the payload is fully consumed on the last
@@ -288,7 +280,7 @@ class ProjectedBlockCursor {
   void read_u16_list(std::vector<std::uint16_t>* out);
 
   CodecReader reader_;
-  StringDictionary* dict_;
+  const StringDictionary* dict_;
   std::uint32_t fields_;
   std::uint64_t rows_total_ = 0;
   std::uint64_t rows_done_ = 0;

@@ -104,21 +104,19 @@ bool ShardReader::next(std::vector<testbed::PassiveConnectionGroup>* out) {
           std::to_string(groups_) + " / " + std::to_string(blocks_) + " / " +
           std::to_string(dict_.size()) + ")");
     }
-    if (footer_.has_stats) {
-      for (std::size_t i = 0; i < block_groups_.size(); ++i) {
-        if (footer_.block_stats[i].groups != block_groups_[i]) {
-          throw StoreCorruptionError(
-              file_.path() + ": footer stats claim " +
-              std::to_string(footer_.block_stats[i].groups) +
-              " groups in block " + std::to_string(i) + " but it decoded " +
-              std::to_string(block_groups_[i]));
-        }
-      }
-      if (footer_.dictionary != dict_.entries()) {
+    for (std::size_t i = 0; i < block_groups_.size(); ++i) {
+      if (footer_.block_stats[i].groups != block_groups_[i]) {
         throw StoreCorruptionError(
-            file_.path() +
-            ": footer dictionary disagrees with the in-block entries");
+            file_.path() + ": footer stats claim " +
+            std::to_string(footer_.block_stats[i].groups) +
+            " groups in block " + std::to_string(i) + " but it decoded " +
+            std::to_string(block_groups_[i]));
       }
+    }
+    if (footer_.dictionary != dict_.entries()) {
+      throw StoreCorruptionError(
+          file_.path() +
+          ": footer dictionary disagrees with the in-block entries");
     }
     std::uint8_t extra = 0;
     if (file_.read(&extra, 1) != 0) {
@@ -213,6 +211,32 @@ common::Bytes BlockFetcher::fetch(std::size_t i) {
                                " length changed under the index");
   }
   return payload;
+}
+
+std::size_t scan_shard_rows(const std::string& path, std::uint32_t fields,
+                            const BlockFilter& keep,
+                            const RowVisitor& visit) {
+  const ShardIndex index = read_shard_index(path);
+  StringDictionary dict;
+  for (const std::string& entry : index.footer.dictionary) dict.append(entry);
+
+  BlockFetcher fetcher(index);
+  ProjectedRow row;
+  for (std::size_t i = 0; i < index.blocks.size(); ++i) {
+    const BlockStats& stats = index.footer.block_stats[i];
+    if (keep && !keep(stats, dict)) continue;
+    const common::Bytes payload = fetcher.fetch(i);
+    ProjectedBlockCursor cursor(payload, index.header, fields, dict);
+    if (cursor.rows_total() != stats.groups) {
+      throw StoreCorruptionError(
+          path + ": block " + std::to_string(i) + " holds " +
+          std::to_string(cursor.rows_total()) +
+          " groups but the footer stats claim " +
+          std::to_string(stats.groups));
+    }
+    while (cursor.next(&row)) visit(row, dict);
+  }
+  return index.blocks.size();
 }
 
 std::vector<std::string> list_shards(const std::string& dir,

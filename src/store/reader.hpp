@@ -2,12 +2,17 @@
 //
 // `ShardReader` walks one shard file block by block — at most one decoded
 // block is resident — verifying the magic, the header CRC, every block CRC
-// and the footer totals as it goes. Any violation raises a typed
-// StoreError; a shard can never be silently read as partial data.
+// and the footer (totals, per-block counts, dictionary) as it goes. Any
+// violation raises a typed StoreError; a shard can never be silently read
+// as partial data. It decodes every column of every block: the reference
+// path the query oracle and `read_store` use.
 //
-// `DatasetCursor` strings sorted shards into one logical group stream for
-// the out-of-core analyses; per-shard access (`shard_paths()`) is the unit
-// of parallel folding.
+// `scan_shard_rows` is the projected path: random-access blocks decoded
+// through ProjectedBlockCursor against the footer dictionary. The query
+// scan and the analysis fold both read shards through it.
+//
+// `DatasetCursor` strings sorted shards into one logical group stream;
+// per-shard access (`shard_paths()`) is the unit of parallel folding.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +76,8 @@ struct BlockRef {
 };
 
 /// Everything needed to fetch and decode any block of a shard standalone:
-/// header, footer (with stats and full dictionary when the shard carries
-/// the extension) and the byte offsets of every group block.
+/// header, footer (with per-block stats and the full dictionary) and the
+/// byte offsets of every group block.
 struct ShardIndex {
   std::string path;
   ShardHeader header;
@@ -101,6 +106,23 @@ class BlockFetcher {
   const ShardIndex& index_;
   CheckedFile file_;
 };
+
+/// Block test for `scan_shard_rows`: false skips the block unread.
+using BlockFilter =
+    std::function<bool(const BlockStats& stats, const StringDictionary& dict)>;
+/// Row sink for `scan_shard_rows`; ids in `row` resolve against `dict`.
+using RowVisitor =
+    std::function<void(const ProjectedRow& row, const StringDictionary& dict)>;
+
+/// The projected walk over one shard, shared by the query scan and the
+/// analysis fold: index the shard, preload the footer dictionary, then for
+/// every block `keep` accepts (all of them when `keep` is empty) fetch and
+/// CRC-check it, check its row count against the footer's per-block count
+/// (StoreCorruptionError on a mismatch) and hand each row to `visit` with
+/// only the `fields` list columns materialized. Returns the shard's block
+/// count.
+std::size_t scan_shard_rows(const std::string& path, std::uint32_t fields,
+                            const BlockFilter& keep, const RowVisitor& visit);
 
 /// Sorted shard paths of a store directory. Throws StoreIoError if the
 /// directory cannot be read, or — unless `allow_empty` — if it holds no

@@ -39,12 +39,11 @@ void write_frame(CheckedFile* file, std::uint8_t type,
 }  // namespace
 
 ShardWriter::ShardWriter(const std::string& path, ShardHeader header,
-                         std::size_t block_bytes, bool block_stats)
+                         std::size_t block_bytes)
     : file_(CheckedFile::create(path)),
       header_(std::move(header)),
       block_bytes_(block_bytes == 0 ? kDefaultBlockBytes : block_bytes),
-      block_stats_(block_stats),
-      encoder_(header_.first, block_stats) {
+      encoder_(header_.first) {
   file_.write(common::BytesView(kShardMagic.data(), kShardMagic.size()));
   const common::Bytes head = encode_shard_header(header_);
   common::ByteWriter frame;
@@ -65,7 +64,7 @@ void ShardWriter::flush_block() {
   const obs::ProfileZone zone("store/flush_block");
   const common::Bytes payload = encoder_.finish(&dict_);
   write_frame(&file_, kBlockGroups, payload);
-  if (block_stats_) stats_.push_back(encoder_.last_stats());
+  stats_.push_back(encoder_.last_stats());
   ++blocks_;
 }
 
@@ -77,11 +76,8 @@ ShardInfo ShardWriter::close() {
   footer.groups = groups_;
   footer.blocks = blocks_;
   footer.dict_entries = dict_.size();
-  if (block_stats_) {
-    footer.has_stats = true;
-    footer.block_stats = stats_;
-    footer.dictionary = dict_.entries();
-  }
+  footer.block_stats = stats_;
+  footer.dictionary = dict_.entries();
   write_frame(&file_, kBlockFooter, encode_shard_footer(footer));
   count_blocks(blocks_ + 1);
   ShardInfo info;
@@ -204,7 +200,7 @@ StoreWriteReport write_store(const testbed::PassiveDataset& dataset,
         header.shard_count = static_cast<std::uint32_t>(plans.size());
         header.label = plan.label;
         ShardWriter writer((fs::path(dir) / name_for(index)).string(),
-                           header, options.block_bytes, options.block_stats);
+                           header, options.block_bytes);
         for (const auto* group : plan.groups) writer.add(*group);
         return writer.close();
       });

@@ -1,8 +1,9 @@
 // Sharded append-only writers for the capture store.
 //
 // A shard file is: 8-byte magic, a CRC'd header frame, CRC'd group blocks,
-// and a CRC'd footer frame carrying the shard's totals (the footer doubles
-// as the truncation detector — a shard that ends without one is corrupt).
+// and a CRC'd footer frame carrying the shard's totals, per-block column
+// summaries and full dictionary (the footer doubles as the truncation
+// detector — a shard that ends without one is corrupt).
 //
 // `write_store` fans a dataset out over shards (one file, one per device,
 // or fixed-size slices) using `common::parallel_map`; every shard file is
@@ -38,13 +39,8 @@ struct ShardInfo {
 /// (mandatory — it writes the footer; an unclosed shard reads as truncated).
 class ShardWriter {
  public:
-  /// With `block_stats` (the default) the footer carries per-block column
-  /// summaries plus the full dictionary — the extension the query layer's
-  /// pushdown and standalone block decode need. Disable it only to write
-  /// old-format shards (backward-compat tests).
   ShardWriter(const std::string& path, ShardHeader header,
-              std::size_t block_bytes = kDefaultBlockBytes,
-              bool block_stats = true);
+              std::size_t block_bytes = kDefaultBlockBytes);
 
   ShardWriter(ShardWriter&&) = default;
   ShardWriter& operator=(ShardWriter&&) = delete;
@@ -60,7 +56,6 @@ class ShardWriter {
   CheckedFile file_;
   ShardHeader header_;
   std::size_t block_bytes_;
-  bool block_stats_;
   StringDictionary dict_;
   BlockEncoder encoder_;
   std::vector<BlockStats> stats_;
@@ -83,9 +78,6 @@ struct StoreOptions {
   /// 1 = serial). Output bytes are identical for every value.
   std::size_t threads = 0;
   std::size_t block_bytes = kDefaultBlockBytes;
-  /// Write the extended footer (per-block stats + full dictionary). Off
-  /// reproduces the original footer byte-for-byte.
-  bool block_stats = true;
   /// Recorded in every shard header (self-description, not re-generation).
   std::uint64_t seed = 0;
   common::Month first = common::kStudyStart;

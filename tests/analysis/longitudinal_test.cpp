@@ -20,6 +20,21 @@ const testbed::PassiveDataset& dataset() {
   return data;
 }
 
+// The dataset folded once over the study window; every analysis reads it.
+const DatasetFold& fold() {
+  static const DatasetFold folded = fold_dataset(dataset(), study_months());
+  return folded;
+}
+
+VersionSeries versions_of(const std::string& device) {
+  return version_series_from(fold().tallies.at(device), device,
+                             fold().months);
+}
+
+CipherSeries ciphers_of(const std::string& device) {
+  return cipher_series_from(fold().tallies.at(device), device, fold().months);
+}
+
 TEST(Longitudinal, StudyWindowHas27Months) {
   EXPECT_EQ(study_months().size(), 27u);
 }
@@ -32,14 +47,14 @@ TEST(Longitudinal, AllFortyDevicesGenerateTraffic) {
 TEST(Longitudinal, CoverageWindowsProduceGrayCells) {
   // Sengled Hub stops after month offset 8 → later months have no traffic.
   const auto series =
-      version_series(dataset(), "Sengled Hub", study_months());
+      versions_of("Sengled Hub");
   const auto& tls12 = series.advertised.at(tls::VersionBucket::Tls12);
   EXPECT_NE(tls12[0], kNoTraffic);
   EXPECT_EQ(tls12[20], kNoTraffic);
 }
 
 TEST(Longitudinal, WemoAdvertisesOlderAllMonths) {
-  const auto series = version_series(dataset(), "Wemo Plug", study_months());
+  const auto series = versions_of("Wemo Plug");
   const auto& older = series.advertised.at(tls::VersionBucket::Older);
   for (const double f : older) {
     if (f == kNoTraffic) continue;
@@ -50,13 +65,13 @@ TEST(Longitudinal, WemoAdvertisesOlderAllMonths) {
 
 TEST(Longitudinal, NestIsTls12Exclusive) {
   const auto series =
-      version_series(dataset(), "Nest Thermostat", study_months());
+      versions_of("Nest Thermostat");
   EXPECT_TRUE(series.tls12_exclusive());
 }
 
 TEST(Longitudinal, BlinkHubTransitionsInJuly2018) {
   const auto months = study_months();
-  const auto series = version_series(dataset(), "Blink Hub", months);
+  const auto series = versions_of("Blink Hub");
   const auto& older = series.advertised.at(tls::VersionBucket::Older);
   const auto& tls12 = series.advertised.at(tls::VersionBucket::Tls12);
   const int before = common::Month{2018, 5}.index() - months[0].index();
@@ -69,7 +84,7 @@ TEST(Longitudinal, BlinkHubTransitionsInJuly2018) {
 
 TEST(Longitudinal, AppleTvAdoptsTls13InMay2019) {
   const auto months = study_months();
-  const auto series = version_series(dataset(), "Apple TV", months);
+  const auto series = versions_of("Apple TV");
   const auto& tls13 = series.advertised.at(tls::VersionBucket::Tls13);
   const int before = common::Month{2019, 3}.index() - months[0].index();
   const int after = common::Month{2019, 7}.index() - months[0].index();
@@ -79,7 +94,7 @@ TEST(Longitudinal, AppleTvAdoptsTls13InMay2019) {
 
 TEST(Longitudinal, SamsungFridgeEstablishesOlderOnly) {
   const auto series =
-      version_series(dataset(), "Samsung Fridge", study_months());
+      versions_of("Samsung Fridge");
   const auto& adv12 = series.advertised.at(tls::VersionBucket::Tls12);
   const auto& est_old = series.established.at(tls::VersionBucket::Older);
   for (std::size_t i = 0; i < adv12.size(); ++i) {
@@ -91,7 +106,7 @@ TEST(Longitudinal, SamsungFridgeEstablishesOlderOnly) {
 }
 
 TEST(Longitudinal, Fig1OmitsAbout28Devices) {
-  const auto series = all_version_series(dataset(), study_months());
+  const auto series = all_version_series(fold());
   int exclusive = 0;
   for (const auto& s : series) {
     if (s.tls12_exclusive()) ++exclusive;
@@ -107,7 +122,7 @@ TEST(Ciphers, SmartthingsStopsAdvertisingWeakIn2020) {
   // (the shared-library fingerprint would change otherwise), so the
   // fraction drops sharply rather than to zero.
   const auto months = study_months();
-  const auto series = cipher_series(dataset(), "Smartthings Hub", months);
+  const auto series = ciphers_of("Smartthings Hub");
   const int before = common::Month{2020, 1}.index() - months[0].index();
   const int after = common::Month{2020, 3}.index() - months[0].index();
   EXPECT_GT(series.insecure_advertised[before], 0.6);
@@ -118,7 +133,7 @@ TEST(Ciphers, SmartthingsStopsAdvertisingWeakIn2020) {
 
 TEST(Ciphers, OnlyWinkAndLgEstablishInsecure) {
   std::set<std::string> establishers;
-  for (const auto& s : all_cipher_series(dataset(), study_months())) {
+  for (const auto& s : all_cipher_series(fold())) {
     for (const double f : s.insecure_established) {
       if (f != kNoTraffic && f > 0.0) {
         establishers.insert(s.device);
@@ -132,7 +147,7 @@ TEST(Ciphers, OnlyWinkAndLgEstablishInsecure) {
 
 TEST(Ciphers, RingAdoptsPfsInApril2018) {
   const auto months = study_months();
-  const auto series = cipher_series(dataset(), "Ring Doorbell", months);
+  const auto series = ciphers_of("Ring Doorbell");
   const int before = common::Month{2018, 2}.index() - months[0].index();
   const int after = common::Month{2018, 6}.index() - months[0].index();
   EXPECT_LT(series.strong_established[before], 0.1);
@@ -140,7 +155,7 @@ TEST(Ciphers, RingAdoptsPfsInApril2018) {
 }
 
 TEST(Ciphers, MajorityEstablishWithoutPfs) {
-  const auto series = all_cipher_series(dataset(), study_months());
+  const auto series = all_cipher_series(fold());
   int weak_establishers = 0;
   for (const auto& s : series) {
     if (s.mean_strong_established() < 0.5) ++weak_establishers;
@@ -151,7 +166,7 @@ TEST(Ciphers, MajorityEstablishWithoutPfs) {
 }
 
 TEST(Revocation, StaplingDerivedFromTraffic) {
-  const auto summary = analyze_revocation(dataset());
+  const auto summary = analyze_revocation(fold());
   const std::set<std::string> stapling(summary.stapling_devices.begin(),
                                        summary.stapling_devices.end());
   EXPECT_EQ(stapling.size(), 12u);  // Table 8
@@ -165,12 +180,12 @@ TEST(Revocation, StaplingDerivedFromTraffic) {
 }
 
 TEST(Revocation, MostDevicesNeverCheck) {
-  const auto summary = analyze_revocation(dataset());
+  const auto summary = analyze_revocation(fold());
   EXPECT_EQ(summary.non_checking_count(40), 28);  // Table 8: 28 devices
 }
 
 TEST(Summary, HeadlineNumbersInPaperBands) {
-  const auto s = summarize(dataset());
+  const auto s = summarize(fold());
   EXPECT_EQ(s.device_count, 40);
   EXPECT_GE(s.tls12_exclusive_devices, 25);
   EXPECT_LE(s.tls12_exclusive_devices, 30);
@@ -184,11 +199,10 @@ TEST(Summary, HeadlineNumbersInPaperBands) {
 }
 
 TEST(Renderers, ProduceRows) {
-  const auto months = study_months();
-  const auto vs = all_version_series(dataset(), months);
+  const auto vs = all_version_series(fold());
   EXPECT_NE(render_version_heatmap({vs[0]}, true).find(vs[0].device),
             std::string::npos);
-  const auto cs = all_cipher_series(dataset(), months);
+  const auto cs = all_cipher_series(fold());
   EXPECT_FALSE(render_cipher_heatmap({cs[0]}, true, true).empty());
 }
 

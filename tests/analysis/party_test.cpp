@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/fold.hpp"
+#include "analysis/longitudinal.hpp"
+
 namespace iotls::analysis {
 namespace {
 
@@ -21,7 +24,8 @@ TEST(Party, BreakdownCountsAndFractions) {
   gen.devices = {"Fire TV", "Roku TV", "Apple TV", "Samsung TV"};
   const auto dataset = testbed::generate_passive_dataset(gen);
 
-  const auto breakdown = party_version_breakdown(dataset);
+  const auto breakdown = party_version_breakdown(
+      fold_dataset(dataset, common::month_range(gen.first, gen.last)));
   EXPECT_GT(breakdown.total(Party::First), 0u);
   EXPECT_GT(breakdown.total(Party::Third), 0u);
   EXPECT_EQ(breakdown.total(Party::Unknown), 0u);
@@ -44,7 +48,8 @@ TEST(Party, NoStrongThirdPartyBiasInFullDataset) {
   gen.seed = 910;
   gen.count_scale = 0.01;
   const auto dataset = testbed::generate_passive_dataset(gen);
-  const auto breakdown = party_version_breakdown(dataset);
+  const auto breakdown =
+      party_version_breakdown(fold_dataset(dataset, study_months()));
   EXPECT_LT(breakdown.divergence(), 0.6);
   EXPECT_FALSE(render_party_breakdown(breakdown).empty());
 }

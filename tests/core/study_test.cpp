@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "obs/profile.hpp"
+
 namespace iotls::core {
 namespace {
 
@@ -216,6 +220,47 @@ TEST(Study, AllRenderingsNonEmpty) {
   EXPECT_NE(study().render_fig4().find("2013"), std::string::npos);
   EXPECT_NE(study().render_fig5().find("cluster"), std::string::npos);
   EXPECT_FALSE(study().render_summary().empty());
+}
+
+TEST(Study, Table8MatchesPaperMembership) {
+  const auto& summary = study().revocation_summary();
+  EXPECT_EQ(summary.crl_devices, std::vector<std::string>{"Samsung TV"});
+  const std::set<std::string> ocsp(summary.ocsp_devices.begin(),
+                                   summary.ocsp_devices.end());
+  EXPECT_EQ(ocsp.size(), 3u);
+  EXPECT_EQ(ocsp.count("Apple TV"), 1u);
+  EXPECT_EQ(ocsp.count("Apple HomePod"), 1u);
+  EXPECT_EQ(summary.stapling_devices.size(), 12u);  // from traffic
+  EXPECT_EQ(summary.non_checking_count(40), 28);
+}
+
+/// Calls of zone `name` anywhere in the merged profile tree.
+std::uint64_t zone_calls(const obs::ProfileNode& node,
+                         const std::string& name) {
+  std::uint64_t calls = node.name == name ? node.calls : 0;
+  for (const auto& [child_name, child] : node.children) {
+    calls += zone_calls(child, name);
+  }
+  return calls;
+}
+
+TEST(Study, PassiveRenderingsShareOneFold) {
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+  {
+    IotlsStudy::Options options;
+    options.passive_scale = 0.01;
+    IotlsStudy fresh(options);
+    (void)fresh.render_fig1();
+    (void)fresh.render_fig2();
+    (void)fresh.render_fig3();
+    (void)fresh.render_table8();
+    (void)fresh.render_summary();
+  }
+  const auto snapshot = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
+  EXPECT_EQ(zone_calls(snapshot.root, "analysis/fold_dataset"), 1u);
 }
 
 TEST(Study, Table1CountsCategories) {

@@ -82,10 +82,13 @@ TEST(Compact, CoalescesSmallShardsPreservingTheGroupSequence) {
     iotls::storetest::expect_group_eq(after[i], before[i]);
   }
 
-  // The rebuilt shards carry the footer-stats extension, so the query
-  // layer's pushdown scan reads them — and agrees with the oracle.
+  // The rebuilt shards carry one stats record per block and the full
+  // dictionary, so the query layer's pushdown scan reads them — and agrees
+  // with the oracle.
   for (const auto& path : iotls::store::list_shards(out_dir)) {
-    EXPECT_TRUE(iotls::store::read_shard_index(path).footer.has_stats);
+    const auto index = iotls::store::read_shard_index(path);
+    EXPECT_EQ(index.footer.block_stats.size(), index.blocks.size());
+    EXPECT_EQ(index.footer.dictionary.size(), index.footer.dict_entries);
   }
   iotls::query::QueryOptions query;
   query.filter = "device == dev-3";

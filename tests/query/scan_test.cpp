@@ -1,18 +1,21 @@
 // Columnar scan unit tests: projections, aggregation, pushdown block
-// skipping, plan rendering, backward compatibility with pre-stats shards,
-// and the iotls-query CLI contract.
+// skipping, plan rendering, footer checks on the shared shard walk, and
+// the iotls-query CLI contract.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "store/testdata.hpp"
+#include "analysis/fold.hpp"
+#include "analysis/longitudinal.hpp"
 #include "query/scan.hpp"
 #include "store/reader.hpp"
+#include "store/testdata.hpp"
 #include "store/writer.hpp"
 
 namespace {
@@ -130,36 +133,100 @@ TEST(QueryScan, PushdownSkipsBlocksWithoutChangingResults) {
   options.filter = "device == dev-2 and month >= \"2019-06\"";
   options.threads = 1;
   const auto pushed = run_query(dir, options);
-  options.pushdown = false;
-  const auto scanned = run_query(dir, options);
   const auto oracle = run_query_naive(dir, options);
 
+  EXPECT_EQ(pushed.stats.blocks_total, oracle.stats.blocks_total);
   EXPECT_LT(pushed.stats.blocks_scanned, pushed.stats.blocks_total);
-  EXPECT_EQ(scanned.stats.blocks_scanned, scanned.stats.blocks_total);
-  EXPECT_EQ(pushed.rows, scanned.rows);
   EXPECT_EQ(pushed.rows, oracle.rows);
   EXPECT_FALSE(pushed.rows.empty());
   fs::remove_all(dir);
 }
 
-TEST(QueryScan, PreStatsShardsFallBackToSequentialScan) {
-  const std::string dir = fresh_dir("oldformat");
-  const auto dataset = iotls::storetest::random_dataset(0xBEE, 120);
+std::vector<std::uint8_t> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Replace the shard's footer frame with `payload`, framed with a valid
+/// CRC, so only the footer's content can be at fault.
+void reframe_footer(const std::string& path, iotls::common::BytesView payload) {
+  const auto index = iotls::store::read_shard_index(path);
+  auto bytes = slurp(path);
+  bytes.resize(static_cast<std::size_t>(index.blocks.back().offset + 9 +
+                                        index.blocks.back().length));
+  iotls::common::ByteWriter frame;
+  frame.u8(iotls::store::kBlockFooter);
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(iotls::store::crc32(payload));
+  bytes.insert(bytes.end(), frame.bytes().begin(), frame.bytes().end());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  spit(path, bytes);
+}
+
+/// A one-shard, multi-block store of `random_dataset(0xBEE, 120)`.
+std::string multi_block_store(const std::string& tag) {
+  const std::string dir = fresh_dir(tag);
   iotls::store::StoreOptions store_options;
   store_options.block_bytes = 1024;
-  store_options.block_stats = false;  // original footer, no extension
   store_options.threads = 1;
-  (void)iotls::store::write_store(dataset, dir, store_options);
+  (void)iotls::store::write_store(iotls::storetest::random_dataset(0xBEE, 120),
+                                  dir, store_options);
+  return dir;
+}
 
-  QueryOptions options;
-  options.filter = "device == dev-1";
+TEST(QueryScan, TotalsOnlyFooterIsRejected) {
+  const std::string dir = multi_block_store("totalsonly");
+  const std::string shard = iotls::store::list_shards(dir).front();
+  const auto footer = iotls::store::read_shard_index(shard).footer;
+
+  // The footer form without block stats or dictionary: the three totals.
+  iotls::common::Bytes totals;
+  iotls::store::put_varint(&totals, footer.groups);
+  iotls::store::put_varint(&totals, footer.blocks);
+  iotls::store::put_varint(&totals, footer.dict_entries);
+  EXPECT_THROW((void)iotls::store::decode_shard_footer(totals),
+               iotls::store::StoreFormatError);
+
+  reframe_footer(shard, totals);
+  EXPECT_THROW((void)iotls::store::read_shard_index(shard),
+               iotls::store::StoreFormatError);
+  EXPECT_THROW(
+      {
+        iotls::store::ShardReader reader(shard);
+        std::vector<iotls::testbed::PassiveConnectionGroup> block;
+        while (reader.next(&block)) {
+        }
+      },
+      iotls::store::StoreFormatError);
+  EXPECT_THROW((void)run_query(dir, QueryOptions{}),
+               iotls::store::StoreFormatError);
+  fs::remove_all(dir);
+}
+
+TEST(QueryScan, FooterBlockCountMismatchIsCorruption) {
+  const std::string dir = multi_block_store("countmismatch");
+  const std::string shard = iotls::store::list_shards(dir).front();
+  auto footer = iotls::store::read_shard_index(shard).footer;
+  ASSERT_GE(footer.blocks, 2u);
+  footer.block_stats[0].groups += 1;  // totals still agree with the frames
+  reframe_footer(shard, iotls::store::encode_shard_footer(footer));
+
+  QueryOptions options;  // no filter: pushdown cannot skip block 0
   options.threads = 1;
-  const auto result = run_query(dir, options);
-  const auto oracle = run_query_naive(dir, options);
-  // No summaries, so pushdown cannot skip anything — but results agree.
-  EXPECT_EQ(result.stats.blocks_scanned, result.stats.blocks_total);
-  EXPECT_EQ(result.rows, oracle.rows);
-  EXPECT_FALSE(result.rows.empty());
+  EXPECT_THROW((void)run_query(dir, options),
+               iotls::store::StoreCorruptionError);
+  EXPECT_THROW((void)iotls::analysis::fold_store(
+                   iotls::store::DatasetCursor::open(dir),
+                   iotls::analysis::study_months()),
+               iotls::store::StoreCorruptionError);
+  EXPECT_THROW((void)iotls::store::validate_shard(shard),
+               iotls::store::StoreCorruptionError);
   fs::remove_all(dir);
 }
 
@@ -174,10 +241,7 @@ TEST(QueryScan, ExplainIsDeterministicAndThreadIndependent) {
   EXPECT_EQ(iotls::query::explain_query(dir, options), plan);
   options.threads = 8;
   EXPECT_EQ(iotls::query::explain_query(dir, options), plan);
-  EXPECT_NE(plan.find("pushdown: on"), std::string::npos);
-  options.pushdown = false;
-  EXPECT_NE(iotls::query::explain_query(dir, options).find("pushdown: off"),
-            std::string::npos);
+  EXPECT_NE(plan.find("shards: 1, blocks: 1\n"), std::string::npos);
   fs::remove_all(dir);
 }
 
@@ -196,7 +260,7 @@ TEST(QueryCli, ExitCodeContract) {
   EXPECT_EQ(run_cli(dir + " --filter 'vendor == Amazon' --format table"), 0);
   EXPECT_EQ(run_cli(dir + " --group-by month,version"), 0);
   EXPECT_EQ(run_cli(dir + " --explain"), 0);
-  EXPECT_EQ(run_cli(dir + " --oracle --no-pushdown"), 0);
+  EXPECT_EQ(run_cli(dir + " --oracle"), 0);
   EXPECT_EQ(run_cli(dir + " --filter 'frobnicator == 1'"), 1);  // ParseError
   EXPECT_EQ(run_cli("/tmp/iotls_no_such_store"), 1);            // StoreError
   EXPECT_EQ(run_cli(""), 2);                                    // usage

@@ -1,6 +1,6 @@
 // Mid-stream reader failure modes: EOF landing *inside* a group block or
 // the footer, and a block that references dictionary entries it never
-// defined (standalone decode without the footer dictionary). Every case
+// defined (decoded without the dictionary entries before it). Every case
 // must surface as a typed StoreError at the point of the defect — after
 // the preceding intact blocks were already delivered.
 #include <gtest/gtest.h>
@@ -134,15 +134,15 @@ TEST_F(MidstreamTest, DictEntryReferencedBeforeDefined) {
       << "no block referenced an earlier block's dictionary entries; "
          "grow the dataset";
 
-  // The projected cursor makes the same promise in dict-preloaded mode:
-  // with an empty dictionary, the first row's device id is undefined.
+  // The projected cursor makes the same promise: against an empty
+  // dictionary in place of the footer's, the first row's device id is
+  // undefined.
   const iotls::common::Bytes payload = fetcher.fetch(1);
   EXPECT_THROW(
       {
-        iotls::store::StringDictionary empty;
+        const iotls::store::StringDictionary empty;
         iotls::store::ProjectedBlockCursor cursor(
-            payload, index_.header, iotls::store::kFieldAllLists, &empty,
-            /*dict_preloaded=*/true);
+            payload, index_.header, iotls::store::kFieldAllLists, empty);
         iotls::store::ProjectedRow row;
         while (cursor.next(&row)) {
         }

@@ -1,16 +1,19 @@
 // Acceptance gate for the out-of-core pipeline: the full 40-device dataset
-// (count_scale = 1.0) is written to shards, then Figs 1-3, Table 8, the
-// §5.1 summary and the passive fingerprint study are recomputed from the
-// streamed cursor and must be byte-identical to the in-memory pipeline —
-// at thread counts 1 and 8, under both the single-shard and per-device
-// layouts.
+// (count_scale = 1.0) is written to shards, then folded back with
+// fold_store; Figs 1-3, Table 8, the §5.1 summary and party breakdown and
+// the passive fingerprint study rendered from that fold must be
+// byte-identical to the same renderings from fold_dataset over the
+// in-memory dataset — at thread counts 1 and 8, under both the
+// single-shard and per-device layouts.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 
+#include "analysis/fold.hpp"
 #include "analysis/fpstudy.hpp"
 #include "analysis/longitudinal.hpp"
+#include "analysis/party.hpp"
 #include "analysis/revocation.hpp"
 #include "analysis/summary.hpp"
 #include "core/study.hpp"
@@ -26,8 +29,31 @@ using iotls::store::DatasetCursor;
 using iotls::store::ShardLayout;
 
 struct Artifacts {
-  std::string fig1, fig2, fig3, table8, summary, sharing;
+  std::string fig1, fig2, fig3, table8, summary, party, sharing;
 };
+
+/// Every passive rendering, from one fold (built with fingerprints).
+Artifacts render_all(const analysis::DatasetFold& fold) {
+  Artifacts a;
+  a.fig1 = analysis::render_fig1(analysis::all_version_series(fold),
+                                 fold.months);
+  a.fig2 = analysis::render_fig2(analysis::all_cipher_series(fold));
+  a.fig3 = analysis::render_fig3(analysis::all_cipher_series(fold));
+  a.table8 = analysis::render_table8(analysis::analyze_revocation(fold), 40);
+  a.summary = analysis::render_summary(analysis::summarize(fold));
+  a.party = analysis::render_party_breakdown(
+      analysis::party_version_breakdown(fold));
+  a.sharing = analysis::render_sharing_graph(
+      analysis::passive_fingerprint_study(fold));
+  return a;
+}
+
+analysis::FoldOptions fold_options(std::size_t threads) {
+  analysis::FoldOptions options;
+  options.threads = threads;
+  options.fingerprints = true;
+  return options;
+}
 
 class StreamParityTest : public ::testing::Test {
  protected:
@@ -37,17 +63,9 @@ class StreamParityTest : public ::testing::Test {
   }
 
   static const Artifacts& in_memory() {
-    static const Artifacts artifacts = [] {
-      Artifacts a;
-      a.fig1 = study().render_fig1();
-      a.fig2 = study().render_fig2();
-      a.fig3 = study().render_fig3();
-      a.table8 = study().render_table8();
-      a.summary = analysis::render_summary(study().summary());
-      a.sharing = analysis::render_sharing_graph(
-          analysis::passive_fingerprint_study(study().passive_dataset()));
-      return a;
-    }();
+    static const Artifacts artifacts = render_all(analysis::fold_dataset(
+        study().passive_dataset(), analysis::study_months(),
+        fold_options(1)));
     return artifacts;
   }
 
@@ -64,27 +82,17 @@ class StreamParityTest : public ::testing::Test {
   }
 
   static void check_layout(ShardLayout layout, std::size_t threads) {
-    const auto cursor = DatasetCursor::open(exported_dir(layout));
-    const auto months = analysis::study_months();
+    const Artifacts streamed = render_all(analysis::fold_store(
+        DatasetCursor::open(exported_dir(layout)), analysis::study_months(),
+        fold_options(threads)));
     const Artifacts& want = in_memory();
-    EXPECT_EQ(analysis::render_fig1(
-                  analysis::all_version_series(cursor, months, threads),
-                  months),
-              want.fig1);
-    EXPECT_EQ(analysis::render_fig2(
-                  analysis::all_cipher_series(cursor, months, threads)),
-              want.fig2);
-    EXPECT_EQ(analysis::render_fig3(
-                  analysis::all_cipher_series(cursor, months, threads)),
-              want.fig3);
-    EXPECT_EQ(analysis::render_table8(
-                  analysis::analyze_revocation(cursor, threads), 40),
-              want.table8);
-    EXPECT_EQ(analysis::render_summary(analysis::summarize(cursor, threads)),
-              want.summary);
-    EXPECT_EQ(analysis::render_sharing_graph(
-                  analysis::passive_fingerprint_study(cursor, threads)),
-              want.sharing);
+    EXPECT_EQ(streamed.fig1, want.fig1);
+    EXPECT_EQ(streamed.fig2, want.fig2);
+    EXPECT_EQ(streamed.fig3, want.fig3);
+    EXPECT_EQ(streamed.table8, want.table8);
+    EXPECT_EQ(streamed.summary, want.summary);
+    EXPECT_EQ(streamed.party, want.party);
+    EXPECT_EQ(streamed.sharing, want.sharing);
   }
 
   static void TearDownTestSuite() {
@@ -92,6 +100,17 @@ class StreamParityTest : public ::testing::Test {
     fs::remove_all("/tmp/iotls_parity_store_perdev");
   }
 };
+
+TEST_F(StreamParityTest, StudyRendersFromTheSameFold) {
+  // The study's own fold skips fingerprints; every figure it renders must
+  // still match the fingerprinting fold the streamed side is compared to.
+  const Artifacts& want = in_memory();
+  EXPECT_EQ(study().render_fig1(), want.fig1);
+  EXPECT_EQ(study().render_fig2(), want.fig2);
+  EXPECT_EQ(study().render_fig3(), want.fig3);
+  EXPECT_EQ(study().render_table8(), want.table8);
+  EXPECT_EQ(analysis::render_summary(study().summary()), want.summary);
+}
 
 TEST_F(StreamParityTest, StoreValidatesAndRoundTripsAtFullScale) {
   const std::string dir = exported_dir(ShardLayout::Single);

@@ -3,11 +3,11 @@
 // Usage:
 //   iotls-query <store-dir> [--filter EXPR] [--columns a,b,c]
 //               [--group-by a,b] [--format tsv|table] [--threads N]
-//               [--no-pushdown] [--explain] [--oracle]
+//               [--explain] [--oracle]
 //
-// Examples:
-//   iotls-query store/ --filter 'vendor == "Amazon" and complete == true' \
-//               --group-by month,version --format table
+// Examples (one command each):
+//   iotls-query store/ --group-by month,version --format table
+//       --filter 'vendor == "Amazon" and complete == true'
 //   iotls-query store/ --filter 'adv_suite contains TLS_RSA_WITH_RC4_128_SHA'
 //
 // Exit codes: 0 success, 1 store/filter error (typed class name printed),
@@ -35,8 +35,7 @@ int usage(const std::string& error) {
   std::cerr
       << "usage: iotls-query <store-dir> [--filter EXPR] [--columns a,b,c]\n"
          "                   [--group-by a,b] [--format tsv|table]\n"
-         "                   [--threads N] [--no-pushdown] [--explain]\n"
-         "                   [--oracle]\n";
+         "                   [--threads N] [--explain] [--oracle]\n";
   return 2;
 }
 
@@ -102,8 +101,6 @@ int main(int argc, char** argv) {
         return usage("--threads: not a number: " + v);
       }
       options.threads = parsed;
-    } else if (arg == "--no-pushdown") {
-      options.pushdown = false;
     } else if (arg == "--explain") {
       explain = true;
     } else if (arg == "--oracle") {
