@@ -1,8 +1,9 @@
 // Crypto benchmark lane: times the primitives the fast kernel accelerates
 // (Montgomery modexp, RSA-CRT private ops, signature verification with and
-// without memoisation, SHA-256 streaming) plus a reduced full-study wall
-// clock with caches on vs off, and writes the results as machine-readable
-// JSON for CI trending.
+// without memoisation, 512-bit key generation, SHA-256 streaming), the
+// standard CA universe build from cold caches, plus a reduced full-study
+// wall clock with caches on vs off, and writes the results as
+// machine-readable JSON for CI trending.
 //
 // Knobs:
 //   IOTLS_BENCH_ITERS        inner-loop repetitions (default 20; CI uses a
@@ -15,6 +16,7 @@
 //                            switch itself for the cached/uncached splits
 //
 // Usage: bench_crypto [output.json]   (default ./BENCH_crypto.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -134,7 +136,30 @@ int main(int argc, char** argv) {
          }),
          "ms/op");
 
+  // --- Key generation: 512-bit keypairs on this thread with caches still
+  // off (ten per iteration: the candidate count per prime is geometric, so
+  // a handful of keygens is mostly luck), then the standard CA universe
+  // from cold caches at the default thread count (the median of several
+  // builds: on a shared host the first builds after the serial lanes above
+  // can start before every core is back at speed). ---
+  record("keygen_512", time_ms(iters * 10, [&](std::size_t) {
+           volatile std::size_t sink =
+               iotls::crypto::rsa_generate(rng, 512).pub.n.bit_length();
+           (void)sink;
+         }),
+         "ms/op");
+
   iotls::crypto::set_crypto_cache_enabled(true);
+  std::vector<double> universe_ms;
+  for (std::size_t i = 0; i < std::max<std::size_t>(iters / 4, 5); ++i) {
+    iotls::crypto::crypto_caches_clear();
+    const iotls::obs::WallTimer timer;
+    const iotls::pki::CaUniverse standard;
+    universe_ms.push_back(timer.elapsed_ms());
+  }
+  std::sort(universe_ms.begin(), universe_ms.end());
+  record("universe_build_ms", universe_ms[universe_ms.size() / 2], "ms");
+
   iotls::crypto::crypto_caches_clear();
   (void)iotls::crypto::rsa_verify(key512.pub, message, signature);  // warm
   record("verify_512_cached", time_ms(iters * 4, [&](std::size_t) {

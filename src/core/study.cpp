@@ -449,7 +449,6 @@ std::string IotlsStudy::render_summary() {
   out += "\n";
   out += analysis::render_party_breakdown(
       analysis::party_version_breakdown(passive_fold()));
-  out += "\n" + render_timings();
   return out;
 }
 

@@ -133,8 +133,9 @@ class IotlsStudy {
   /// lives in the metrics registry (iotls_experiment_* gauges); this view
   /// reconstructs the familiar struct form.
   [[nodiscard]] std::vector<ExperimentTiming> timings() const;
-  /// The timing report render_summary() appends (also used by the bench
-  /// binaries). Non-deterministic by nature — never part of a table/figure.
+  /// The per-experiment timing report the bench binaries print after their
+  /// renderings. Non-deterministic by nature — never part of a table,
+  /// figure or the §5.1 summary.
   [[nodiscard]] std::string render_timings() const;
 
  private:

@@ -375,20 +375,63 @@ BigUint BigUint::random_bits(common::Rng& rng, std::size_t bits) {
   return from_bytes(buf);
 }
 
-bool BigUint::is_probable_prime(common::Rng& rng, int rounds) const {
-  static const std::uint32_t kSmallPrimes[] = {
-      2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-      53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
-  if (bit_length() <= 7) {
-    const std::uint64_t v = low_u64();
-    for (std::uint32_t p : kSmallPrimes) {
-      if (v == p) return true;
+namespace {
+
+/// The odd primes below 1024, packed greedily into groups whose product
+/// fits in a uint32_t: one u64 remainder pass over a candidate's limbs per
+/// group, then a cheap 32-bit remainder per prime.
+struct SmallPrimeGroup {
+  std::uint32_t product = 1;
+  std::vector<std::uint32_t> primes;
+};
+
+const std::vector<SmallPrimeGroup>& small_prime_groups() {
+  static const std::vector<SmallPrimeGroup> kGroups = [] {
+    constexpr std::uint32_t kLimit = 1024;
+    std::vector<bool> composite(kLimit, false);
+    std::vector<SmallPrimeGroup> groups(1);
+    for (std::uint32_t p = 3; p < kLimit; p += 2) {
+      if (composite[p]) continue;
+      for (std::uint32_t m = p * p; m < kLimit; m += 2 * p) composite[m] = true;
+      if (static_cast<std::uint64_t>(groups.back().product) * p > UINT32_MAX) {
+        groups.emplace_back();
+      }
+      groups.back().product *= p;
+      groups.back().primes.push_back(p);
     }
+    return groups;
+  }();
+  return kGroups;
+}
+
+/// True when some odd prime below 1024 divides the little-endian limbs.
+bool has_small_factor(const std::vector<std::uint32_t>& limbs) {
+  for (const SmallPrimeGroup& group : small_prime_groups()) {
+    std::uint64_t rem = 0;
+    for (auto limb = limbs.rbegin(); limb != limbs.rend(); ++limb) {
+      rem = ((rem << 32) | *limb) % group.product;
+    }
+    for (const std::uint32_t p : group.primes) {
+      if (rem % p == 0) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool BigUint::is_probable_prime(common::Rng& rng, int rounds) const {
+  if (bit_length() <= 10) {
+    // Below 1024 trial division is exact, and the sieve below would
+    // reject a small prime as its own factor.
+    const std::uint64_t v = low_u64();
     if (v < 2) return false;
+    for (std::uint64_t p = 2; p * p <= v; ++p) {
+      if (v % p == 0) return false;
+    }
+    return true;
   }
-  for (std::uint32_t p : kSmallPrimes) {
-    if (mod(BigUint(p)).is_zero()) return *this == BigUint(p);
-  }
+  if (!is_odd() || has_small_factor(limbs_)) return false;
 
   // Write n-1 = d * 2^r.
   const BigUint one(1);
@@ -420,10 +463,17 @@ bool BigUint::is_probable_prime(common::Rng& rng, int rounds) const {
 
 BigUint BigUint::generate_prime(common::Rng& rng, std::size_t bits) {
   if (bits < 8) throw common::CryptoError("generate_prime: too few bits");
-  while (true) {
+  // Candidate k's Miller-Rabin bases come from Rng(split_seed(mr_seed, k)),
+  // not from `rng`: the caller's stream advances by exactly
+  // 1 + k * ceil(bits / 64) words, and since the small-prime sieve in
+  // is_probable_prime rejects only composites without drawing a base, the
+  // sieve depth moves no key.
+  const std::uint64_t mr_seed = rng.next_u64();
+  for (std::uint64_t k = 1;; ++k) {
     BigUint candidate = random_bits(rng, bits);
     if (!candidate.is_odd()) candidate = candidate.add(BigUint(1));
-    if (candidate.is_probable_prime(rng, 12)) return candidate;
+    common::Rng mr_rng(common::split_seed(mr_seed, k));
+    if (candidate.is_probable_prime(mr_rng, 12)) return candidate;
   }
 }
 

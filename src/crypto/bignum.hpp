@@ -79,11 +79,16 @@ class BigUint {
   /// Random value with exactly `bits` bits (MSB set).
   static BigUint random_bits(common::Rng& rng, std::size_t bits);
 
-  /// Miller-Rabin probable-prime test with `rounds` random bases.
+  /// Probable-prime test. Exact below 1024; above, a value with a factor
+  /// below 1024 is rejected without drawing from `rng`, and the rest run
+  /// Miller-Rabin with `rounds` random bases.
   [[nodiscard]] bool is_probable_prime(common::Rng& rng,
                                        int rounds = 20) const;
 
-  /// Generate a random probable prime with exactly `bits` bits.
+  /// Generate a random probable prime with exactly `bits` bits. Draws one
+  /// word of `rng` for the Miller-Rabin seed, then ceil(bits / 64) words
+  /// per candidate; each candidate's bases come from its own derived
+  /// stream.
   static BigUint generate_prime(common::Rng& rng, std::size_t bits);
 
   [[nodiscard]] std::uint64_t low_u64() const;

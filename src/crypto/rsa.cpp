@@ -87,8 +87,9 @@ RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {
 // Keyed by (generator state, modulus bits): the generation is a pure
 // function of those, so a hit can return the memoised pair and fast-forward
 // the generator to the memoised post-generation state — downstream draws
-// (serial prefixes, later CAs on the same stream) are byte-identical either
-// way. Sharded + mutex-guarded: sandboxes generate concurrently.
+// (a CA's serial prefix, a server's next key) are byte-identical either
+// way. Sharded + mutex-guarded: the CA universe and sandboxes generate
+// concurrently.
 
 struct KeypairKey {
   common::Rng::State state;

@@ -6,10 +6,11 @@ CertificateAuthority::CertificateAuthority(x509::DistinguishedName subject,
                                            common::Rng& seed_rng,
                                            x509::Validity validity,
                                            std::size_t key_bits)
-    // rsa_generate memoises on the seed generator's state (crypto/cache.hpp),
-    // so rebuilding the same CA universe — every test and per-device sandbox
-    // does — reuses the keypair AND leaves seed_rng exactly where a fresh
-    // generation would: the serial prefix drawn next is byte-identical.
+    // The keypair is drawn first, the serial prefix after it, both from the
+    // CA's own stream. rsa_generate memoises on that stream's state
+    // (crypto/cache.hpp), so rebuilding a universe reuses the keypair AND
+    // leaves seed_rng where a fresh generation would: the serial prefix
+    // drawn next is byte-identical either way.
     : keypair_(crypto::rsa_generate(seed_rng, key_bits)),
       serial_prefix_(seed_rng.next_u64()) {
   common::ByteWriter serial;

@@ -13,8 +13,8 @@ namespace iotls::pki {
 
 class CertificateAuthority {
  public:
-  /// Create a CA with a fresh keypair; `seed_rng` drives key generation and
-  /// serial assignment (deterministic per universe seed).
+  /// Create a CA with a fresh keypair; `seed_rng` (the CA's own stream)
+  /// draws the keypair, then the serial prefix.
   CertificateAuthority(x509::DistinguishedName subject, common::Rng& seed_rng,
                        x509::Validity validity = x509::Validity{},
                        std::size_t key_bits = crypto::kDefaultRsaBits);

@@ -5,6 +5,9 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/pool.hpp"
+#include "obs/profile.hpp"
+
 namespace iotls::pki {
 
 namespace {
@@ -54,26 +57,22 @@ std::string common_name(std::size_t index) {
 
 }  // namespace
 
-void CaUniverse::add_ca(const std::string& name, common::Rng& rng,
-                        x509::Validity validity) {
-  auto dn = x509::DistinguishedName{name, name + " Trust Services", "US"};
-  authorities_[name] = std::make_unique<CertificateAuthority>(
-      dn, rng, validity, opts_.key_bits);
-  creation_order_.push_back(name);
-}
-
 CaUniverse::CaUniverse(Options opts) : opts_(opts) {
-  // All CAs draw from one sequential stream. That still caches well:
-  // rsa_generate's state-keyed memoisation (crypto/cache.hpp) replays each
-  // generation from the exact stream position it was first seen at, so a
-  // rebuilt universe with the same seed hits on every CA in order.
-  common::Rng rng = common::Rng::derive(opts_.seed, "ca-universe");
+  const obs::ProfileZone zone("pki/universe");
+
+  // Steps 1-4 only name the CAs and their validities, in creation order;
+  // step 5 keys them all.
+  std::vector<std::pair<std::string, x509::Validity>> specs;
+  const auto add_ca = [&](const std::string& name, x509::Validity validity) {
+    specs.emplace_back(name, validity);
+    creation_order_.push_back(name);
+  };
 
   // --- 1. Common CAs: unexpired, in every platform's latest store. ---
   std::vector<std::string> common_names;
   for (std::size_t i = 0; i < opts_.common_count; ++i) {
     const std::string name = common_name(i);
-    add_ca(name, rng, x509::Validity{{2010, 1, 1}, {2035, 1, 1}});
+    add_ca(name, x509::Validity{{2010, 1, 1}, {2035, 1, 1}});
     common_names.push_back(name);
   }
 
@@ -97,7 +96,7 @@ CaUniverse::CaUniverse(Options opts) : opts_(opts) {
     removed.emplace_back(legacy_name(2019, i), 2019);
   }
   for (const auto& [name, year] : removed) {
-    add_ca(name, rng, x509::Validity{{2005, 1, 1}, {2030, 1, 1}});
+    add_ca(name, x509::Validity{{2005, 1, 1}, {2030, 1, 1}});
     removal_years_[name] = year;
   }
 
@@ -110,7 +109,7 @@ CaUniverse::CaUniverse(Options opts) : opts_(opts) {
     std::snprintf(buf, sizeof(buf), "Expired Legacy Root CA %02zu", i);
     const int year = 2015 + static_cast<int>(i % 4);
     expired_removed.emplace_back(buf, year);
-    add_ca(buf, rng, x509::Validity{{2004, 1, 1}, {2019, 6, 1}});
+    add_ca(buf, x509::Validity{{2004, 1, 1}, {2019, 6, 1}});
     removal_years_[buf] = year;
   }
 
@@ -130,12 +129,28 @@ CaUniverse::CaUniverse(Options opts) : opts_(opts) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%s Exclusive Root %02zu",
                     platform.c_str(), i);
-      add_ca(buf, rng, x509::Validity{{2012, 1, 1}, {2035, 1, 1}});
+      add_ca(buf, x509::Validity{{2012, 1, 1}, {2035, 1, 1}});
       exclusives[platform].push_back(buf);
     }
   }
 
-  // --- 5. Build the versioned histories. ---
+  // --- 5. Key every CA. Each draws its keypair, then its serial prefix,
+  // from its own stream Rng::derive(seed, "ca/<name>"), so the keys depend
+  // only on (seed, name) and the CAs build in parallel. From inside a pool
+  // worker parallel_map runs serially, with the same bytes. ---
+  auto built = common::parallel_map(0, specs, [&](const auto& spec) {
+    const obs::ProfileZone keygen_zone("pki/ca_keygen");
+    const auto& [name, validity] = spec;
+    common::Rng rng = common::Rng::derive(opts_.seed, "ca/" + name);
+    return std::make_unique<CertificateAuthority>(
+        x509::DistinguishedName{name, name + " Trust Services", "US"}, rng,
+        validity, opts_.key_bits);
+  });
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    authorities_[specs[i].first] = std::move(built[i]);
+  }
+
+  // --- 6. Build the versioned histories. ---
   const std::map<std::string, std::string> comments = {
       {"Ubuntu",
        "ca-certificates package, /etc/ssl/certs/ca-certificates.crt from "
@@ -184,7 +199,7 @@ CaUniverse::CaUniverse(Options opts) : opts_(opts) {
     histories_.push_back(std::move(history));
   }
 
-  // --- 6. Distrust records (the incidents §5.2 names). ---
+  // --- 7. Distrust records (the incidents §5.2 names). ---
   distrust_ = {
       {"TurkTrust Elektronik Sertifika", 2013, "Mozilla",
        "unauthorized certificate issued for google.com"},
@@ -198,7 +213,7 @@ CaUniverse::CaUniverse(Options opts) : opts_(opts) {
        "repeated failure to comply with CA guidelines"},
   };
 
-  // --- 7. Derive the probe sets (§4.2 algorithm + expiry filter). ---
+  // --- 8. Derive the probe sets (§4.2 algorithm + expiry filter). ---
   const std::set<std::string> common_set = derive_common(histories_);
   const std::set<std::string> deprecated_set = derive_deprecated(histories_);
   const common::SimDate now = reference_date();

@@ -10,7 +10,9 @@
 // names (TurkTrust 2013, CNNIC 2015, WoSign/StartCom 2016, Certinomis 2019).
 //
 // Every CA has a real RSA keypair, so spoofed-certificate probes trigger
-// genuine signature failures.
+// genuine signature failures. Each CA's keypair and serial prefix come from
+// its own stream, Rng::derive(seed, "ca/<name>"), so the keys depend only on
+// (seed, name) and the universe keys its CAs in parallel.
 #pragma once
 
 #include <map>
@@ -87,9 +89,6 @@ class CaUniverse {
   }
 
  private:
-  void add_ca(const std::string& name, common::Rng& rng,
-              x509::Validity validity);
-
   Options opts_;
   std::map<std::string, std::unique_ptr<CertificateAuthority>> authorities_;
   std::vector<std::string> creation_order_;

@@ -182,6 +182,74 @@ TEST(BigUint, GeneratePrimeHasRequestedBits) {
   EXPECT_TRUE(p.is_probable_prime(rng));
 }
 
+TEST(BigUint, PrimalityExactAcrossSieveBoundary) {
+  // Exact below 1024; above, the small-prime sieve and Miller-Rabin must
+  // agree with trial division, sieve primes themselves included.
+  common::Rng rng(45);
+  for (std::uint64_t n = 0; n < 2048; ++n) {
+    bool prime = n >= 2;
+    for (std::uint64_t p = 2; p * p <= n && prime; ++p) prime = n % p != 0;
+    EXPECT_EQ(BigUint(n).is_probable_prime(rng), prime) << n;
+  }
+}
+
+/// Textbook Miller-Rabin with no trial division or sieve.
+bool reference_miller_rabin(const BigUint& n, common::Rng& rng, int rounds) {
+  const BigUint one(1);
+  const BigUint two(2);
+  const BigUint n_minus_1 = n.sub(one);
+  BigUint d = n_minus_1;
+  std::size_t r = 0;
+  while (!d.is_odd()) {
+    d = d.shift_right(1);
+    ++r;
+  }
+  for (int round = 0; round < rounds; ++round) {
+    BigUint x = two.add(BigUint::random_below(rng, n_minus_1.sub(two)))
+                    .modexp(d, n);
+    bool composite = x != one && x != n_minus_1;
+    for (std::size_t i = 1; i < r && composite; ++i) {
+      x = x.mul(x).mod(n);
+      composite = x != n_minus_1;
+    }
+    if (composite) return false;
+  }
+  return true;
+}
+
+/// generate_prime without the sieve: Miller-Rabin on every odd candidate,
+/// with the same per-candidate bases. `candidates` counts them.
+BigUint reference_prime(common::Rng& rng, std::size_t bits,
+                        std::uint64_t& candidates) {
+  const std::uint64_t mr_seed = rng.next_u64();
+  for (candidates = 1;; ++candidates) {
+    BigUint candidate = BigUint::random_bits(rng, bits);
+    if (!candidate.is_odd()) candidate = candidate.add(BigUint(1));
+    common::Rng mr_rng(common::split_seed(mr_seed, candidates));
+    if (reference_miller_rabin(candidate, mr_rng, 12)) return candidate;
+  }
+}
+
+TEST(BigUint, GeneratePrimeIgnoresSieve) {
+  for (const std::size_t bits : {64u, 96u, 256u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      common::Rng sieved(seed);
+      common::Rng plain(seed);
+      std::uint64_t candidates = 0;
+      const BigUint p = BigUint::generate_prime(sieved, bits);
+      EXPECT_EQ(p, reference_prime(plain, bits, candidates))
+          << bits << " bits, seed " << seed;
+      EXPECT_EQ(sieved.state(), plain.state());
+      // The stream advanced by exactly 1 + k * ceil(bits / 64) words.
+      common::Rng counted(seed);
+      const std::uint64_t words = 1 + candidates * ((bits + 63) / 64);
+      for (std::uint64_t i = 0; i < words; ++i) (void)counted.next_u64();
+      EXPECT_EQ(sieved.state(), counted.state())
+          << bits << " bits, seed " << seed;
+    }
+  }
+}
+
 TEST(BigUint, FromBytesToBytesRoundTripsFixedWidthWithLeadingZeros) {
   // Signature buffers are fixed-width (k = modulus bytes) and may start
   // with zero bytes; from_bytes ∘ to_bytes(k) must reproduce the buffer

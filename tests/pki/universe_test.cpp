@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <set>
+
+#include "common/hex.hpp"
+#include "common/pool.hpp"
+#include "crypto/cache.hpp"
+#include "crypto/sha256.hpp"
+#include "obs/profile.hpp"
 
 namespace iotls::pki {
 namespace {
@@ -135,17 +143,101 @@ TEST(CaUniverse, EveryAuthorityHasDistinctKey) {
   EXPECT_NE(a, b);
 }
 
-TEST(CaUniverse, SmallCustomUniverse) {
+/// A 14-CA universe: cheap enough to key from cold caches in a unit test.
+CaUniverse::Options tiny_options(std::uint64_t seed) {
   CaUniverse::Options opts;
-  opts.seed = 99;
-  opts.key_bits = 448;
+  opts.seed = seed;
   opts.common_count = 5;
   opts.deprecated_count = 4;
   opts.expired_removed_count = 1;
   opts.platform_exclusive_count = 1;
+  return opts;
+}
+
+TEST(CaUniverse, SmallCustomUniverse) {
+  CaUniverse::Options opts = tiny_options(99);
+  opts.key_bits = 448;
   const CaUniverse small(opts);
   EXPECT_EQ(small.common_ca_names().size(), 5u);
   EXPECT_EQ(small.deprecated_ca_names().size(), 4u);
+}
+
+TEST(CaUniverse, KeysDependOnlyOnSeedAndName) {
+  // Each CA keys from Rng::derive(seed, "ca/<name>"): dropping most common
+  // CAs must not move any other CA's key, serial prefix or root bytes.
+  CaUniverse::Options opts;
+  opts.common_count = 10;
+  const CaUniverse fewer(opts);
+  EXPECT_EQ(fewer.all_ca_names().size(), 10u + 87u + 6u + 16u);
+  for (const auto& name : fewer.all_ca_names()) {
+    const CertificateAuthority* standard = U().find(name);
+    ASSERT_NE(standard, nullptr) << name;
+    EXPECT_EQ(fewer.authority(name).root().serialize(),
+              standard->root().serialize())
+        << name;
+  }
+}
+
+TEST(CaUniverse, WorkerBuildMatchesParallelBuild) {
+  crypto::crypto_caches_clear();
+  const CaUniverse main_thread(tiny_options(7));
+  crypto::crypto_caches_clear();  // the worker build generates every key
+  std::optional<CaUniverse> in_worker;
+  bool ran_in_worker = false;
+  common::parallel_for(2, 2, [&](std::size_t i) {
+    if (i != 0) return;
+    ran_in_worker = common::ThreadPool::in_worker();
+    in_worker.emplace(tiny_options(7));
+  });
+  ASSERT_TRUE(in_worker.has_value());
+  EXPECT_TRUE(ran_in_worker);
+  ASSERT_EQ(in_worker->all_ca_names(), main_thread.all_ca_names());
+  for (const auto& name : main_thread.all_ca_names()) {
+    EXPECT_EQ(in_worker->authority(name).root().serialize(),
+              main_thread.authority(name).root().serialize())
+        << name;
+  }
+}
+
+TEST(CaUniverse, StandardRootsDigest) {
+  // Absolute anchor on the key material: SHA-256 over every root
+  // certificate of the standard universe, in creation order. Moves only
+  // when CA key generation, serial assignment or certificate encoding
+  // changes.
+  crypto::Sha256 hash;
+  for (const auto& name : U().all_ca_names()) {
+    hash.update(U().authority(name).root().serialize());
+  }
+  const crypto::Sha256Digest digest = hash.finish();
+  EXPECT_EQ(common::hex_encode(digest),
+            "a90f46ea0bc0aef27ea0f6a520def1617e272306f7996d9b3a20899048042ea8");
+}
+
+TEST(CaUniverse, BuildIsCreditedToPki) {
+  crypto::crypto_caches_clear();
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+  const CaUniverse tiny(tiny_options(11));
+  const obs::ProfileSnapshot snap = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
+
+  std::uint64_t universe_calls = 0;
+  std::uint64_t keygen_calls = 0;
+  const std::function<void(const obs::ProfileNode&)> walk =
+      [&](const obs::ProfileNode& node) {
+        if (node.name == "pki/universe") universe_calls += node.calls;
+        if (node.name == "pki/ca_keygen") keygen_calls += node.calls;
+        // Key generation is never anonymous: no modexp directly under the
+        // root or a bare pool task.
+        if (node.name == "<root>" || node.name == "pool/task") {
+          EXPECT_EQ(node.children.count("crypto/modexp"), 0u) << node.name;
+        }
+        for (const auto& [name, child] : node.children) walk(child);
+      };
+  walk(snap.root);
+  EXPECT_EQ(universe_calls, 1u);
+  EXPECT_EQ(keygen_calls, tiny.all_ca_names().size());
 }
 
 }  // namespace
