@@ -41,9 +41,10 @@ void count_cache_miss(const char* cache_name) {
       .inc();
 }
 
-std::optional<std::uint64_t> DigestCache::lookup(const Key& key) {
+template <typename Value>
+std::optional<Value> DigestCache<Value>::lookup(const DigestKey& key) {
   Shard& s = shard(key);
-  std::optional<std::uint64_t> out;
+  std::optional<Value> out;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     const auto it = s.map.find(key);
@@ -57,33 +58,55 @@ std::optional<std::uint64_t> DigestCache::lookup(const Key& key) {
   return out;
 }
 
-void DigestCache::store(const Key& key, std::uint64_t value) {
+template <typename Value>
+void DigestCache<Value>::store(const DigestKey& key, const Value& value) {
   Shard& s = shard(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  if (s.map.size() >= kMaxPerShard) s.map.clear();
+  if (s.map.size() >= max_per_shard_) s.map.clear();
   s.map.emplace(key, value);
 }
 
-void DigestCache::clear() {
+template <typename Value>
+void DigestCache<Value>::clear() {
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mutex);
     s.map.clear();
   }
 }
 
-DigestCache& sig_verify_cache() {
-  static DigestCache cache("sig_verify");
+template <typename Value>
+std::size_t DigestCache<Value>::size() {
+  std::size_t total = 0;
+  for (Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    total += s.map.size();
+  }
+  return total;
+}
+
+template class DigestCache<std::uint64_t>;
+template class DigestCache<common::Bytes>;
+
+DigestCache<std::uint64_t>& sig_verify_cache() {
+  static DigestCache<std::uint64_t> cache("sig_verify", 1 << 15);
   return cache;
 }
 
-DigestCache& chain_verify_cache() {
-  static DigestCache cache("chain_verify");
+DigestCache<std::uint64_t>& chain_verify_cache() {
+  static DigestCache<std::uint64_t> cache("chain_verify", 1 << 15);
+  return cache;
+}
+
+DigestCache<common::Bytes>& cert_sign_cache() {
+  // Small on purpose; see the header.
+  static DigestCache<common::Bytes> cache("cert_sign", 256);
   return cache;
 }
 
 void crypto_caches_clear() {
   sig_verify_cache().clear();
   chain_verify_cache().clear();
+  cert_sign_cache().clear();
   detail::keypair_cache_clear();
 }
 

@@ -1,12 +1,13 @@
 // Process-wide, seed-deterministic crypto memoisation.
 //
-// The study re-verifies the same certificate chains and re-generates the
-// same deterministic keypairs thousands of times (per-device sandboxes each
-// rebuild the cloud farm; the passive generator walks 24 monthly snapshots
-// over the same PKI). These caches amortise that work WITHOUT changing any
-// output: every cached value equals the value the uncached computation
-// would produce, so tables/figures/traces are byte-identical with caches on
-// or off, at any thread count.
+// The study re-verifies the same certificate chains, re-signs the same
+// forged certificates and re-generates the same deterministic keypairs
+// thousands of times (per-device sandboxes each rebuild the cloud farm; the
+// passive generator walks 24 monthly snapshots over the same PKI; every
+// intercepted connection and root-store probe forges a chain). These caches
+// amortise that work WITHOUT changing any output: every cached value equals
+// the value the uncached computation would produce, so tables/figures/
+// traces are byte-identical with caches on or off, at any thread count.
 //
 //   - signature-verification cache (rsa.cpp): keyed by a SHA-256 over
 //     (modulus, exponent, message digest, signature digest).
@@ -14,6 +15,13 @@
 //     resolved issuer keys + verification policy + the simtime validity
 //     window (each cert's before/within/after state at `now`), so expiry
 //     semantics are unchanged.
+//   - certificate-signing cache (x509/certificate.cpp): keyed by a SHA-256
+//     over (issuer modulus, issuer private exponent, TBS digest); the value
+//     is the signature. PKCS#1 v1.5 signing is deterministic, so a hit
+//     returns the bytes a fresh signature would. It holds at most 16 x 256
+//     signatures: a bound sized like the verify caches would carry every
+//     earlier study's forgeries along and grow peak RSS. rsa_sign itself
+//     stays unmemoised (ServerKeyExchange signatures cover fresh randoms).
 //   - keypair cache (rsa.cpp): keyed by the generator state + modulus bits;
 //     a hit replays the generator's consumption exactly via Rng snapshots.
 //
@@ -29,14 +37,17 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/bytes.hpp"
+
 namespace iotls::crypto {
 
 /// Master switch. Defaults from IOTLS_CRYPTO_CACHE (unset/nonzero = on).
 bool crypto_cache_enabled();
 void set_crypto_cache_enabled(bool enabled);
 
-/// Drop every cached entry (signature, chain, keypair). Tests use this to
-/// exercise cold/warm behaviour; values re-derive identically afterwards.
+/// Drop every cached entry (signature, chain, certificate, keypair). Tests
+/// use this to exercise cold/warm behaviour; values re-derive identically
+/// afterwards.
 void crypto_caches_clear();
 
 /// Register a hit/miss with the iotls_crypto_cache_* counter families
@@ -45,27 +56,33 @@ void crypto_caches_clear();
 void count_cache_hit(const char* cache_name);
 void count_cache_miss(const char* cache_name);
 
-/// A sharded digest -> u64 memo table. Shard picked from a key byte not
+/// The SHA-256 every digest-keyed memo table is addressed by.
+using DigestKey = std::array<std::uint8_t, 32>;
+
+/// A sharded digest -> Value memo table. Shard picked from a key byte not
 /// used by the in-shard hash; each shard is generational — when it reaches
-/// capacity it is cleared rather than evicted entry-by-entry, which keeps
-/// memory bounded on workloads with unbounded distinct keys (e.g. the
-/// certificate chains of a long run of freshly issued server identities).
+/// `max_per_shard` entries it is cleared rather than evicted entry-by-entry,
+/// which keeps memory bounded on workloads with unbounded distinct keys
+/// (e.g. the certificate chains of a long run of freshly issued server
+/// identities). Instantiated for u64 verdicts and Bytes signatures.
+template <typename Value>
 class DigestCache {
  public:
-  using Key = std::array<std::uint8_t, 32>;
+  static constexpr std::size_t kShards = 16;
 
-  explicit DigestCache(const char* name) : name_(name) {}
+  DigestCache(const char* name, std::size_t max_per_shard)
+      : name_(name), max_per_shard_(max_per_shard) {}
 
-  std::optional<std::uint64_t> lookup(const Key& key);
-  void store(const Key& key, std::uint64_t value);
+  std::optional<Value> lookup(const DigestKey& key);
+  void store(const DigestKey& key, const Value& value);
   void clear();
+  /// Entries currently held, over all shards.
+  [[nodiscard]] std::size_t size();
+  [[nodiscard]] std::size_t max_per_shard() const { return max_per_shard_; }
 
  private:
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kMaxPerShard = 1 << 15;
-
   struct KeyHash {
-    std::size_t operator()(const Key& k) const {
+    std::size_t operator()(const DigestKey& k) const {
       std::uint64_t v = 0;
       for (int i = 0; i < 8; ++i) v = (v << 8) | k[static_cast<std::size_t>(i)];
       return static_cast<std::size_t>(v);
@@ -73,19 +90,24 @@ class DigestCache {
   };
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<Key, std::uint64_t, KeyHash> map;
+    std::unordered_map<DigestKey, Value, KeyHash> map;
   };
 
-  Shard& shard(const Key& key) { return shards_[key[8] % kShards]; }
+  Shard& shard(const DigestKey& key) { return shards_[key[8] % kShards]; }
 
   const char* name_;
+  std::size_t max_per_shard_;
   std::array<Shard, kShards> shards_;
 };
 
+extern template class DigestCache<std::uint64_t>;
+extern template class DigestCache<common::Bytes>;
+
 /// The shared instances. Lookup/store already count hits/misses under the
 /// instance's name; callers only gate on crypto_cache_enabled().
-DigestCache& sig_verify_cache();
-DigestCache& chain_verify_cache();
+DigestCache<std::uint64_t>& sig_verify_cache();
+DigestCache<std::uint64_t>& chain_verify_cache();
+DigestCache<common::Bytes>& cert_sign_cache();
 
 namespace detail {
 /// Implemented in rsa.cpp (the keypair table's value type lives there);

@@ -252,7 +252,7 @@ bool rsa_verify(const RsaPublicKey& key, common::BytesView message,
   const Sha256Digest sig_digest = Sha256::digest(signature);
   h.update(msg_digest);
   h.update(sig_digest);
-  const DigestCache::Key cache_key = h.finish();
+  const DigestKey cache_key = h.finish();
 
   if (const auto cached = sig_verify_cache().lookup(cache_key)) {
     return *cached != 0;

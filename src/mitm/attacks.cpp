@@ -1,5 +1,6 @@
 #include "mitm/attacks.hpp"
 
+#include "obs/profile.hpp"
 #include "pki/spoof.hpp"
 #include "testbed/cloud.hpp"
 
@@ -51,6 +52,7 @@ std::string failure_name(FailureKind kind) {
 
 AttackForge::AttackForge(const pki::CaUniverse& universe, std::uint64_t seed)
     : attacker_domain_("research.iotls-lab-sim.net") {
+  const obs::ProfileZone zone("mitm/forge");
   common::Rng rng = common::Rng::derive(seed, "attack-forge");
   attacker_keys_ = crypto::rsa_generate(rng);
 
@@ -71,6 +73,7 @@ AttackForge::AttackForge(const pki::CaUniverse& universe, std::uint64_t seed)
 
 ForgedIdentity AttackForge::forge(AttackKind kind,
                                   const std::string& victim_host) const {
+  const obs::ProfileZone zone("mitm/forge");
   ForgedIdentity identity;
   identity.keys = attacker_keys_;
 
@@ -114,6 +117,7 @@ ForgedIdentity AttackForge::self_signed(const std::string& victim_host) const {
 ForgedIdentity AttackForge::spoofed_ca_chain(
     const x509::Certificate& real_root,
     const std::string& victim_host) const {
+  const obs::ProfileZone zone("mitm/forge");
   ForgedIdentity identity;
   identity.keys = attacker_keys_;
   const auto spoofed = pki::make_spoofed_ca(real_root, attacker_keys_);
@@ -124,6 +128,7 @@ ForgedIdentity AttackForge::spoofed_ca_chain(
 
 ForgedIdentity AttackForge::unknown_ca_chain(
     const std::string& victim_host) const {
+  const obs::ProfileZone zone("mitm/forge");
   ForgedIdentity identity;
   identity.keys = attacker_keys_;
   identity.chain = pki::forge_chain(unknown_root_, attacker_keys_.priv,

@@ -1,5 +1,7 @@
 #include "pki/ca.hpp"
 
+#include "obs/profile.hpp"
+
 namespace iotls::pki {
 
 CertificateAuthority::CertificateAuthority(x509::DistinguishedName subject,
@@ -29,6 +31,7 @@ common::Bytes CertificateAuthority::next_serial() const {
 x509::Certificate CertificateAuthority::issue_server_cert(
     const std::string& hostname, const crypto::RsaPublicKey& server_key,
     x509::Validity validity, const x509::CertExtensions* extra) const {
+  const obs::ProfileZone zone("pki/issue");
   x509::TbsCertificate tbs;
   tbs.serial = next_serial();
   tbs.issuer = root_.tbs.subject;
@@ -53,6 +56,7 @@ x509::Certificate CertificateAuthority::issue_intermediate(
     const x509::DistinguishedName& subject,
     const crypto::RsaPublicKey& intermediate_key,
     x509::Validity validity) const {
+  const obs::ProfileZone zone("pki/issue");
   x509::TbsCertificate tbs;
   tbs.serial = next_serial();
   tbs.issuer = root_.tbs.subject;

@@ -66,7 +66,11 @@ struct Certificate {
   [[nodiscard]] bool matches_hostname(std::string_view hostname) const;
 };
 
-/// Sign `tbs` with the issuer's private key.
+/// Sign `tbs` with the issuer's private key. Memoised through the
+/// certificate-signing cache (crypto/cache.hpp) on (issuer key, TBS
+/// digest): the forgeries of the active experiments re-issue the same
+/// certificates per connection, and signing is deterministic, so a hit
+/// returns the bytes a fresh signature would.
 Certificate issue_certificate(const TbsCertificate& tbs,
                               const crypto::RsaPrivateKey& issuer_key);
 

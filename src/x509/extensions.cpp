@@ -36,13 +36,28 @@ common::Bytes CertExtensions::serialize() const {
   return w.take();
 }
 
+namespace {
+
+/// A presence byte or boolean field: exactly 0 or 1, so every accepted
+/// encoding re-serializes to the bytes it was parsed from.
+bool parse_flag(common::ByteReader& r, const char* field) {
+  const std::uint8_t v = r.u8();
+  if (v > 1) {
+    throw common::ParseError(std::string("CertExtensions: non-canonical ") +
+                             field);
+  }
+  return v == 1;
+}
+
+}  // namespace
+
 CertExtensions CertExtensions::parse(common::ByteReader& r) {
   CertExtensions ext;
 
-  if (r.u8()) {
+  if (parse_flag(r, "basic-constraints presence")) {
     BasicConstraints bc;
-    bc.is_ca = r.u8() != 0;
-    if (r.u8()) bc.path_len_constraint = r.u8();
+    bc.is_ca = parse_flag(r, "is_ca");
+    if (parse_flag(r, "path-length presence")) bc.path_len_constraint = r.u8();
     ext.basic_constraints = bc;
   }
 
@@ -51,8 +66,11 @@ CertExtensions CertExtensions::parse(common::ByteReader& r) {
     ext.subject_alt_names.push_back(r.str(1));
   }
 
-  if (r.u8()) {
+  if (parse_flag(r, "key-usage presence")) {
     const std::uint8_t bits = r.u8();
+    if (bits > 0x0F) {
+      throw common::ParseError("CertExtensions: unknown key-usage bits");
+    }
     KeyUsage ku;
     ku.digital_signature = bits & 0x01;
     ku.key_encipherment = bits & 0x02;
@@ -63,7 +81,7 @@ CertExtensions CertExtensions::parse(common::ByteReader& r) {
 
   ext.crl_distribution_point = r.str(1);
   ext.ocsp_responder = r.str(1);
-  ext.must_staple = r.u8() != 0;
+  ext.must_staple = parse_flag(r, "must_staple");
   return ext;
 }
 

@@ -176,10 +176,10 @@ VerifyResult unpack_result(std::uint64_t packed) {
   return result;
 }
 
-crypto::DigestCache::Key chain_cache_key(const ResolvedChain& resolved,
-                                         std::string_view hostname,
-                                         common::SimDate now,
-                                         const VerifyPolicy& policy) {
+crypto::DigestKey chain_cache_key(const ResolvedChain& resolved,
+                                  std::string_view hostname,
+                                  common::SimDate now,
+                                  const VerifyPolicy& policy) {
   common::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(
       (policy.check_signature ? 1U : 0U) |
@@ -223,7 +223,7 @@ VerifyResult verify_impl(std::span<const Certificate> chain,
   if (!crypto::crypto_cache_enabled()) {
     return verify_resolved(resolved, hostname, now, policy);
   }
-  const crypto::DigestCache::Key key =
+  const crypto::DigestKey key =
       chain_cache_key(resolved, hostname, now, policy);
   if (const auto cached = crypto::chain_verify_cache().lookup(key)) {
     return unpack_result(*cached);

@@ -12,6 +12,10 @@
 
 #include "common/rng.hpp"
 #include "crypto/rsa.hpp"
+#include "obs/metrics.hpp"
+#include "pki/ca.hpp"
+#include "tls/client.hpp"
+#include "tls/server.hpp"
 
 namespace iotls::crypto {
 namespace {
@@ -35,9 +39,20 @@ class CryptoCacheTest : public ::testing::Test {
   bool was_enabled_ = true;
 };
 
+/// Hits plus misses of one memo table, from the metrics registry.
+std::uint64_t cache_lookups(const char* cache) {
+  auto& reg = obs::MetricsRegistry::global();
+  return reg.counter("iotls_crypto_cache_hits_total",
+                     "Crypto memoisation hits by cache", "cache", cache)
+             .value() +
+         reg.counter("iotls_crypto_cache_misses_total",
+                     "Crypto memoisation misses by cache", "cache", cache)
+             .value();
+}
+
 TEST_F(CryptoCacheTest, DigestCacheStoresAndClears) {
-  DigestCache cache("test");
-  DigestCache::Key key{};
+  DigestCache<std::uint64_t> cache("test", 4);
+  DigestKey key{};
   key[8] = 7;  // also exercises shard selection
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.store(key, 42);
@@ -45,6 +60,41 @@ TEST_F(CryptoCacheTest, DigestCacheStoresAndClears) {
   EXPECT_EQ(*cache.lookup(key), 42u);
   cache.clear();
   EXPECT_FALSE(cache.lookup(key).has_value());
+}
+
+TEST_F(CryptoCacheTest, DigestCacheHoldsByteValues) {
+  DigestCache<common::Bytes> cache("test_bytes", 4);
+  DigestKey key{};
+  key[0] = 1;
+  cache.store(key, to_bytes("signature"));
+  const auto hit = cache.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, to_bytes("signature"));
+}
+
+TEST_F(CryptoCacheTest, ShardNeverHoldsMoreThanItsCapacity) {
+  // Every key below lands in one shard (same key[8]); the shard clears
+  // itself at capacity instead of growing.
+  DigestCache<common::Bytes> cache("test_bound", 8);
+  for (std::uint8_t i = 0; i < 50; ++i) {
+    DigestKey key{};
+    key[0] = i;
+    cache.store(key, common::Bytes(64, i));
+    EXPECT_LE(cache.size(), cache.max_per_shard());
+  }
+  // Spread over every shard, the whole table stays within kShards shards.
+  for (std::size_t i = 0; i < 4000; ++i) {
+    DigestKey key{};
+    key[0] = static_cast<std::uint8_t>(i);
+    key[1] = static_cast<std::uint8_t>(i >> 8);
+    key[8] = static_cast<std::uint8_t>(i % 251);
+    cache.store(key, common::Bytes(64, 0));
+  }
+  EXPECT_LE(cache.size(),
+            cache.max_per_shard() * DigestCache<common::Bytes>::kShards);
+
+  // The shared certificate-signing memo has the same bound.
+  EXPECT_EQ(cert_sign_cache().max_per_shard(), 256u);
 }
 
 TEST_F(CryptoCacheTest, KeygenHitRestoresRngStreamExactly) {
@@ -147,6 +197,43 @@ TEST_F(CryptoCacheTest, ConcurrentHammeringIsSafeAndConsistent) {
   }
   for (auto& th : threads) th.join();
   for (const bool t_ok : ok) EXPECT_TRUE(t_ok);
+}
+
+TEST_F(CryptoCacheTest, HandshakeSigningBypassesCertSignMemo) {
+  // ServerKeyExchange signatures cover both hello randoms, so they never
+  // repeat: rsa_sign stays a pure primitive and only certificate issuance
+  // consults the memo.
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  common::Rng rng(4711);
+  const pki::CertificateAuthority ca(
+      x509::DistinguishedName{"Memo Root", "Tests", "US"}, rng);
+  const RsaKeyPair server_keys = rsa_generate(rng, 512);
+  const std::uint64_t before_issue = cache_lookups("cert_sign");
+  const x509::Certificate leaf =
+      ca.issue_server_cert("memo.example.com", server_keys.pub);
+  const std::uint64_t before_handshakes = cache_lookups("cert_sign");
+  EXPECT_EQ(before_handshakes, before_issue + 1);
+
+  pki::RootStore roots;
+  roots.add(ca.root());
+  for (const std::uint16_t suite :
+       {tls::TLS_RSA_WITH_AES_128_GCM_SHA256,
+        tls::TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256}) {
+    tls::ServerConfig scfg;
+    scfg.chain = {leaf, ca.root()};
+    scfg.keys = server_keys;
+    scfg.seed = 5;
+    tls::Transport transport(std::make_shared<tls::TlsServer>(scfg));
+    tls::ClientConfig ccfg;
+    ccfg.cipher_suites = {suite};
+    tls::TlsClient client(ccfg, &roots, common::Rng(6),
+                          common::SimDate{2021, 3, 1});
+    const auto result = client.connect(transport, "memo.example.com", {});
+    EXPECT_TRUE(result.success()) << tls::outcome_name(result.outcome);
+  }
+  EXPECT_EQ(cache_lookups("cert_sign"), before_handshakes);
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 }  // namespace

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string_view>
+
+#include "crypto/cache.hpp"
+#include "mitm/runner.hpp"
+#include "obs/profile.hpp"
 #include "testbed/testbed.hpp"
 
 namespace iotls::mitm {
@@ -158,6 +164,59 @@ TEST(InterceptorTest, ForgeProducesHostSpecificChains) {
   EXPECT_TRUE(a.chain[0].matches_hostname("a.example.com"));
   EXPECT_TRUE(b.chain[0].matches_hostname("b.example.com"));
   EXPECT_FALSE(a.chain[0].matches_hostname("b.example.com"));
+}
+
+TEST(InterceptorTest, ForgeryIsCreditedToMitm) {
+  // Every RSA private-key operation of an active experiment is credited to
+  // a layer: forged chains to mitm/forge, handshake signatures to tls/*,
+  // the sandboxes' cloud-farm certificates to pki/*. None sits directly
+  // under the root or a bare pool task.
+  auto& tb = shared_testbed();
+  tb.set_date(kNow);
+  crypto::crypto_caches_clear();
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+  {
+    Interceptor interceptor(tb.universe(), tb.cloud());
+    auto& ghm = tb.runtime("Google Home Mini");
+    const auto trusted_root = ghm.root_store().roots().front();
+    std::vector<InterceptMode> modes = {
+        InterceptMode::unknown_ca(), InterceptMode::spoofed_ca(trusted_root),
+        InterceptMode::make_failure(FailureKind::FailedHandshake)};
+    for (const AttackKind kind : all_attacks()) {
+      modes.push_back(InterceptMode::make_attack(kind));
+    }
+    for (const InterceptMode& mode : modes) {
+      interceptor.set_mode(mode);
+      interceptor.install(tb.network());
+      (void)tb.runtime("Zmodo Doorbell").boot(kNow);
+      (void)ghm.connect_to(ghm.profile().destinations.front(), kNow);
+      interceptor.uninstall(tb.network());
+      (void)interceptor.drain();
+      ghm.reset_failure_state();
+      tb.runtime("Zmodo Doorbell").reset_failure_state();
+    }
+  }
+  (void)run_downgrade_experiments(tb, 2);
+  const obs::ProfileSnapshot snap = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
+
+  std::uint64_t forge_signatures = 0;
+  const std::function<void(const obs::ProfileNode&)> walk =
+      [&](const obs::ProfileNode& node) {
+        const auto it = node.children.find("crypto/rsa_private_op");
+        if (it != node.children.end()) {
+          const std::string_view parent = node.name;
+          EXPECT_TRUE(parent == "mitm/forge" || parent.starts_with("tls/") ||
+                      parent.starts_with("pki/"))
+              << it->second.calls << " private ops under " << parent;
+          if (parent == "mitm/forge") forge_signatures += it->second.calls;
+        }
+        for (const auto& [name, child] : node.children) walk(child);
+      };
+  walk(snap.root);
+  EXPECT_GT(forge_signatures, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "common/pool.hpp"
+#include "crypto/cache.hpp"
+
 namespace iotls::x509 {
 namespace {
 
@@ -9,6 +14,36 @@ crypto::RsaKeyPair test_keys(std::uint64_t seed) {
   common::Rng rng(seed);
   return crypto::rsa_generate(rng, 512);
 }
+
+TbsCertificate leaf_tbs(const std::string& host,
+                        const crypto::RsaPublicKey& key) {
+  TbsCertificate tbs;
+  tbs.serial = {0x13, 0x37};
+  tbs.issuer = DistinguishedName::cn("Memo CA");
+  tbs.subject = DistinguishedName::cn(host);
+  tbs.validity = Validity{{2020, 1, 1}, {2023, 1, 1}};
+  tbs.subject_public_key = key;
+  tbs.extensions.basic_constraints = BasicConstraints{false, {}};
+  tbs.extensions.subject_alt_names = {host};
+  tbs.extensions.key_usage = KeyUsage{true, true, false, false};
+  return tbs;
+}
+
+/// Leaves the memo switch as the process started it and the tables empty.
+class IssueMemoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = crypto::crypto_cache_enabled();
+    crypto::set_crypto_cache_enabled(true);
+    crypto::crypto_caches_clear();
+  }
+  void TearDown() override {
+    crypto::set_crypto_cache_enabled(was_enabled_);
+    crypto::crypto_caches_clear();
+  }
+
+  bool was_enabled_ = true;
+};
 
 TEST(DistinguishedName, EqualityIsFieldWise) {
   const DistinguishedName a{"Root CA", "Org", "US"};
@@ -144,6 +179,121 @@ TEST(Certificate, TamperedTbsBreaksSignature) {
   root.tbs.subject.common_name = "Evil";
   EXPECT_FALSE(
       crypto::rsa_verify(keys.pub, root.tbs.serialize(), root.signature));
+}
+
+TEST(Extensions, NonCanonicalFlagBytesAreRejected) {
+  // Every flag byte of a leaf's extensions must be 0 or 1 (key-usage bits
+  // within 0x0F): a lenient parse would let wire bytes that differ from
+  // the signed bytes pass as the same certificate.
+  const auto keys = test_keys(10);
+  const Certificate leaf =
+      issue_certificate(leaf_tbs("flags.example.com", keys.pub), keys.priv);
+  const common::Bytes wire = leaf.serialize();
+  ASSERT_EQ(Certificate::parse(wire), leaf);
+
+  // The extension block ends the TBS, which follows a 3-byte length.
+  const CertExtensions& ext = leaf.tbs.extensions;
+  const std::size_t base =
+      3 + leaf.tbs.serialize().size() - ext.serialize().size();
+  std::size_t sans_len = 1;
+  for (const auto& san : ext.subject_alt_names) sans_len += 1 + san.size();
+  const std::size_t ku_presence = base + 3 + sans_len;
+  const std::size_t must_staple = 3 + leaf.tbs.serialize().size() - 1;
+  ASSERT_EQ(wire[ku_presence], 1);
+  ASSERT_EQ(wire[must_staple], 0);
+
+  const struct {
+    const char* field;
+    std::size_t offset;
+    std::uint8_t value;
+  } cases[] = {
+      {"basic-constraints presence", base, 0x02},
+      {"is_ca", base + 1, 0x02},
+      {"path-length presence", base + 2, 0x02},
+      {"key-usage presence", ku_presence, 0x02},
+      {"must_staple", must_staple, 0x02},
+      {"key-usage bits", ku_presence + 1, 0x13},
+  };
+  for (const auto& c : cases) {
+    common::Bytes mutated = wire;
+    mutated[c.offset] = c.value;
+    EXPECT_THROW(Certificate::parse(mutated), common::ParseError) << c.field;
+  }
+}
+
+TEST_F(IssueMemoTest, SameBytesColdWarmDisabledAndCleared) {
+  // PKCS#1 v1.5 signing is deterministic, so the memo can only change
+  // when a signature is computed, never its bytes. A legacy key without
+  // CRT components signs through the plain path to the same bytes.
+  const auto keys = test_keys(11);
+  crypto::RsaPrivateKey legacy;
+  legacy.n = keys.priv.n;
+  legacy.e = keys.priv.e;
+  legacy.d = keys.priv.d;
+  ASSERT_FALSE(legacy.has_crt());
+  const TbsCertificate tbs = leaf_tbs("memo.example.com", keys.pub);
+  const common::Bytes expected = crypto::rsa_sign(keys.priv, tbs.serialize());
+
+  const crypto::RsaPrivateKey* signers[] = {&keys.priv, &legacy};
+  for (const crypto::RsaPrivateKey* key : signers) {
+    crypto::crypto_caches_clear();
+    const Certificate cold = issue_certificate(tbs, *key);
+    const Certificate warm = issue_certificate(tbs, *key);
+    crypto::set_crypto_cache_enabled(false);
+    const Certificate disabled = issue_certificate(tbs, *key);
+    crypto::set_crypto_cache_enabled(true);
+    crypto::crypto_caches_clear();
+    EXPECT_EQ(crypto::cert_sign_cache().size(), 0u);
+    const Certificate cleared = issue_certificate(tbs, *key);
+    for (const Certificate* cert : {&cold, &warm, &disabled, &cleared}) {
+      EXPECT_EQ(cert->tbs, tbs);
+      EXPECT_EQ(cert->signature, expected);
+      EXPECT_EQ(cert->serialize(), cold.serialize());
+    }
+  }
+}
+
+TEST_F(IssueMemoTest, IssuerKeysNeverShareAnEntry) {
+  const auto a = test_keys(12);
+  const auto b = test_keys(13);
+  const TbsCertificate tbs = leaf_tbs("shared.example.com", a.pub);
+  const Certificate by_a = issue_certificate(tbs, a.priv);
+  const Certificate by_b = issue_certificate(tbs, b.priv);
+  EXPECT_EQ(crypto::cert_sign_cache().size(), 2u);
+  EXPECT_NE(by_a.signature, by_b.signature);
+  EXPECT_TRUE(crypto::rsa_verify(a.pub, tbs.serialize(), by_a.signature));
+  EXPECT_TRUE(crypto::rsa_verify(b.pub, tbs.serialize(), by_b.signature));
+  // Warm lookups still answer per key.
+  EXPECT_EQ(issue_certificate(tbs, b.priv).signature, by_b.signature);
+  EXPECT_EQ(issue_certificate(tbs, a.priv).signature, by_a.signature);
+}
+
+TEST_F(IssueMemoTest, ConcurrentIssuanceMatchesUncached) {
+  // Pool workers issue overlapping (key, TBS) pairs while others clear the
+  // tables: exercises every shard mutex (run under TSan in CI).
+  const crypto::RsaKeyPair keys[] = {test_keys(14), test_keys(15)};
+  std::vector<TbsCertificate> tbss;
+  for (int i = 0; i < 24; ++i) {
+    tbss.push_back(
+        leaf_tbs("host" + std::to_string(i) + ".example.com", keys[0].pub));
+  }
+  std::vector<common::Bytes> expected;
+  for (const auto& kp : keys) {
+    for (const auto& tbs : tbss) {
+      expected.push_back(crypto::rsa_sign(kp.priv, tbs.serialize()));
+    }
+  }
+
+  std::atomic<int> mismatches{0};
+  common::parallel_for(8, 400, [&](std::size_t i) {
+    const std::size_t k = i % 2;
+    const std::size_t t = (i / 2) % tbss.size();
+    const Certificate cert = issue_certificate(tbss[t], keys[k].priv);
+    if (cert.signature != expected[k * tbss.size() + t]) ++mismatches;
+    if (i % 97 == 0) crypto::crypto_caches_clear();
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(crypto::cert_sign_cache().size(), expected.size());
 }
 
 }  // namespace
