@@ -1,7 +1,9 @@
 #include "core/table4.hpp"
 
 #include <memory>
+#include <vector>
 
+#include "obs/profile.hpp"
 #include "pki/ca.hpp"
 #include "pki/spoof.hpp"
 #include "tls/client.hpp"
@@ -33,29 +35,51 @@ std::optional<tls::Alert> probe_once(tls::TlsLibrary library,
   return server->observation().alert_received;
 }
 
+/// The §4.2 probe lab: a known root the client trusts, the attacker's
+/// key, and the two probe chains, one anchored at a spoofed copy of the
+/// known root and one at an unknown CA.
+struct ProbeLab {
+  x509::Certificate known_root;
+  crypto::RsaKeyPair attacker;
+  std::vector<x509::Certificate> spoofed;
+  std::vector<x509::Certificate> unknown;
+};
+
+/// The known CA's key generation is credited to pki, like every other
+/// CA's; the attacker's key and both chains are forgeries, credited to
+/// mitm like AttackForge's.
+ProbeLab build_probe_lab(std::uint64_t seed) {
+  common::Rng rng(seed);
+  ProbeLab lab;
+  {
+    const obs::ProfileZone zone("pki/ca_keygen");
+    const pki::CertificateAuthority known_ca(
+        x509::DistinguishedName{"Known Trusted Root", "Probe Lab", "US"},
+        rng);
+    lab.known_root = known_ca.root();
+  }
+
+  const obs::ProfileZone zone("mitm/forge");
+  lab.attacker = crypto::rsa_generate(rng);
+  lab.spoofed = pki::forge_chain(pki::make_spoofed_ca(lab.known_root,
+                                                      lab.attacker),
+                                 lab.attacker.priv, "probe-target.example.com",
+                                 lab.attacker.pub);
+  common::Rng unknown_rng(seed ^ 1);
+  const pki::CertificateAuthority unknown_ca(
+      x509::DistinguishedName{"Totally Unknown Root", "Probe Lab", "US"},
+      unknown_rng);
+  lab.unknown = pki::forge_chain(unknown_ca.root(), unknown_ca.keypair().priv,
+                                 "probe-target.example.com", lab.attacker.pub);
+  return lab;
+}
+
 }  // namespace
 
 std::vector<LibraryProbeRow> run_library_probe_matrix(std::uint64_t seed) {
-  common::Rng rng(seed);
-  // A known CA the client trusts, and the two §4.2 probe chains.
-  pki::CertificateAuthority known_ca(
-      x509::DistinguishedName{"Known Trusted Root", "Probe Lab", "US"}, rng);
+  const ProbeLab lab = build_probe_lab(seed);
   pki::RootStore roots;
-  roots.add(known_ca.root());
-
-  const auto attacker = crypto::rsa_generate(rng);
-  const auto spoofed = pki::make_spoofed_ca(known_ca.root(), attacker);
-  const auto spoofed_chain =
-      pki::forge_chain(spoofed, attacker.priv, "probe-target.example.com",
-                       attacker.pub);
-
-  common::Rng unknown_rng(seed ^ 1);
-  pki::CertificateAuthority unknown_ca(
-      x509::DistinguishedName{"Totally Unknown Root", "Probe Lab", "US"},
-      unknown_rng);
-  const auto unknown_chain = pki::forge_chain(
-      unknown_ca.root(), unknown_ca.keypair().priv,
-      "probe-target.example.com", attacker.pub);
+  roots.add(lab.known_root);
 
   std::vector<LibraryProbeRow> rows;
   for (const auto library : tls::table4_libraries()) {
@@ -63,9 +87,11 @@ std::vector<LibraryProbeRow> run_library_probe_matrix(std::uint64_t seed) {
     row.library = library;
     row.label = tls::library_version_label(library);
     row.alert_known_ca_bad_signature =
-        probe_once(library, roots, spoofed_chain, attacker, seed ^ 2);
+        probe_once(library, roots, lab.spoofed, lab.attacker,
+                   seed ^ 2);
     row.alert_unknown_ca =
-        probe_once(library, roots, unknown_chain, attacker, seed ^ 3);
+        probe_once(library, roots, lab.unknown, lab.attacker,
+                   seed ^ 3);
     row.amenable = row.alert_known_ca_bad_signature.has_value() &&
                    row.alert_unknown_ca.has_value() &&
                    *row.alert_known_ca_bad_signature != *row.alert_unknown_ca;

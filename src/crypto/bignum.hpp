@@ -60,8 +60,9 @@ class BigUint {
   [[nodiscard]] BigUint shift_right(std::size_t bits) const;
 
   /// Modular exponentiation: this^exp mod m (m > 0). Odd moduli (every
-  /// RSA/DH modulus) go to the per-thread Mont64 context cache
-  /// (crypto/mont64.hpp); even moduli fall back to the schoolbook path below.
+  /// RSA/DH modulus) go to the fixed-width Montgomery kernel and its
+  /// per-thread context cache (crypto/mont64.hpp); even moduli fall back to
+  /// the schoolbook path below.
   [[nodiscard]] BigUint modexp(const BigUint& exp, const BigUint& m) const;
 
   /// Schoolbook square-and-multiply with a full division per step — the
@@ -94,7 +95,7 @@ class BigUint {
   [[nodiscard]] std::uint64_t low_u64() const;
 
  private:
-  friend class Mont64;  // limb-level access for the reduction kernel
+  friend struct Mont64Limbs;  // limb-level access for the reduction kernel
 
   void trim();
 

@@ -42,7 +42,11 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  const std::string escaped = json_escape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.append(1, '"').append(escaped).append(1, '"');
+  return out;
 }
 
 }  // namespace

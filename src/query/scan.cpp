@@ -330,13 +330,16 @@ std::string render_table(const QueryResult& result) {
   common::TextTable table(result.columns);
   for (const auto& row : result.rows) table.add_row(row);
   std::string out = table.render();
-  out += "\n" + std::to_string(result.stats.rows_matched) + " of " +
-         std::to_string(result.stats.rows_scanned) + " rows matched (" +
-         std::to_string(result.stats.connections_matched) +
-         " connections); scanned " +
-         std::to_string(result.stats.blocks_scanned) + "/" +
-         std::to_string(result.stats.blocks_total) + " blocks in " +
-         std::to_string(result.stats.shards) + " shards\n";
+  // The line starts with a string, not a literal: "\n" + std::string&&
+  // trips a false -Wrestrict in g++ 12.
+  const auto& stats = result.stats;
+  out += '\n';
+  out += std::to_string(stats.rows_matched) + " of " +
+         std::to_string(stats.rows_scanned) + " rows matched (" +
+         std::to_string(stats.connections_matched) +
+         " connections); scanned " + std::to_string(stats.blocks_scanned) +
+         "/" + std::to_string(stats.blocks_total) + " blocks in " +
+         std::to_string(stats.shards) + " shards\n";
   return out;
 }
 

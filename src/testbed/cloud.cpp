@@ -1,6 +1,7 @@
 #include "testbed/cloud.hpp"
 
 #include "common/strings.hpp"
+#include "obs/profile.hpp"
 
 namespace iotls::testbed {
 
@@ -84,6 +85,9 @@ CloudFarm::CloudFarm(const pki::CaUniverse& universe, std::uint64_t seed,
 void CloudFarm::add_destination(const std::string& hostname,
                                 std::optional<ServerPolicy> policy) {
   if (endpoints_.count(hostname)) return;
+  // The endpoint's key generation and certificate are testbed setup, not
+  // the work of whichever experiment first asked for the farm.
+  const obs::ProfileZone zone("testbed/cloud_endpoint");
   Endpoint ep;
   ep.policy = policy.value_or(domain_policy(hostname));
   // Server keys are derived from the hostname alone, so repeated testbed

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string_view>
 
+#include "crypto/cache.hpp"
 #include "obs/profile.hpp"
 
 namespace iotls::core {
@@ -261,6 +264,47 @@ TEST(Study, PassiveRenderingsShareOneFold) {
   obs::set_profile_enabled(false);
   obs::profile_reset();
   EXPECT_EQ(zone_calls(snapshot.root, "analysis/fold_dataset"), 1u);
+}
+
+TEST(Study, EveryExponentiationIsCreditedToALayer) {
+  // Key generation, issuance and forgery each run under their layer's zone
+  // (pki/*, testbed/*, mitm/forge, tls/*): no modexp or RSA private op
+  // sits directly under the root or an experiment's study/* zone.
+  crypto::crypto_caches_clear();
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+  {
+    IotlsStudy::Options options;
+    options.passive_scale = 0.01;
+    IotlsStudy fresh(options);
+    (void)fresh.render_table2();
+    (void)fresh.render_table3();
+    (void)fresh.render_table4();
+    (void)fresh.render_table5();
+    (void)fresh.render_table6();
+    (void)fresh.render_table7();
+    (void)fresh.render_table9();
+    (void)fresh.render_fig5();
+    (void)fresh.render_summary();
+  }
+  const auto snapshot = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
+
+  std::uint64_t experiments = 0;
+  const std::function<void(const obs::ProfileNode&)> walk =
+      [&](const obs::ProfileNode& node) {
+        const std::string_view name = node.name;
+        if (name.starts_with("study/")) ++experiments;
+        if (name == "<root>" || name.starts_with("study/")) {
+          for (const char* op : {"crypto/modexp", "crypto/rsa_private_op"}) {
+            EXPECT_EQ(node.children.count(op), 0u) << op << " under " << name;
+          }
+        }
+        for (const auto& [child_name, child] : node.children) walk(child);
+      };
+  walk(snapshot.root);
+  EXPECT_GE(experiments, 8u);
 }
 
 TEST(Study, Table1CountsCategories) {
