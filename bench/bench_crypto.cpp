@@ -1,7 +1,8 @@
 // Crypto benchmark lane: times the primitives the fast kernel accelerates
 // (Montgomery modexp at 256 and 2048 bits, RSA-CRT private ops, signature
 // verification with and without memoisation, 512-bit key generation,
-// SHA-256 streaming), the standard CA universe build from cold caches, plus
+// SHA-256 streaming and which compression body ran it, the per-handshake
+// key schedule), the standard CA universe build from cold caches, plus
 // a reduced full-study wall clock with caches on vs off and their ratio, and
 // writes the results as machine-readable JSON for CI trending.
 //
@@ -31,6 +32,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "pki/universe.hpp"
+#include "tls/secrets.hpp"
 
 namespace {
 
@@ -188,6 +190,29 @@ int main(int argc, char** argv) {
   });
   record("sha256_1mib", sha_ms, "ms/op");
   record("sha256_throughput", 1000.0 / sha_ms, "MiB/s");
+  // Which compression body the numbers above and below ran on (the CPU
+  // picks it): 1 = SHA-NI, 0 = portable.
+  record("sha256_accelerated",
+         iotls::crypto::detail::sha256_accelerated_body() != nullptr ? 1.0
+                                                                     : 0.0,
+         "count");
+
+  // --- The per-handshake key schedule: an HKDF master secret, a PRK and
+  // six expands, every step an HMAC-SHA-256 with a block-sized salt. ---
+  const iotls::common::Bytes premaster(48, 0x3C);
+  iotls::tls::Random32 client_random{};
+  iotls::tls::Random32 server_random{};
+  server_random.fill(0x5E);
+  record("session_keys", 1000.0 * time_ms(iters * 100, [&](std::size_t i) {
+           client_random[0] = static_cast<std::uint8_t>(i);
+           volatile std::uint8_t sink =
+               iotls::tls::derive_session_keys(
+                   premaster, client_random, server_random,
+                   iotls::tls::TLS_RSA_WITH_AES_128_GCM_SHA256)
+                   .client_key[0];
+           (void)sink;
+         }),
+         "us/op");
 
   // --- Reduced full-study wall clock, caches off vs on. ---
   // One shared universe built outside the timed region (cache-off study

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "obs/profile.hpp"
 
 namespace iotls::crypto {
@@ -25,14 +29,8 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void portable_block(std::array<std::uint32_t, 8>& state,
+                    const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w{};
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -48,8 +46,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -68,14 +66,107 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+// The standard SHA-NI schedule. sha256rnds2 keeps the working variables as
+// {A,B,E,F} and {C,D,G,H}, so the state is shuffled into that order on
+// entry and back on exit. Each of the 16 groups runs four rounds; groups 4
+// to 15 first extend the message schedule in place with sha256msg1/msg2.
+__attribute__((target("sha,sse4.1"))) void shani_compress(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+    std::size_t nblocks) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += kSha256BlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // w[g % 4] holds schedule words 4g .. 4g+3
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = w[g % 4];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            byteswap);
+      } else {
+        const __m128i& prev = w[(g + 3) % 4];
+        cur = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(cur, w[(g + 1) % 4]),
+                          _mm_alignr_epi8(prev, w[(g + 2) % 4], 4)),
+            prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+/// The one compression entry point. The body is chosen once per process,
+/// from the CPU, never from a setting: both compute the same function.
+void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+              std::size_t nblocks) {
+  static const detail::Sha256Body body = [] {
+    const detail::Sha256Body accelerated = detail::sha256_accelerated_body();
+    return accelerated != nullptr ? accelerated
+                                  : &detail::sha256_compress_portable;
+  }();
+  body(state, data, nblocks);
+}
+
+}  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::array<std::uint32_t, 8>& state,
+                              const std::uint8_t* data, std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += kSha256BlockSize) {
+    portable_block(state, data);
+  }
+}
+
+Sha256Body sha256_accelerated_body() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return &shani_compress;
+  }
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+Sha256::Sha256() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 }
 
 void Sha256::update(common::BytesView data) {
@@ -95,7 +186,7 @@ void Sha256::update(common::BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == kSha256BlockSize) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
@@ -103,19 +194,13 @@ void Sha256::update(common::BytesView data) {
   const std::size_t whole_blocks =
       (data.size() - offset) / kSha256BlockSize;
   if (whole_blocks > 0) {
-    process_blocks(data.data() + offset, whole_blocks);
+    compress(state_, data.data() + offset, whole_blocks);
     offset += whole_blocks * kSha256BlockSize;
   }
 
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
     std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
-  }
-}
-
-void Sha256::process_blocks(const std::uint8_t* data, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    process_block(data + i * kSha256BlockSize);
   }
 }
 
@@ -135,7 +220,7 @@ Sha256Digest Sha256::finish() {
     tail[tail_len - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
   }
-  process_blocks(tail, tail_len / kSha256BlockSize);
+  compress(state_, tail, tail_len / kSha256BlockSize);
 
   Sha256Digest out{};
   for (int i = 0; i < 8; ++i) {

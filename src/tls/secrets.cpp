@@ -4,7 +4,6 @@
 #include "crypto/chacha20.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/kdf.hpp"
-#include "tls/rc4.hpp"
 
 namespace iotls::tls {
 
@@ -142,6 +141,7 @@ RecordProtection::RecordProtection(std::uint16_t cipher_suite,
   if (nonce_.size() != 12) {
     throw common::CryptoError("record protection nonce must be 12 bytes");
   }
+  if (cipher_ == BulkCipher::Rc4) rc4_.emplace(key_);
 }
 
 common::Bytes RecordProtection::keystream_xor(common::BytesView data,
@@ -157,13 +157,8 @@ common::Bytes RecordProtection::keystream_xor(common::BytesView data,
       return common::Bytes(data.begin(), data.end());
     case BulkCipher::ChaCha20:
       return crypto::chacha20_xor(key_, rec_nonce, 0, data);
-    case BulkCipher::Rc4: {
-      // RC4 keystream must differ per record: fold seq into the key.
-      common::Bytes rc4_key = key_;
-      rc4_key.insert(rc4_key.end(), rec_nonce.begin(), rec_nonce.end());
-      common::Bytes trimmed(rc4_key.begin(), rc4_key.begin() + 32);
-      return rc4_xor(trimmed, data);
-    }
+    case BulkCipher::Rc4:
+      return rc4_->apply(data);
     case BulkCipher::Aes128:
     case BulkCipher::Aes256:
     case BulkCipher::Des:

@@ -5,7 +5,10 @@
 // encrypt-then-HMAC with the suite's bulk cipher:
 //   AES_128/AES_256 → AES-128-CTR (AES-256 keys are HKDF-condensed to 128),
 //   CHACHA20        → ChaCha20,
-//   RC4             → RC4 (real),
+//   RC4             → RC4 (real): one keystream per direction, keyed by the
+//                     32-byte record key and continued across records as
+//                     in TLS, so no two records share keystream bytes and
+//                     the first record's bytes are plain RC4 under the key,
 //   DES/3DES        → AES-128-CTR with a "des"/"3des" key label (substitute),
 //   NULL            → plaintext.
 #pragma once
@@ -16,6 +19,7 @@
 #include "common/bytes.hpp"
 #include "tls/ciphersuite.hpp"
 #include "tls/messages.hpp"
+#include "tls/rc4.hpp"
 
 namespace iotls::tls {
 
@@ -68,7 +72,9 @@ common::Bytes compute_verify_data(common::BytesView master_secret,
                                   bool from_client,
                                   common::BytesView transcript_hash);
 
-/// Stateful one-direction record protector (sequence-numbered).
+/// Stateful one-direction record protector (sequence-numbered). Records
+/// must pass through in sequence order; an RC4 protector's keystream
+/// advances with each record it seals or accepts.
 class RecordProtection {
  public:
   RecordProtection(std::uint16_t cipher_suite, common::Bytes key,
@@ -87,6 +93,7 @@ class RecordProtection {
   common::Bytes key_;
   common::Bytes mac_key_;
   common::Bytes nonce_;
+  std::optional<Rc4> rc4_;  // the direction's keystream, RC4 suites only
   std::uint64_t send_seq_ = 0;
   std::uint64_t recv_seq_ = 0;
 };

@@ -34,12 +34,39 @@ TEST(Hmac, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
+TEST(Hmac, Rfc4231Case4) {
+  const auto key =
+      hex_decode("0102030405060708090a0b0c0d0e0f10111213141516171819");
+  const common::Bytes msg(50, 0xcd);
+  EXPECT_EQ(hex_encode(hmac_sha256(key, msg)),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
+TEST(Hmac, Rfc4231Case5Truncated) {
+  const common::Bytes key(20, 0x0c);
+  common::Bytes mac = hmac_sha256(key, to_bytes("Test With Truncation"));
+  mac.resize(16);  // the RFC lists only the first 128 bits
+  EXPECT_EQ(hex_encode(mac), "a3b6167473100ee06e0c796c2955552b");
+}
+
 TEST(Hmac, Rfc4231Case6LongKey) {
   const common::Bytes key(131, 0xaa);
   const auto mac = hmac_sha256(
       key, to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"));
   EXPECT_EQ(hex_encode(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(Hmac, Rfc4231Case7LongKeyLongMessage) {
+  // A key longer than a block (hashed first) and a message of several
+  // blocks: the shape of minitls's key schedule.
+  const common::Bytes key(131, 0xaa);
+  const auto mac = hmac_sha256(
+      key, to_bytes("This is a test using a larger than block-size key and a "
+                    "larger than block-size data. The key needs to be hashed "
+                    "before being used by the HMAC algorithm."));
+  EXPECT_EQ(hex_encode(mac),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(Hmac, IncrementalMatchesOneShot) {

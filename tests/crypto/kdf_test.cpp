@@ -26,6 +26,28 @@ TEST(Hkdf, Rfc5869Case1) {
             "34007208d5b887185865");
 }
 
+// RFC 5869 test case 2: 80-byte inputs. The salt is longer than a block,
+// so HMAC hashes it first (as with minitls's 66-byte randoms-and-suite
+// salt), and L = 82 takes three expand counters.
+TEST(Hkdf, Rfc5869Case2) {
+  common::Bytes ikm, salt, info;
+  for (int i = 0; i < 80; ++i) {
+    ikm.push_back(static_cast<std::uint8_t>(i));
+    salt.push_back(static_cast<std::uint8_t>(0x60 + i));
+    info.push_back(static_cast<std::uint8_t>(0xb0 + i));
+  }
+
+  const auto prk = hkdf_extract(salt, ikm);
+  EXPECT_EQ(hex_encode(prk),
+            "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244");
+
+  const auto okm = hkdf_expand(prk, info, 82);
+  EXPECT_EQ(hex_encode(okm),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f1d87");
+}
+
 // RFC 5869 test case 3 (zero-length salt and info).
 TEST(Hkdf, Rfc5869Case3) {
   const auto ikm = hex_decode("0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b");

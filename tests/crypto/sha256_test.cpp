@@ -130,5 +130,101 @@ TEST(Sha256, DigestBytesMatchesDigest) {
   EXPECT_TRUE(std::equal(arr.begin(), arr.end(), vec.begin(), vec.end()));
 }
 
+// --- The two compression bodies, driven directly. On a SHA-NI host the
+// dispatching Sha256 never reaches the portable body, so the known answers
+// run through each body explicitly, with padding done here rather than by
+// Sha256::finish.
+
+using detail::Sha256Body;
+using State = std::array<std::uint32_t, 8>;
+
+std::string digest_with(Sha256Body body, common::BytesView msg) {
+  common::Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != 56) padded.push_back(0);
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bit_len >> (8 * i)));
+  }
+  State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  body(state, padded.data(), padded.size() / kSha256BlockSize);
+  common::Bytes out;
+  for (const std::uint32_t word : state) {
+    for (int i = 3; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+    }
+  }
+  return hex_encode(out);
+}
+
+void expect_fips_vectors(Sha256Body body) {
+  EXPECT_EQ(digest_with(body, {}),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(body, to_bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      digest_with(body, to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmn"
+                                 "lmnomnopnopq")),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_with(body, common::Bytes(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+constexpr const char* kNoShaNi =
+    "no SHA-NI body: not an x86-64 build, or the CPU lacks SHA or SSE4.1";
+
+TEST(Sha256Bodies, PortableBodyKnownAnswers) {
+  expect_fips_vectors(&detail::sha256_compress_portable);
+}
+
+TEST(Sha256Bodies, AcceleratedBodyKnownAnswers) {
+  const Sha256Body accelerated = detail::sha256_accelerated_body();
+  if (accelerated == nullptr) GTEST_SKIP() << kNoShaNi;
+  expect_fips_vectors(accelerated);
+}
+
+TEST(Sha256Bodies, AcceleratedMatchesPortableOnRandomStates) {
+  const Sha256Body accelerated = detail::sha256_accelerated_body();
+  if (accelerated == nullptr) GTEST_SKIP() << kNoShaNi;
+  common::Rng rng(0x5A256);
+  for (int trial = 0; trial < 200; ++trial) {
+    State start{};
+    for (auto& word : start) word = static_cast<std::uint32_t>(rng.next_u64());
+    const std::size_t nblocks = 1 + static_cast<std::size_t>(trial % 8);
+    common::Bytes data(nblocks * kSha256BlockSize);
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+
+    State portable = start;
+    State fast = start;
+    detail::sha256_compress_portable(portable, data.data(), nblocks);
+    accelerated(fast, data.data(), nblocks);
+    ASSERT_EQ(fast, portable) << "trial=" << trial << " blocks=" << nblocks;
+  }
+}
+
+TEST(Sha256Bodies, ChunkedDigestsMatchPortableOracle) {
+  // Sha256 runs whichever body the CPU selects; every message length from
+  // 0 to 300 and every chunking must land on the portable body's digest.
+  common::Bytes data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const common::BytesView msg(data.data(), len);
+    const std::string expected =
+        digest_with(&detail::sha256_compress_portable, msg);
+    for (const std::size_t chunk : {1UL, 7UL, 63UL, 64UL, 65UL, 300UL}) {
+      Sha256 h;
+      for (std::size_t off = 0; off < len; off += chunk) {
+        h.update(msg.subspan(off, std::min(chunk, len - off)));
+      }
+      const Sha256Digest d = h.finish();
+      ASSERT_EQ(hex_encode(common::BytesView(d.data(), d.size())), expected)
+          << "len=" << len << " chunk=" << chunk;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace iotls::crypto
