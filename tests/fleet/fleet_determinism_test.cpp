@@ -9,6 +9,8 @@
 #include <set>
 #include <string>
 
+#include "common/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "fleet/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/synth.hpp"
@@ -106,6 +108,11 @@ TEST(FleetSynthDeterminism, ThreadCountsProduceByteIdenticalShards) {
   const std::string bytes1 = store_bytes(dir1.path());
   EXPECT_FALSE(bytes1.empty());
   EXPECT_EQ(bytes1, store_bytes(dir8.path()));
+  // Absolute anchor on the reduced-scale shard set: moves only when a
+  // template handshake, an instance draw or the shard encoding changes.
+  EXPECT_EQ(
+      common::hex_encode(crypto::Sha256::digest(common::to_bytes(bytes1))),
+      "2e1ccd25d857b39f908fbd4d05879693fa6ed401aa78f767ec8368759fa16e30");
 }
 
 TEST(FleetSynthDeterminism, DifferentSeedsGiveDisjointIdentities) {
