@@ -2,9 +2,8 @@
 // TSV release format, and the streamed-vs-in-memory parity gate (Figs 1-3,
 // Table 8, the §5.1 summary), emitted as BENCH_store.json.
 //
-// Knobs:
+// Writes the single-shard layout. Knobs:
 //   IOTLS_THREADS       fan-out width for write/fold (0 = hardware)
-//   IOTLS_BENCH_LAYOUT  0 = single shard (default), 1 = per-device shards
 //
 // Usage: bench_store [output.json]   (default ./BENCH_store.json)
 #include <cstdio>
@@ -39,8 +38,6 @@ struct Artifacts {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_store.json";
   auto options = iotls::bench::reproduction_options();
-  const bool per_device =
-      iotls::common::strict_env_long("IOTLS_BENCH_LAYOUT", 0) != 0;
   const iotls::obs::WallTimer total;
 
   iotls::core::IotlsStudy study(options);
@@ -51,14 +48,10 @@ int main(int argc, char** argv) {
   const std::string dir = "BENCH_store_data.tmp";
   fs::remove_all(dir);
 
-  iotls::store::StoreOptions store_options;
-  store_options.layout = per_device ? iotls::store::ShardLayout::PerDevice
-                                    : iotls::store::ShardLayout::Single;
-
   // Write lane: dataset -> shards.
   iotls::store::StoreWriteReport report;
   const auto write_tp = iotls::bench::timed_throughput([&] {
-    report = study.export_passive_store(dir, store_options);
+    report = study.export_passive_store(dir);
     return std::make_pair(
         static_cast<std::uint64_t>(dataset.groups().size()),
         report.total_bytes());
@@ -96,11 +89,9 @@ int main(int argc, char** argv) {
   Artifacts streamed;
   double streamed_ms = 0.0;
   {
-    iotls::analysis::FoldOptions fold_options;
-    fold_options.threads = options.threads;
     const auto tp = iotls::bench::timed_throughput([&] {
       const auto fold =
-          iotls::analysis::fold_store(cursor, months, fold_options);
+          iotls::analysis::fold_store(cursor, months, options.threads);
       streamed.fig1 = iotls::analysis::render_fig1(
           iotls::analysis::all_version_series(fold), months);
       streamed.fig2 = iotls::analysis::render_fig2(
@@ -123,8 +114,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(report.total_bytes())
           : 0.0;
 
-  std::printf("==== bench_store (layout=%s, shards=%zu) ====\n",
-              per_device ? "per-device" : "single", report.shards.size());
+  std::printf("==== bench_store (shards=%zu) ====\n", report.shards.size());
   iotls::bench::print_throughput("write", write_tp);
   iotls::bench::print_throughput("read", read_tp);
   std::printf("%-24s %12llu bytes (TSV %llu, ratio %.2fx)\n", "store_size",
@@ -155,16 +145,14 @@ int main(int argc, char** argv) {
       {"in_memory_analysis", in_memory_ms, "ms"},
       {"parity", parity ? 1.0 : 0.0, "bool"},
   };
-  if (!iotls::bench::write_bench_json(
-          out_path, "store", 1, total.elapsed_ms(), results,
-          {{"layout", per_device ? "per-device" : "single"}})) {
+  if (!iotls::bench::write_bench_json(out_path, "store", 1, total.elapsed_ms(),
+                                      results)) {
     fs::remove_all(dir);
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
   iotls::bench::print_profile();
   auto knobs = iotls::bench::reproduction_knobs(options);
-  knobs.emplace_back("IOTLS_BENCH_LAYOUT", per_device ? "1" : "0");
   knobs.emplace_back("output", out_path);
   iotls::bench::maybe_write_run_report("bench_store", std::move(knobs));
 

@@ -67,8 +67,7 @@ void MonthTallies::merge(const MonthTallies& other) {
   }
 }
 
-void DatasetFold::add(const testbed::PassiveConnectionGroup& group,
-                      bool fingerprints) {
+void DatasetFold::add(const testbed::PassiveConnectionGroup& group) {
   const auto& rec = group.record;
   const std::uint64_t n = group.count;
   const int base = months.empty() ? 0 : months.front().index();
@@ -97,13 +96,6 @@ void DatasetFold::add(const testbed::PassiveConnectionGroup& group,
     null_anon_devices.insert(rec.device);
   }
   if (rec.requested_ocsp_staple) stapling_devices.insert(rec.device);
-
-  if (fingerprints) {
-    const auto fp = fingerprint::fingerprint_of(rec);
-    auto& entry = fingerprint_uses[rec.device][fp.hash];
-    entry.first = fp;
-    entry.second += n;
-  }
 }
 
 void DatasetFold::merge(const DatasetFold& other) {
@@ -132,14 +124,6 @@ void DatasetFold::merge(const DatasetFold& other) {
   }
   stapling_devices.insert(other.stapling_devices.begin(),
                           other.stapling_devices.end());
-  for (const auto& [device, uses] : other.fingerprint_uses) {
-    auto& mine = fingerprint_uses[device];
-    for (const auto& [hash, entry] : uses) {
-      auto& slot = mine[hash];
-      slot.first = entry.first;
-      slot.second += entry.second;
-    }
-  }
 }
 
 std::vector<std::string> DatasetFold::devices() const {
@@ -152,34 +136,26 @@ std::vector<std::string> DatasetFold::devices() const {
 }
 
 DatasetFold fold_dataset(const testbed::PassiveDataset& dataset,
-                         const std::vector<common::Month>& months,
-                         const FoldOptions& options) {
+                         const std::vector<common::Month>& months) {
   const obs::ProfileZone zone("analysis/fold_dataset");
   DatasetFold fold;
   fold.months = months;
-  for (const auto& group : dataset.groups()) {
-    fold.add(group, options.fingerprints);
-  }
+  for (const auto& group : dataset.groups()) fold.add(group);
   return fold;
 }
 
 DatasetFold fold_store(const store::DatasetCursor& cursor,
                        const std::vector<common::Month>& months,
-                       const FoldOptions& options) {
+                       std::size_t threads) {
   const obs::ProfileZone zone("analysis/fold_store");
-  // DatasetFold::add reads advertised versions + suites; fingerprinting
-  // additionally hashes extensions/groups/sigalgs.
-  const std::uint32_t fields =
-      options.fingerprints
-          ? store::kFieldAllLists
-          : (store::kFieldAdvVersions | store::kFieldAdvSuites);
   const auto partials = common::parallel_map(
-      options.threads, cursor.shard_paths(), [&](const std::string& path) {
+      threads, cursor.shard_paths(), [&](const std::string& path) {
         DatasetFold partial;
         partial.months = months;
         testbed::PassiveConnectionGroup group;
+        // DatasetFold::add reads only advertised versions and suites.
         store::scan_shard_rows(
-            path, fields, nullptr,
+            path, store::kFieldAdvVersions | store::kFieldAdvSuites, nullptr,
             [&](const store::ProjectedRow& row,
                 const store::StringDictionary& dict) {
               net::HandshakeRecord& rec = group.record;
@@ -188,14 +164,11 @@ DatasetFold fold_store(const store::DatasetCursor& cursor,
               rec.month = row.month;
               rec.advertised_versions = row.advertised_versions;
               rec.advertised_suites = row.advertised_suites;
-              rec.extension_types = row.extension_types;
-              rec.advertised_groups = row.advertised_groups;
-              rec.advertised_sigalgs = row.advertised_sigalgs;
               rec.requested_ocsp_staple = row.requested_ocsp_staple;
               rec.established_version = row.established_version;
               rec.established_suite = row.established_suite;
               group.count = row.count;
-              partial.add(group, options.fingerprints);
+              partial.add(group);
             });
         return partial;
       });

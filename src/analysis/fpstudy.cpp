@@ -89,35 +89,6 @@ FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
   return study;
 }
 
-FingerprintStudy passive_fingerprint_study(const DatasetFold& fold) {
-  FingerprintStudy study;
-  for (const auto& [device, uses] : fold.fingerprint_uses) {
-    // Dominant fingerprint: most weighted uses, first-in-hash-order tiebreak
-    // (same rule as the active study's per-device tally).
-    std::uint64_t best = 0;
-    std::string dominant;
-    for (const auto& [hash, entry] : uses) {
-      if (entry.second > best) {
-        best = entry.second;
-        dominant = hash;
-      }
-    }
-    for (const auto& [hash, entry] : uses) {
-      study.graph.add_use(device, fingerprint::NodeKind::Device, entry.first,
-                          hash == dominant);
-    }
-    study.fingerprints_per_device[device] = static_cast<int>(uses.size());
-  }
-
-  const auto db = fingerprint::build_reference_db();
-  for (const auto& app : db.applications()) {
-    for (const auto& fp : db.fingerprints_of(app)) {
-      study.graph.add_use(app, fingerprint::NodeKind::Application, fp, true);
-    }
-  }
-  return study;
-}
-
 std::string render_sharing_graph(const FingerprintStudy& study) {
   std::string out;
   const auto clusters = study.graph.clusters();

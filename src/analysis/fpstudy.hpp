@@ -9,7 +9,6 @@
 #include <map>
 #include <string>
 
-#include "analysis/fold.hpp"
 #include "fingerprint/database.hpp"
 #include "fingerprint/graph.hpp"
 #include "testbed/testbed.hpp"
@@ -31,11 +30,6 @@ struct FingerprintStudy {
 /// hardware concurrency, 1 = serial); the study is identical either way.
 FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
                                        std::size_t threads = 0);
-
-/// Passive variant of §5.3: fingerprints extracted from the captured
-/// ClientHellos of the longitudinal dataset, weighted by connection
-/// counts. Needs a fold built with FoldOptions::fingerprints.
-FingerprintStudy passive_fingerprint_study(const DatasetFold& fold);
 
 /// Text rendering of the sharing graph (cluster list + edges).
 std::string render_sharing_graph(const FingerprintStudy& study);

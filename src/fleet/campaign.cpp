@@ -75,7 +75,6 @@ ProbeResult probe_key(const FleetModel& fleet, const pki::CaUniverse& universe,
   testbed::Testbed::Options tb_options;
   tb_options.seed = fleet.options().seed;
   tb_options.universe = &universe;
-  tb_options.active_only = false;
   tb_options.devices = {model.name};
   testbed::Testbed testbed(tb_options);
   const common::SimDate scan_date =

@@ -84,45 +84,24 @@ std::shared_ptr<const TemplateSet> TemplateBank::get(TemplateKey key) {
 std::shared_ptr<const TemplateSet> TemplateBank::compute(
     TemplateKey key) const {
   const obs::ProfileZone zone("fleet/template_set");
-  const devices::DeviceProfile& model = *fleet_.models()[key.model];
+  // The runtime is built over the frozen profile, so the epoch's
+  // configuration — not the live update timeline — drives every handshake.
   const devices::DeviceProfile frozen =
       fleet_.frozen_profile(key.model, key.epoch);
-
-  // A single-model sandbox supplies the network + evolving cloud farm; the
-  // runtime is built over the frozen profile directly so the epoch's
-  // configuration — not the live update timeline — drives every handshake.
-  testbed::Testbed::Options tb_options;
-  tb_options.seed = fleet_.options().seed;
-  tb_options.universe = &universe_;
-  tb_options.active_only = false;
-  tb_options.devices = {model.name};
-  testbed::Testbed testbed(tb_options);
-  testbed::DeviceRuntime runtime(frozen, universe_, testbed.network());
+  const auto [first_off, last_off] = fleet_.window(key.model);
 
   auto set = std::make_shared<TemplateSet>();
-  const auto [first_off, last_off] = fleet_.window(key.model);
-  for (int off = first_off; off <= last_off; ++off) {
-    const common::Month month = common::kStudyStart.plus(off);
-    // Mid-month sampling date, like the passive generator; the *device*
-    // clock additionally drifts — the farm keeps true time, the client
-    // validates certificates against what it believes the date is.
-    testbed.set_date(common::SimDate::start_of(month).plus_days(14));
-    const common::SimDate device_clock =
-        testbed.date().plus_days(kDriftDays[static_cast<std::size_t>(
-            key.drift_bucket)]);
-    for (std::size_t d = 0; d < frozen.destinations.size(); ++d) {
-      const std::size_t before = testbed.network().capture().size();
-      (void)runtime.connect_to(frozen.destinations[d], device_clock);
-      const auto& records = testbed.network().capture().records();
-      auto& slot = set->records[{off, static_cast<int>(d)}];
-      for (std::size_t i = before; i < records.size(); ++i) {
-        net::HandshakeRecord record = records[i];
-        record.month = month;
-        slot.push_back(std::move(record));
-      }
-      ++set->handshakes;
-    }
-  }
+  testbed::replay_months(
+      frozen, universe_, fleet_.options().seed,
+      common::month_range(common::kStudyStart.plus(first_off),
+                          common::kStudyStart.plus(last_off)),
+      kDriftDays[static_cast<std::size_t>(key.drift_bucket)],
+      [&](std::size_t m, std::size_t d,
+          std::vector<net::HandshakeRecord> records) {
+        set->records[{first_off + static_cast<int>(m), static_cast<int>(d)}] =
+            std::move(records);
+        ++set->handshakes;
+      });
   return set;
 }
 

@@ -1,12 +1,8 @@
 #include "testbed/longitudinal.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "common/pool.hpp"
-#include "common/strings.hpp"
 #include "testbed/testbed.hpp"
 
 namespace iotls::testbed {
@@ -55,27 +51,10 @@ std::string join_u16(const std::vector<std::uint16_t>& values) {
   return out;
 }
 
-std::vector<std::uint16_t> split_u16(const std::string& text) {
-  std::vector<std::uint16_t> out;
-  if (text.empty()) return out;
-  for (const auto& part : common::split(text, ',')) {
-    out.push_back(static_cast<std::uint16_t>(std::stoul(part)));
-  }
-  return out;
-}
-
 std::string join_versions(const std::vector<tls::ProtocolVersion>& versions) {
   std::vector<std::uint16_t> raw;
   for (const auto v : versions) raw.push_back(static_cast<std::uint16_t>(v));
   return join_u16(raw);
-}
-
-std::vector<tls::ProtocolVersion> split_versions(const std::string& text) {
-  std::vector<tls::ProtocolVersion> out;
-  for (const auto raw : split_u16(text)) {
-    out.push_back(tls::version_from_wire(raw));
-  }
-  return out;
 }
 
 std::string alert_field(const std::optional<tls::Alert>& alert) {
@@ -84,27 +63,14 @@ std::string alert_field(const std::optional<tls::Alert>& alert) {
          std::to_string(static_cast<int>(alert->description));
 }
 
-std::optional<tls::Alert> parse_alert_field(const std::string& field) {
-  if (field == "-") return std::nullopt;
-  const auto parts = common::split(field, ':');
-  if (parts.size() != 2) throw common::ParseError("bad alert field");
-  tls::Alert alert;
-  alert.level = static_cast<tls::AlertLevel>(std::stoi(parts[0]));
-  alert.description =
-      static_cast<tls::AlertDescription>(std::stoi(parts[1]));
-  return alert;
-}
-
-constexpr const char* kDatasetHeader =
-    "device\tdestination\tmonth\tcount\tadvertised_versions\t"
-    "advertised_suites\textension_types\tgroups\tsigalgs\tocsp_staple\t"
-    "sni\testablished_version\testablished_suite\tcomplete\tapp_data\t"
-    "client_alert\tserver_alert";
-
 }  // namespace
 
 const std::string& dataset_tsv_header() {
-  static const std::string header(kDatasetHeader);
+  static const std::string header =
+      "device\tdestination\tmonth\tcount\tadvertised_versions\t"
+      "advertised_suites\textension_types\tgroups\tsigalgs\tocsp_staple\t"
+      "sni\testablished_version\testablished_suite\tcomplete\tapp_data\t"
+      "client_alert\tserver_alert";
   return header;
 }
 
@@ -137,65 +103,6 @@ std::string dataset_to_tsv(const PassiveDataset& dataset) {
   return out;
 }
 
-PassiveDataset dataset_from_tsv(const std::string& tsv) {
-  PassiveDataset dataset;
-  std::istringstream stream(tsv);
-  std::string line;
-  if (!std::getline(stream, line) || line != kDatasetHeader) {
-    throw common::ParseError("unrecognized dataset header");
-  }
-  while (std::getline(stream, line)) {
-    if (line.empty()) continue;
-    const auto fields = common::split(line, '\t');
-    if (fields.size() != 17) {
-      throw common::ParseError("dataset row has wrong field count");
-    }
-    PassiveConnectionGroup group;
-    auto& r = group.record;
-    r.device = fields[0];
-    r.destination = fields[1];
-    const auto ym = common::split(fields[2], '-');
-    if (ym.size() != 2) throw common::ParseError("bad month field");
-    r.month = common::Month{std::stoi(ym[0]), std::stoi(ym[1])};
-    group.count = std::stoull(fields[3]);
-    r.advertised_versions = split_versions(fields[4]);
-    r.advertised_suites = split_u16(fields[5]);
-    r.extension_types = split_u16(fields[6]);
-    r.advertised_groups = split_u16(fields[7]);
-    r.advertised_sigalgs = split_u16(fields[8]);
-    r.requested_ocsp_staple = fields[9] == "1";
-    r.sent_sni = fields[10] == "1";
-    if (fields[11] != "-") {
-      r.established_version = tls::version_from_wire(
-          static_cast<std::uint16_t>(std::stoul(fields[11])));
-    }
-    if (fields[12] != "-") {
-      r.established_suite =
-          static_cast<std::uint16_t>(std::stoul(fields[12]));
-    }
-    r.handshake_complete = fields[13] == "1";
-    r.application_data_seen = fields[14] == "1";
-    r.client_alert = parse_alert_field(fields[15]);
-    r.server_alert = parse_alert_field(fields[16]);
-    dataset.add(std::move(group));
-  }
-  return dataset;
-}
-
-void save_dataset(const PassiveDataset& dataset, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw common::ProtocolError("cannot open " + path);
-  out << dataset_to_tsv(dataset);
-}
-
-PassiveDataset load_dataset(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw common::ProtocolError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return dataset_from_tsv(buf.str());
-}
-
 PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
   const auto wanted = [&](const devices::DeviceProfile& profile) {
     return options.devices.empty() ||
@@ -206,17 +113,22 @@ PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
   for (const auto& profile : devices::device_catalog()) {
     if (wanted(profile)) profiles.push_back(&profile);
   }
+  const pki::CaUniverse& universe = options.universe != nullptr
+                                        ? *options.universe
+                                        : pki::CaUniverse::standard();
   const auto months = common::month_range(options.first, options.last);
 
   // Connection counts are drawn serially, up front, in the exact
   // device→month→destination order the serial generator consumed its
   // stream — the fan-out below must not touch the shared RNG.
   common::Rng count_rng = common::Rng::derive(options.seed, "passive-counts");
+  std::vector<std::vector<common::Month>> traffic_months(profiles.size());
   std::vector<std::vector<std::uint64_t>> counts(profiles.size());
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const auto& profile = *profiles[p];
     for (const auto& month : months) {
       if (!profile.generates_traffic_in(month)) continue;
+      traffic_months[p].push_back(month);
       for (const auto& dest : profile.destinations) {
         // Month-to-month activity jitter: destinations are contacted more
         // or less often (this is what drives the Insteon Hub's varying
@@ -230,46 +142,25 @@ PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
     }
   }
 
-  // Each device replays its two-year capture inside its own sandbox
-  // testbed; the per-device group lists concatenate in catalog order, so
-  // the dataset (and its TSV) is byte-identical to the serial one.
+  // Each device replays its two-year capture inside its own sandbox; the
+  // per-device group lists concatenate in catalog order, so the dataset
+  // (and its TSV) is byte-identical to the serial one.
   std::vector<std::size_t> indices(profiles.size());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   auto per_device = common::parallel_map(
       options.threads, indices, [&](std::size_t p) {
         const auto& profile = *profiles[p];
-        Testbed::Options tb_options;
-        tb_options.seed = options.seed;
-        tb_options.universe = options.universe;
-        tb_options.active_only = false;
-        tb_options.devices = {profile.name};
-        Testbed testbed(tb_options);
-        DeviceRuntime& runtime = testbed.runtime(profile.name);
-
         std::vector<PassiveConnectionGroup> groups;
-        std::size_t draw = 0;
-        for (const auto& month : months) {
-          if (!profile.generates_traffic_in(month)) continue;
-          // Mid-month sampling date.
-          testbed.set_date(common::SimDate::start_of(month).plus_days(14));
-
-          for (const auto& dest : profile.destinations) {
-            const std::uint64_t count = counts[p][draw++];
-            const std::size_t before = testbed.network().capture().size();
-            (void)runtime.connect_to(dest, testbed.date());
-            const auto& records = testbed.network().capture().records();
-
-            // connect_to may have produced two captures (fallback retry);
-            // fold them all into the month's groups.
-            for (std::size_t i = before; i < records.size(); ++i) {
-              PassiveConnectionGroup group;
-              group.record = records[i];
-              group.record.month = month;
-              group.count = count;
-              groups.push_back(std::move(group));
-            }
-          }
-        }
+        replay_months(
+            profile, universe, options.seed, traffic_months[p], 0,
+            [&](std::size_t m, std::size_t d,
+                std::vector<net::HandshakeRecord> records) {
+              const std::uint64_t count =
+                  counts[p][m * profile.destinations.size() + d];
+              for (auto& record : records) {
+                groups.push_back({std::move(record), count});
+              }
+            });
         return groups;
       });
 

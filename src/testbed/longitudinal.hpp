@@ -69,15 +69,11 @@ struct GeneratorOptions {
 PassiveDataset generate_passive_dataset(
     const GeneratorOptions& options = GeneratorOptions{});
 
-/// Persist / reload a dataset as tab-separated text — the equivalent of
-/// the paper's public release of its longitudinal handshake data. The
-/// format is stable, diffable, and loadable by external tooling.
-void save_dataset(const PassiveDataset& dataset, const std::string& path);
-PassiveDataset load_dataset(const std::string& path);
-
-/// In-memory TSV forms (exposed for tests and piping).
+/// The dataset as tab-separated text — the equivalent of the paper's
+/// public release of its longitudinal handshake data (`iotls-store
+/// export-tsv` streams the same rows from a capture store). The format is
+/// stable, diffable, and loadable by external tooling.
 std::string dataset_to_tsv(const PassiveDataset& dataset);
-PassiveDataset dataset_from_tsv(const std::string& tsv);
 
 /// Streaming TSV building blocks (used by dataset_to_tsv and by tooling
 /// that renders rows without materializing a dataset). The header has no

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/profile.hpp"
+
 namespace iotls::testbed {
 
 Testbed::Testbed(Options options)
@@ -24,7 +26,7 @@ Testbed::Testbed(Options options)
     for (const auto& dest : profile.destinations) {
       cloud_->add_destination(dest.hostname);
     }
-    if (options_.active_only && !profile.active) continue;
+    if (!profile.active) continue;
     auto runtime = std::make_unique<DeviceRuntime>(profile, *universe_,
                                                    network_, revocations);
     plugs_.emplace(profile.name, std::make_unique<SmartPlug>(*runtime));
@@ -66,6 +68,39 @@ std::vector<std::string> Testbed::device_names() const {
   out.reserve(runtimes_.size());
   for (const auto& [name, runtime] : runtimes_) out.push_back(name);
   return out;
+}
+
+void replay_months(const devices::DeviceProfile& profile,
+                   const pki::CaUniverse& universe, std::uint64_t seed,
+                   const std::vector<common::Month>& months,
+                   int clock_skew_days, const ReplayVisitor& visit) {
+  const obs::ProfileZone zone("testbed/replay");
+  net::Network network;
+  CloudFarm cloud(universe, seed);
+  for (const auto& dest : profile.destinations) {
+    cloud.add_destination(dest.hostname);
+  }
+  cloud.install(network);
+  const pki::RevocationList revocations;  // nothing in a sandbox revokes
+  DeviceRuntime runtime(profile, universe, network, &revocations);
+  const auto& records = network.capture().records();
+  for (std::size_t m = 0; m < months.size(); ++m) {
+    // Mid-month sampling date. The farm keeps true time; the device
+    // validates against what it believes the date is.
+    cloud.set_current_date(
+        common::SimDate::start_of(months[m]).plus_days(14));
+    const common::SimDate device_clock =
+        cloud.current_date().plus_days(clock_skew_days);
+    for (std::size_t d = 0; d < profile.destinations.size(); ++d) {
+      const std::size_t before = records.size();
+      (void)runtime.connect_to(profile.destinations[d], device_clock);
+      std::vector<net::HandshakeRecord> captured(
+          records.begin() + static_cast<std::ptrdiff_t>(before),
+          records.end());
+      for (auto& record : captured) record.month = months[m];
+      visit(m, d, std::move(captured));
+    }
+  }
 }
 
 }  // namespace iotls::testbed

@@ -2,6 +2,7 @@
 // smart plug per active device, the cloud farm, and the capture gateway.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,12 +21,10 @@ class Testbed {
     std::uint64_t seed = 42;
     /// Defaults to CaUniverse::standard().
     const pki::CaUniverse* universe = nullptr;
-    /// Only instantiate runtimes for active devices (cheaper for the
-    /// active experiments; the passive generator sets this false).
-    bool active_only = true;
     /// Restrict the testbed to these devices (empty = whole catalog).
-    /// Only their runtimes and cloud destinations are built — this is what
-    /// makes per-device experiment sandboxes cheap.
+    /// Only their cloud destinations and, for the active ones, their
+    /// runtimes are built — this is what makes per-device experiment
+    /// sandboxes cheap.
     std::vector<std::string> devices;
     /// Revocation list the runtimes consult (nullptr = the testbed's own).
     /// Sandboxes point this at their parent's list so CRL/OCSP behaviour
@@ -80,5 +79,26 @@ class Testbed {
   std::map<std::string, std::unique_ptr<DeviceRuntime>> runtimes_;
   std::map<std::string, std::unique_ptr<SmartPlug>> plugs_;
 };
+
+/// One destination's connection in a replayed month: the records it left
+/// in the sandbox capture (two when a fallback retry fired), stamped with
+/// the month.
+using ReplayVisitor =
+    std::function<void(std::size_t month_index, std::size_t destination,
+                       std::vector<net::HandshakeRecord> records)>;
+
+/// The one sandbox replay behind every passive capture: the §4.1 generator
+/// (live catalog profile, no clock skew) and the fleet's template sets (a
+/// frozen epoch profile, a drifted clock). Builds a single-device sandbox
+/// — its own network, a cloud farm serving `profile`'s destinations and
+/// one runtime over `profile` — then, for each month, moves the farm to
+/// the 15th and connects once to each destination, in order, validating
+/// certificates against the farm date plus `clock_skew_days`. The runtime
+/// reads the sandbox's revocation list, which is empty: nothing in a
+/// sandbox revokes.
+void replay_months(const devices::DeviceProfile& profile,
+                   const pki::CaUniverse& universe, std::uint64_t seed,
+                   const std::vector<common::Month>& months,
+                   int clock_skew_days, const ReplayVisitor& visit);
 
 }  // namespace iotls::testbed

@@ -1,8 +1,7 @@
 // Acceptance gate for the out-of-core pipeline: the full 40-device dataset
 // (count_scale = 1.0) is written to shards, then folded back with
-// fold_store; Figs 1-3, Table 8, the §5.1 summary and party breakdown and
-// the passive fingerprint study rendered from that fold must be
-// byte-identical to the same renderings from fold_dataset over the
+// fold_store; Figs 1-3, Table 8, and the §5.1 summary and party breakdown
+// rendered from that fold must be byte-identical to the same renderings from fold_dataset over the
 // in-memory dataset — at thread counts 1 and 8, under both the
 // single-shard and per-device layouts.
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <string>
 
 #include "analysis/fold.hpp"
-#include "analysis/fpstudy.hpp"
 #include "analysis/longitudinal.hpp"
 #include "analysis/party.hpp"
 #include "analysis/revocation.hpp"
@@ -29,10 +27,10 @@ using iotls::store::DatasetCursor;
 using iotls::store::ShardLayout;
 
 struct Artifacts {
-  std::string fig1, fig2, fig3, table8, summary, party, sharing;
+  std::string fig1, fig2, fig3, table8, summary, party;
 };
 
-/// Every passive rendering, from one fold (built with fingerprints).
+/// Every passive rendering, from one fold.
 Artifacts render_all(const analysis::DatasetFold& fold) {
   Artifacts a;
   a.fig1 = analysis::render_fig1(analysis::all_version_series(fold),
@@ -43,16 +41,7 @@ Artifacts render_all(const analysis::DatasetFold& fold) {
   a.summary = analysis::render_summary(analysis::summarize(fold));
   a.party = analysis::render_party_breakdown(
       analysis::party_version_breakdown(fold));
-  a.sharing = analysis::render_sharing_graph(
-      analysis::passive_fingerprint_study(fold));
   return a;
-}
-
-analysis::FoldOptions fold_options(std::size_t threads) {
-  analysis::FoldOptions options;
-  options.threads = threads;
-  options.fingerprints = true;
-  return options;
 }
 
 class StreamParityTest : public ::testing::Test {
@@ -64,8 +53,7 @@ class StreamParityTest : public ::testing::Test {
 
   static const Artifacts& in_memory() {
     static const Artifacts artifacts = render_all(analysis::fold_dataset(
-        study().passive_dataset(), analysis::study_months(),
-        fold_options(1)));
+        study().passive_dataset(), analysis::study_months()));
     return artifacts;
   }
 
@@ -84,7 +72,7 @@ class StreamParityTest : public ::testing::Test {
   static void check_layout(ShardLayout layout, std::size_t threads) {
     const Artifacts streamed = render_all(analysis::fold_store(
         DatasetCursor::open(exported_dir(layout)), analysis::study_months(),
-        fold_options(threads)));
+        threads));
     const Artifacts& want = in_memory();
     EXPECT_EQ(streamed.fig1, want.fig1);
     EXPECT_EQ(streamed.fig2, want.fig2);
@@ -92,7 +80,6 @@ class StreamParityTest : public ::testing::Test {
     EXPECT_EQ(streamed.table8, want.table8);
     EXPECT_EQ(streamed.summary, want.summary);
     EXPECT_EQ(streamed.party, want.party);
-    EXPECT_EQ(streamed.sharing, want.sharing);
   }
 
   static void TearDownTestSuite() {
@@ -102,8 +89,8 @@ class StreamParityTest : public ::testing::Test {
 };
 
 TEST_F(StreamParityTest, StudyRendersFromTheSameFold) {
-  // The study's own fold skips fingerprints; every figure it renders must
-  // still match the fingerprinting fold the streamed side is compared to.
+  // Every figure the study renders from its own fold must match the fold
+  // the streamed side is compared to.
   const Artifacts& want = in_memory();
   EXPECT_EQ(study().render_fig1(), want.fig1);
   EXPECT_EQ(study().render_fig2(), want.fig2);

@@ -1,13 +1,14 @@
-// Passive-dataset generator invariants and the TSV release format.
+// Passive-dataset generator invariants.
 #include "testbed/longitudinal.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <functional>
 
 #include "common/hex.hpp"
 #include "crypto/sha256.hpp"
 #include "devices/catalog.hpp"
+#include "obs/profile.hpp"
 #include "pki/ca.hpp"
 #include "pki/spoof.hpp"
 #include "tls/client.hpp"
@@ -87,55 +88,40 @@ TEST(Generator, RecordsCarryEstablishedParameters) {
   }
 }
 
-TEST(DatasetTsv, RoundTripPreservesEverything) {
-  const auto& original = small_dataset();
-  const auto reloaded = dataset_from_tsv(dataset_to_tsv(original));
-  ASSERT_EQ(reloaded.groups().size(), original.groups().size());
-  EXPECT_EQ(reloaded.total_connections(), original.total_connections());
-  for (std::size_t i = 0; i < original.groups().size(); ++i) {
-    const auto& a = original.groups()[i].record;
-    const auto& b = reloaded.groups()[i].record;
-    EXPECT_EQ(a.device, b.device);
-    EXPECT_EQ(a.destination, b.destination);
-    EXPECT_EQ(a.month, b.month);
-    EXPECT_EQ(a.advertised_versions, b.advertised_versions);
-    EXPECT_EQ(a.advertised_suites, b.advertised_suites);
-    EXPECT_EQ(a.extension_types, b.extension_types);
-    EXPECT_EQ(a.advertised_groups, b.advertised_groups);
-    EXPECT_EQ(a.advertised_sigalgs, b.advertised_sigalgs);
-    EXPECT_EQ(a.requested_ocsp_staple, b.requested_ocsp_staple);
-    EXPECT_EQ(a.sent_sni, b.sent_sni);
-    EXPECT_EQ(a.established_version, b.established_version);
-    EXPECT_EQ(a.established_suite, b.established_suite);
-    EXPECT_EQ(a.handshake_complete, b.handshake_complete);
-    EXPECT_EQ(a.application_data_seen, b.application_data_seen);
-    EXPECT_EQ(a.client_alert, b.client_alert);
-    EXPECT_EQ(a.server_alert, b.server_alert);
-  }
-}
+TEST(Generator, ReplayIsCreditedToTheTestbed) {
+  // Every device's capture runs under testbed/replay: no handshake of the
+  // per-device fan-out sits directly under the root or a bare pool task.
+  GeneratorOptions gen;
+  gen.seed = 8;
+  gen.count_scale = 0.01;
+  gen.first = gen.last = common::Month{2018, 3};
+  gen.devices = {"Wemo Plug", "Nest Thermostat", "Yi Camera"};
+  gen.threads = 2;
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+  (void)generate_passive_dataset(gen);
+  const auto snapshot = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
 
-TEST(DatasetTsv, FileRoundTrip) {
-  const std::string path = "/tmp/iotls_dataset_test.tsv";
-  save_dataset(small_dataset(), path);
-  const auto reloaded = load_dataset(path);
-  EXPECT_EQ(reloaded.total_connections(),
-            small_dataset().total_connections());
-  std::remove(path.c_str());
-}
-
-TEST(DatasetTsv, RejectsBadHeader) {
-  EXPECT_THROW(dataset_from_tsv("not a header\n"), common::ParseError);
-}
-
-TEST(DatasetTsv, RejectsWrongFieldCount) {
-  std::string tsv = dataset_to_tsv(small_dataset());
-  tsv += "only\tthree\tfields\n";
-  EXPECT_THROW(dataset_from_tsv(tsv), common::ParseError);
-}
-
-TEST(DatasetTsv, LoadMissingFileThrows) {
-  EXPECT_THROW(load_dataset("/nonexistent/iotls.tsv"),
-               common::ProtocolError);
+  std::uint64_t replays = 0;
+  std::uint64_t tasks = 0;
+  std::uint64_t connects = 0;
+  const std::function<void(const obs::ProfileNode&)> walk =
+      [&](const obs::ProfileNode& node) {
+        if (node.name == "testbed/replay") replays += node.calls;
+        if (node.name == "pool/task") tasks += node.calls;
+        if (node.name == "tls/client_connect") connects += node.calls;
+        if (node.name == "<root>" || node.name == "pool/task") {
+          EXPECT_EQ(node.children.count("tls/client_connect"), 0u)
+              << node.name;
+        }
+        for (const auto& [name, child] : node.children) walk(child);
+      };
+  walk(snapshot.root);
+  EXPECT_EQ(replays, gen.devices.size());
+  EXPECT_GT(tasks, 0u);
+  EXPECT_GT(connects, 0u);
 }
 
 TEST(Tls13Suppression, BlindsTheProbeSideChannel) {
