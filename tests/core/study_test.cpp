@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 #include <string_view>
 
 #include "crypto/cache.hpp"
 #include "obs/profile.hpp"
+#include "pki/universe.hpp"
 
 namespace iotls::core {
 namespace {
@@ -266,16 +268,16 @@ TEST(Study, PassiveRenderingsShareOneFold) {
   EXPECT_EQ(zone_calls(snapshot.root, "analysis/fold_dataset"), 1u);
 }
 
-TEST(Study, EveryExponentiationIsCreditedToALayer) {
-  // Key generation, issuance and forgery each run under their layer's zone
-  // (pki/*, testbed/*, mitm/forge, tls/*): no modexp or RSA private op
-  // sits directly under the root or an experiment's study/* zone.
+/// A cold-cache, profiled, reduced-scale study over the tables and figures
+/// that run handshakes, at the given fan-out width.
+obs::ProfileSnapshot profiled_study(std::size_t threads) {
   crypto::crypto_caches_clear();
   obs::profile_reset();
   obs::set_profile_enabled(true);
   {
     IotlsStudy::Options options;
     options.passive_scale = 0.01;
+    options.threads = threads;
     IotlsStudy fresh(options);
     (void)fresh.render_table2();
     (void)fresh.render_table3();
@@ -287,9 +289,17 @@ TEST(Study, EveryExponentiationIsCreditedToALayer) {
     (void)fresh.render_fig5();
     (void)fresh.render_summary();
   }
-  const auto snapshot = obs::profile_snapshot();
+  auto snapshot = obs::profile_snapshot();
   obs::set_profile_enabled(false);
   obs::profile_reset();
+  return snapshot;
+}
+
+TEST(Study, EveryExponentiationIsCreditedToALayer) {
+  // Key generation, issuance and forgery each run under their layer's zone
+  // (pki/*, testbed/*, mitm/forge, tls/*): no modexp or RSA private op
+  // sits directly under the root or an experiment's study/* zone.
+  const auto snapshot = profiled_study(0);
 
   std::uint64_t experiments = 0;
   const std::function<void(const obs::ProfileNode&)> walk =
@@ -305,6 +315,52 @@ TEST(Study, EveryExponentiationIsCreditedToALayer) {
       };
   walk(snapshot.root);
   EXPECT_GE(experiments, 8u);
+}
+
+TEST(Study, WorkBudgetAtOneThread) {
+  // The work budget: exact call counts of the zones that cost time, per
+  // experiment and over the whole profile, at one thread (where they are
+  // deterministic; at N threads two workers can miss the same memo key).
+  // A change that lowers a count updates these numbers and says so in
+  // CHANGES.md; a change that raises one must justify the increase there.
+  // The CA universe is built before profiling starts: an earlier test in
+  // this binary may already have built it, so its keygen is not budgeted.
+  (void)pki::CaUniverse::standard();
+  const auto snapshot = profiled_study(1);
+
+  const std::vector<std::string> zones = {
+      "crypto/modexp", "crypto/rsa_private_op", "tls/client_connect",
+      "pki/issue", "mitm/forge"};
+  const std::map<std::string, std::vector<std::uint64_t>> budget = {
+      {"<total>", {51881, 12906, 10819, 1270, 5731}},
+      {"study/downgrade", {1106, 454, 361, 185, 393}},
+      {"study/fingerprint", {1126, 306, 153, 153, 0}},
+      {"study/interception", {6172, 2090, 1932, 185, 1964}},
+      {"study/library-probe-matrix", {242, 17, 12, 0, 1}},
+      {"study/old-version", {1338, 437, 296, 185, 32}},
+      {"study/passive-dataset", {20744, 4944, 4759, 185, 0}},
+      {"study/passive-fold", {0, 0, 0, 0, 0}},
+      {"study/root-store-exploration", {13097, 4501, 3306, 221, 3340}},
+  };
+  std::map<std::string, std::vector<std::uint64_t>> actual;
+  const auto count = [&](const obs::ProfileNode& node) {
+    std::vector<std::uint64_t> calls;
+    for (const std::string& zone : zones) {
+      calls.push_back(zone_calls(node, zone));
+    }
+    return calls;
+  };
+  actual["<total>"] = count(snapshot.root);
+  for (const auto& [name, child] : snapshot.root.children) {
+    if (name.starts_with("study/")) actual[name] = count(child);
+  }
+  for (const auto& [name, calls] : actual) {
+    for (std::size_t i = 0; i < zones.size(); ++i) {
+      EXPECT_EQ(budget.count(name) ? budget.at(name)[i] : 0, calls[i])
+          << zones[i] << " in " << name;
+    }
+  }
+  EXPECT_EQ(actual.size(), budget.size());
 }
 
 TEST(Study, Table1CountsCategories) {

@@ -71,6 +71,56 @@ TEST(BigUint, DivModKnown) {
   EXPECT_EQ(r.low_u64(), 0xDEADBEEFULL % 1000);
 }
 
+TEST(BigUint, DivModKnownAtDigitBoundaries) {
+  // Knuth D's corrections fire for about 2 in 2^64 random operands at
+  // 64-bit digits, so these are built to reach them. The answers do not
+  // depend on the digit width.
+  struct Case {
+    const char* a;
+    const char* b;
+    const char* q;
+    const char* r;
+  };
+  const Case cases[] = {
+      // Top limb 0x8000...0 (no normalising shift); qhat = 2 is one too
+      // large and the D6 add-back fixes it.
+      {"1000000000000000000000000000000000000000000000001",
+       "800000000000000000000000000000000000000000000001", "1",
+       "800000000000000000000000000000000000000000000000"},
+      // Top limb all ones: qhat clamps from b, the qhat correction loop
+      // runs, and one step still adds back.
+      {"ffffffffffffffff0000000000000001ffffffffffffffff8000000000000001"
+       "8000000000000000",
+       "ffffffffffffffff0000000000000003fffffffffffffffe",
+       "fffffffffffffffffffffffffffffffd",
+       "fffffffffffffffe800000000000000d7ffffffffffffffa"},
+      // Normalising shift, then qhat >= b, the correction loop and an
+      // add-back.
+      {"8000000000000001ffffffffffffffff0000000000000001ffffffffffffffff"
+       "0000000000000000",
+       "10000000000000003ffffffffffffffff",
+       "7fffffffffffffffffffffffffffffff8000000000000003",
+       "fffffffffffffff28000000000000003"},
+      // The correction loop alone.
+      {"ffffffff00000000000000020000000000000001", "ffffffffffffffffffffffff",
+       "ffffffff00000000", "2ffffffff00000001"},
+      // Single-limb divisors at and above 2^32.
+      {"fedcba9876543210fedcba9876543210fedcba98", "100000000",
+       "fedcba9876543210fedcba9876543210", "fedcba98"},
+      {"fedcba9876543210fedcba9876543210fedcba98", "ffffffffffffffc5",
+       "fedcba987654324bbbbbbbbb", "bbbbc9854320feb1"},
+  };
+  for (const Case& c : cases) {
+    const BigUint a = BigUint::from_hex(c.a);
+    const BigUint b = BigUint::from_hex(c.b);
+    const auto [q, r] = a.divmod(b);
+    EXPECT_EQ(q.to_hex(), c.q) << c.a << " / " << c.b;
+    EXPECT_EQ(r.to_hex(), c.r) << c.a << " / " << c.b;
+    EXPECT_EQ(q.mul(b).add(r), a) << c.a << " / " << c.b;
+    EXPECT_TRUE(r < b) << c.a << " / " << c.b;
+  }
+}
+
 TEST(BigUint, DivModIdentity) {
   common::Rng rng(77);
   for (int i = 0; i < 30; ++i) {
