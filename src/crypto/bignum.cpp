@@ -1,6 +1,7 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/hex.hpp"
 #include "crypto/mont64.hpp"
@@ -8,15 +9,24 @@
 
 namespace iotls::crypto {
 
+namespace {
+
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+}  // namespace
+
 void BigUint::trim() {
   while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
 }
 
 BigUint::BigUint(std::uint64_t value) {
-  if (value != 0) {
-    limbs_.push_back(static_cast<std::uint32_t>(value));
-    if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
-  }
+  if (value != 0) limbs_.push_back(value);
+}
+
+BigUint::BigUint(const std::uint64_t* first, const std::uint64_t* last)
+    : limbs_(first, last) {
+  trim();
 }
 
 BigUint BigUint::from_hex(std::string_view hex) {
@@ -29,10 +39,10 @@ BigUint BigUint::from_bytes(common::BytesView data) {
   BigUint out;
   // Big-endian bytes → little-endian limbs.
   const std::size_t n = data.size();
-  out.limbs_.resize((n + 3) / 4, 0);
+  out.limbs_.resize((n + 7) / 8, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t byte = data[n - 1 - i];
-    out.limbs_[i / 4] |= static_cast<std::uint32_t>(byte) << (8 * (i % 4));
+    out.limbs_[i / 8] |= static_cast<u64>(byte) << (8 * (i % 8));
   }
   out.trim();
   return out;
@@ -56,27 +66,21 @@ common::Bytes BigUint::to_bytes(std::size_t width) const {
   }
   out.resize(n, 0);
   for (std::size_t i = 0; i < byte_len; ++i) {
-    out[n - 1 - i] = static_cast<std::uint8_t>(
-        limbs_[i / 4] >> (8 * (i % 4)));
+    out[n - 1 - i] = static_cast<std::uint8_t>(limbs_[i / 8] >> (8 * (i % 8)));
   }
   return out;
 }
 
 std::size_t BigUint::bit_length() const {
   if (limbs_.empty()) return 0;
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  std::uint32_t top = limbs_.back();
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * 64 +
+         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 bool BigUint::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
+  const std::size_t limb = i / 64;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1;
+  return (limbs_[limb] >> (i % 64)) & 1;
 }
 
 int BigUint::compare(const BigUint& other) const {
@@ -95,15 +99,15 @@ BigUint BigUint::add(const BigUint& other) const {
   BigUint out;
   const std::size_t n = std::max(limbs_.size(), other.limbs_.size());
   out.limbs_.resize(n + 1, 0);
-  std::uint64_t carry = 0;
+  u64 carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry;
+    u128 sum = carry;
     if (i < limbs_.size()) sum += limbs_[i];
     if (i < other.limbs_.size()) sum += other.limbs_[i];
-    out.limbs_[i] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
+    out.limbs_[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
   }
-  out.limbs_[n] = static_cast<std::uint32_t>(carry);
+  out.limbs_[n] = carry;
   out.trim();
   return out;
 }
@@ -112,17 +116,12 @@ BigUint BigUint::sub(const BigUint& other) const {
   if (*this < other) throw common::CryptoError("BigUint::sub underflow");
   BigUint out;
   out.limbs_.resize(limbs_.size(), 0);
-  std::int64_t borrow = 0;
+  u64 borrow = 0;
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow;
+    u128 diff = static_cast<u128>(limbs_[i]) - borrow;
     if (i < other.limbs_.size()) diff -= other.limbs_[i];
-    if (diff < 0) {
-      diff += (std::int64_t{1} << 32);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_[i] = static_cast<std::uint32_t>(diff);
+    out.limbs_[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;  // the high half wraps to ~0
   }
   out.trim();
   return out;
@@ -133,21 +132,15 @@ BigUint BigUint::mul(const BigUint& other) const {
   BigUint out;
   out.limbs_.assign(limbs_.size() + other.limbs_.size(), 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t a = limbs_[i];
+    u64 carry = 0;
+    const u64 a = limbs_[i];
     for (std::size_t j = 0; j < other.limbs_.size(); ++j) {
-      std::uint64_t cur =
-          out.limbs_[i + j] + a * other.limbs_[j] + carry;
-      out.limbs_[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      const u128 cur = static_cast<u128>(a) * other.limbs_[j] +
+                       out.limbs_[i + j] + carry;
+      out.limbs_[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    std::size_t k = i + other.limbs_.size();
-    while (carry) {
-      std::uint64_t cur = out.limbs_[k] + carry;
-      out.limbs_[k] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
+    out.limbs_[i + other.limbs_.size()] = carry;  // no earlier row reached it
   }
   out.trim();
   return out;
@@ -155,32 +148,31 @@ BigUint BigUint::mul(const BigUint& other) const {
 
 BigUint BigUint::shift_left(std::size_t bits) const {
   if (is_zero()) return BigUint();
-  const std::size_t limb_shift = bits / 32;
-  const std::size_t bit_shift = bits % 32;
+  const std::size_t limb_shift = bits / 64;
+  const std::size_t bit_shift = bits % 64;
   BigUint out;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const std::uint64_t v = static_cast<std::uint64_t>(limbs_[i]) << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<std::uint32_t>(v);
-    out.limbs_[i + limb_shift + 1] |= static_cast<std::uint32_t>(v >> 32);
+    out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
+    if (bit_shift != 0) {
+      out.limbs_[i + limb_shift + 1] |= limbs_[i] >> (64 - bit_shift);
+    }
   }
   out.trim();
   return out;
 }
 
 BigUint BigUint::shift_right(std::size_t bits) const {
-  const std::size_t limb_shift = bits / 32;
-  const std::size_t bit_shift = bits % 32;
+  const std::size_t limb_shift = bits / 64;
+  const std::size_t bit_shift = bits % 64;
   if (limb_shift >= limbs_.size()) return BigUint();
   BigUint out;
   out.limbs_.assign(limbs_.size() - limb_shift, 0);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    std::uint64_t v = limbs_[i + limb_shift] >> bit_shift;
+    out.limbs_[i] = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      v |= static_cast<std::uint64_t>(limbs_[i + limb_shift + 1])
-           << (32 - bit_shift);
+      out.limbs_[i] |= limbs_[i + limb_shift + 1] << (64 - bit_shift);
     }
-    out.limbs_[i] = static_cast<std::uint32_t>(v);
   }
   out.trim();
   return out;
@@ -192,14 +184,14 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& divisor) const {
 
   // Short division for single-limb divisors.
   if (divisor.limbs_.size() == 1) {
-    const std::uint64_t d = divisor.limbs_[0];
+    const u64 d = divisor.limbs_[0];
     BigUint quotient;
     quotient.limbs_.assign(limbs_.size(), 0);
-    std::uint64_t rem = 0;
+    u64 rem = 0;
     for (std::size_t i = limbs_.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | limbs_[i];
-      quotient.limbs_[i] = static_cast<std::uint32_t>(cur / d);
-      rem = cur % d;
+      const u128 cur = (static_cast<u128>(rem) << 64) | limbs_[i];
+      quotient.limbs_[i] = static_cast<u64>(cur / d);
+      rem = static_cast<u64>(cur % d);
     }
     quotient.trim();
     return {quotient, BigUint(rem)};
@@ -210,76 +202,60 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& divisor) const {
   const std::size_t m = limbs_.size() - n;
 
   // D1: normalize so the divisor's top limb has its MSB set.
-  int shift = 0;
-  {
-    std::uint32_t top = divisor.limbs_.back();
-    while ((top & 0x80000000u) == 0) {
-      top <<= 1;
-      ++shift;
-    }
-  }
-  const BigUint u_norm = shift_left(static_cast<std::size_t>(shift));
-  const BigUint v_norm = divisor.shift_left(static_cast<std::size_t>(shift));
-  std::vector<std::uint32_t> u = u_norm.limbs_;
+  const auto shift =
+      static_cast<std::size_t>(std::countl_zero(divisor.limbs_.back()));
+  std::vector<u64> u = shift_left(shift).limbs_;
   u.resize(limbs_.size() + 1, 0);
-  const std::vector<std::uint32_t>& v = v_norm.limbs_;
+  const std::vector<u64> v = divisor.shift_left(shift).limbs_;
 
   BigUint quotient;
   quotient.limbs_.assign(m + 1, 0);
 
   for (std::size_t j = m + 1; j-- > 0;) {
-    // D3: estimate qhat.
-    const std::uint64_t num =
-        (static_cast<std::uint64_t>(u[j + n]) << 32) | u[j + n - 1];
-    std::uint64_t qhat = num / v[n - 1];
-    std::uint64_t rhat = num % v[n - 1];
-    while (qhat > 0xFFFFFFFFULL ||
-           qhat * v[n - 2] > ((rhat << 32) | u[j + n - 2])) {
+    // D3: estimate qhat. The product is formed only once qhat < 2^64, and
+    // the shift only while rhat < 2^64, so neither overflows 128 bits.
+    const u128 num = (static_cast<u128>(u[j + n]) << 64) | u[j + n - 1];
+    u128 qhat = num / v[n - 1];
+    u128 rhat = num % v[n - 1];
+    while (qhat > UINT64_MAX ||
+           qhat * v[n - 2] > ((rhat << 64) | u[j + n - 2])) {
       --qhat;
       rhat += v[n - 1];
-      if (rhat > 0xFFFFFFFFULL) break;
+      if (rhat > UINT64_MAX) break;
     }
 
     // D4: multiply-subtract u[j..j+n] -= qhat * v.
-    std::int64_t borrow = 0;
-    std::uint64_t carry = 0;
+    u64 borrow = 0;
+    u64 carry = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t prod = qhat * v[i] + carry;
-      carry = prod >> 32;
-      const std::int64_t diff = static_cast<std::int64_t>(u[i + j]) -
-                                static_cast<std::int64_t>(prod & 0xFFFFFFFF) +
-                                borrow;
-      u[i + j] = static_cast<std::uint32_t>(diff);
-      borrow = diff >> 32;  // arithmetic shift: 0 or -1
+      const u128 prod = qhat * v[i] + carry;
+      carry = static_cast<u64>(prod >> 64);
+      const u128 diff =
+          static_cast<u128>(u[i + j]) - static_cast<u64>(prod) - borrow;
+      u[i + j] = static_cast<u64>(diff);
+      borrow = static_cast<u64>(diff >> 64) & 1;
     }
-    const std::int64_t diff = static_cast<std::int64_t>(u[j + n]) -
-                              static_cast<std::int64_t>(carry) + borrow;
-    u[j + n] = static_cast<std::uint32_t>(diff);
-    borrow = diff >> 32;
+    const u128 diff = static_cast<u128>(u[j + n]) - carry - borrow;
+    u[j + n] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
 
     // D5/D6: if we subtracted too much, add back one divisor.
     if (borrow != 0) {
       --qhat;
-      std::uint64_t c = 0;
+      u64 c = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t sum =
-            static_cast<std::uint64_t>(u[i + j]) + v[i] + c;
-        u[i + j] = static_cast<std::uint32_t>(sum);
-        c = sum >> 32;
+        const u128 sum = static_cast<u128>(u[i + j]) + v[i] + c;
+        u[i + j] = static_cast<u64>(sum);
+        c = static_cast<u64>(sum >> 64);
       }
-      u[j + n] += static_cast<std::uint32_t>(c);
+      u[j + n] += c;
     }
 
-    quotient.limbs_[j] = static_cast<std::uint32_t>(qhat);
+    quotient.limbs_[j] = static_cast<u64>(qhat);
   }
 
   quotient.trim();
-
-  BigUint remainder;
-  remainder.limbs_.assign(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(n));
-  remainder.trim();
-  remainder = remainder.shift_right(static_cast<std::size_t>(shift));
-  return {quotient, remainder};
+  return {quotient, BigUint(u.data(), u.data() + n).shift_right(shift)};
 }
 
 BigUint BigUint::modexp(const BigUint& exp, const BigUint& m) const {
@@ -404,12 +380,14 @@ const std::vector<SmallPrimeGroup>& small_prime_groups() {
   return kGroups;
 }
 
-/// True when some odd prime below 1024 divides the little-endian limbs.
-bool has_small_factor(const std::vector<std::uint32_t>& limbs) {
+/// True when some odd prime below 1024 divides the little-endian limbs. Each
+/// limb enters as two 32-bit halves, so the remainder stays within 64 bits.
+bool has_small_factor(const std::vector<std::uint64_t>& limbs) {
   for (const SmallPrimeGroup& group : small_prime_groups()) {
     std::uint64_t rem = 0;
     for (auto limb = limbs.rbegin(); limb != limbs.rend(); ++limb) {
-      rem = ((rem << 32) | *limb) % group.product;
+      rem = ((rem << 32) | (*limb >> 32)) % group.product;
+      rem = ((rem << 32) | (*limb & UINT32_MAX)) % group.product;
     }
     for (const std::uint32_t p : group.primes) {
       if (rem % p == 0) return true;
@@ -478,10 +456,7 @@ BigUint BigUint::generate_prime(common::Rng& rng, std::size_t bits) {
 }
 
 std::uint64_t BigUint::low_u64() const {
-  std::uint64_t v = 0;
-  if (!limbs_.empty()) v = limbs_[0];
-  if (limbs_.size() > 1) v |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-  return v;
+  return limbs_.empty() ? 0 : limbs_[0];
 }
 
 }  // namespace iotls::crypto

@@ -1,9 +1,10 @@
 // Arbitrary-precision unsigned integers for the RSA/DHE substrate.
 //
-// Schoolbook add/sub/mul/div over 32-bit limbs; modular exponentiation for
-// odd moduli runs on the cached 64-bit Montgomery kernel (crypto/mont64.hpp),
-// with the schoolbook square-and-multiply kept as the even-modulus fallback
-// and cross-check oracle. `bench_crypto` and `bench_ablation_keysize` quantify
+// Schoolbook add/sub/mul/div over 64-bit limbs with 128-bit intermediates;
+// modular exponentiation for odd moduli runs on the cached Montgomery kernel
+// (crypto/mont64.hpp), which works on the same limbs, with the schoolbook
+// square-and-multiply kept as the even-modulus fallback and cross-check
+// oracle. `bench_crypto` and `bench_ablation_keysize` quantify
 // the costs.
 #pragma once
 
@@ -17,12 +18,14 @@
 
 namespace iotls::crypto {
 
-/// Non-negative big integer, little-endian 32-bit limbs, canonical form
+/// Non-negative big integer, little-endian 64-bit limbs, canonical form
 /// (no leading zero limbs; zero is the empty limb vector).
 class BigUint {
  public:
   BigUint() = default;
   explicit BigUint(std::uint64_t value);
+  /// From little-endian limbs [first, last); leading zero limbs allowed.
+  BigUint(const std::uint64_t* first, const std::uint64_t* last);
 
   static BigUint from_hex(std::string_view hex);
   /// Big-endian byte import (leading zeros allowed).
@@ -32,6 +35,11 @@ class BigUint {
   /// Big-endian byte export, zero-padded/truncation-checked to `width`
   /// (throws if the value does not fit). width==0 → minimal encoding.
   [[nodiscard]] common::Bytes to_bytes(std::size_t width = 0) const;
+
+  /// The little-endian limbs, without leading zero limbs.
+  [[nodiscard]] const std::vector<std::uint64_t>& limbs() const {
+    return limbs_;
+  }
 
   [[nodiscard]] bool is_zero() const { return limbs_.empty(); }
   [[nodiscard]] bool is_odd() const {
@@ -95,11 +103,9 @@ class BigUint {
   [[nodiscard]] std::uint64_t low_u64() const;
 
  private:
-  friend struct Mont64Limbs;  // limb-level access for the reduction kernel
-
   void trim();
 
-  std::vector<std::uint32_t> limbs_;
+  std::vector<std::uint64_t> limbs_;
 };
 
 }  // namespace iotls::crypto

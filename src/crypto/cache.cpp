@@ -25,20 +25,17 @@ void set_crypto_cache_enabled(bool enabled) {
   cache_switch().store(enabled, std::memory_order_relaxed);
 }
 
-void count_cache_hit(const char* cache_name) {
+void CacheCounters::count(bool hit) {
   if (!obs::metrics_enabled()) return;
-  obs::MetricsRegistry::global()
-      .counter("iotls_crypto_cache_hits_total",
-               "Crypto memoisation hits by cache", "cache", cache_name)
-      .inc();
-}
-
-void count_cache_miss(const char* cache_name) {
-  if (!obs::metrics_enabled()) return;
-  obs::MetricsRegistry::global()
-      .counter("iotls_crypto_cache_misses_total",
-               "Crypto memoisation misses by cache", "cache", cache_name)
-      .inc();
+  std::call_once(resolved_, [this] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    hits_ = &reg.counter("iotls_crypto_cache_hits_total",
+                         "Crypto memoisation hits by cache", "cache", name_);
+    misses_ = &reg.counter("iotls_crypto_cache_misses_total",
+                           "Crypto memoisation misses by cache", "cache",
+                           name_);
+  });
+  (hit ? hits_ : misses_)->inc();
 }
 
 template <typename Value>
@@ -50,11 +47,7 @@ std::optional<Value> DigestCache<Value>::lookup(const DigestKey& key) {
     const auto it = s.map.find(key);
     if (it != s.map.end()) out = it->second;
   }
-  if (out.has_value()) {
-    count_cache_hit(name_);
-  } else {
-    count_cache_miss(name_);
-  }
+  counters_.count(out.has_value());
   return out;
 }
 

@@ -39,6 +39,10 @@
 
 #include "common/bytes.hpp"
 
+namespace iotls::obs {
+class Counter;
+}  // namespace iotls::obs
+
 namespace iotls::crypto {
 
 /// Master switch. Defaults from IOTLS_CRYPTO_CACHE (unset/nonzero = on).
@@ -50,11 +54,23 @@ void set_crypto_cache_enabled(bool enabled);
 /// afterwards.
 void crypto_caches_clear();
 
-/// Register a hit/miss with the iotls_crypto_cache_* counter families
-/// (no-op while obs::metrics_enabled() is off, matching the other
-/// instrumentation sites).
-void count_cache_hit(const char* cache_name);
-void count_cache_miss(const char* cache_name);
+/// One cache's hit and miss counters in the iotls_crypto_cache_* families.
+/// They are looked up in the metrics registry once, on the first count,
+/// not on every lookup.
+class CacheCounters {
+ public:
+  explicit CacheCounters(const char* cache_name) : name_(cache_name) {}
+
+  /// Count a hit or a miss (no-op while obs::metrics_enabled() is off,
+  /// matching the other instrumentation sites).
+  void count(bool hit);
+
+ private:
+  const char* name_;
+  std::once_flag resolved_;
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+};
 
 /// The SHA-256 every digest-keyed memo table is addressed by.
 using DigestKey = std::array<std::uint8_t, 32>;
@@ -71,7 +87,7 @@ class DigestCache {
   static constexpr std::size_t kShards = 16;
 
   DigestCache(const char* name, std::size_t max_per_shard)
-      : name_(name), max_per_shard_(max_per_shard) {}
+      : counters_(name), max_per_shard_(max_per_shard) {}
 
   std::optional<Value> lookup(const DigestKey& key);
   void store(const DigestKey& key, const Value& value);
@@ -95,7 +111,7 @@ class DigestCache {
 
   Shard& shard(const DigestKey& key) { return shards_[key[8] % kShards]; }
 
-  const char* name_;
+  CacheCounters counters_;
   std::size_t max_per_shard_;
   std::array<Shard, kShards> shards_;
 };

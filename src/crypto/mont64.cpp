@@ -15,49 +15,6 @@ namespace iotls::crypto {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
-/// Limb-level access to BigUint (a friend of it): packs its 32-bit limbs
-/// into the kernel's 64-bit ones and back.
-struct Mont64Limbs {
-  static std::size_t width(const BigUint& a) {
-    return (a.limbs_.size() + 1) / 2;
-  }
-
-  /// Writes `a` into out[0..n), zero-padded; `a` must fit in n limbs.
-  static void pack(const BigUint& a, u64* out, std::size_t n) {
-    std::fill(out, out + n, 0);
-    const auto& limbs32 = a.limbs_;
-    for (std::size_t i = 0; i < limbs32.size(); ++i) {
-      out[i / 2] |= static_cast<u64>(limbs32[i]) << (32 * (i % 2));
-    }
-  }
-
-  static BigUint unpack(const u64* limbs, std::size_t n) {
-    BigUint out;
-    out.limbs_.resize(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.limbs_[2 * i] = static_cast<std::uint32_t>(limbs[i]);
-      out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(limbs[i] >> 32);
-    }
-    out.trim();
-    return out;
-  }
-
-  static bool is_two(const BigUint& a) {
-    return a.limbs_.size() == 1 && a.limbs_[0] == 2;
-  }
-
-  /// Bits [4w, 4w + 4) of `e`; a 4-bit window never straddles a 32-bit limb.
-  static unsigned window(const BigUint& e, std::size_t w) {
-    const std::size_t limb = w / 8;
-    if (limb >= e.limbs_.size()) return 0;
-    return (e.limbs_[limb] >> (4 * (w % 8))) & 15u;
-  }
-
-  static bool bit(const BigUint& e, std::size_t i) {
-    return (e.limbs_[i / 32] >> (i % 32)) & 1u;
-  }
-};
-
 namespace {
 
 // N == kRuntime instantiates the body over heap limbs whose count is the
@@ -82,6 +39,13 @@ L zeroed(std::size_t size) {
     (void)size;
     return L{};
   }
+}
+
+/// `a`'s limbs, zero-padded to fill `out`; `a` must fit.
+template <class L>
+void copy_padded(const BigUint& a, L& out) {
+  std::fill(std::copy(a.limbs().begin(), a.limbs().end(), out.begin()),
+            out.end(), 0);
 }
 
 /// One cached modulus; the width lives in the derived kernel's type.
@@ -111,7 +75,7 @@ class Kernel final : public Context {
   /// `width` is the limb count the modulus is padded to (N when fixed).
   Kernel(const BigUint& m, std::size_t width)
       : Context(m), m64_(zeroed<L>(width)), r2_(m64_), one_(m64_) {
-    Mont64Limbs::pack(m_, m64_.data(), width);
+    copy_padded(m_, m64_);
 
     // n0 = -m^-1 mod 2^64 by Newton iteration. x = m is correct mod 2^3
     // for odd m; six doublings of precision reach >= 64 bits.
@@ -121,24 +85,22 @@ class Kernel final : public Context {
 
     // R^2 mod m and R mod m with R = 2^(64 * width): two divisions at
     // setup, amortised across the context cache's lifetime.
-    Mont64Limbs::pack(BigUint(1).shift_left(128 * width).mod(m_), r2_.data(),
-                      width);
-    Mont64Limbs::pack(BigUint(1).shift_left(64 * width).mod(m_), one_.data(),
-                      width);
+    copy_padded(BigUint(1).shift_left(128 * width).mod(m_), r2_);
+    copy_padded(BigUint(1).shift_left(64 * width).mod(m_), one_);
   }
 
   [[nodiscard]] BigUint pow(const BigUint& base,
                             const BigUint& exp) const override {
-    if (Mont64Limbs::is_two(base)) return pow2(exp);
+    if (base.limbs().size() == 1 && base.limbs()[0] == 2) return pow2(exp);
     const std::size_t nbits = exp.bit_length();
     if (nbits == 0) return BigUint(1).mod(m_);  // base^0 = 1 mod m
 
     S t = zeroed<S>(2 * n() + 2);
     L b = zeroed<L>(n());
     if (base < m_) {
-      Mont64Limbs::pack(base, b.data(), n());
+      copy_padded(base, b);
     } else {
-      Mont64Limbs::pack(base.mod(m_), b.data(), n());
+      copy_padded(base.mod(m_), b);
     }
     mul(b, r2_, b, t);  // to Montgomery form
 
@@ -147,7 +109,7 @@ class Kernel final : public Context {
       // 1-bit ladder from the (set) top bit down: no table to build.
       for (std::size_t i = nbits - 1; i-- > 0;) {
         sqr(acc, acc, t);
-        if (Mont64Limbs::bit(exp, i)) mul(acc, b, acc, t);
+        if (exp.bit(i)) mul(acc, b, acc, t);
       }
     } else {
       // Fixed 4-bit windows: table[w] = base^w in Montgomery form.
@@ -157,16 +119,20 @@ class Kernel final : public Context {
         table[w] = zeroed<L>(n());
         mul(table[w - 1], b, table[w], t);
       }
+      // Bits [4w, 4w + 4) of exp; a window never straddles a limb.
+      const auto window_at = [&exp](std::size_t w) {
+        return (exp.limbs()[w / 16] >> (4 * (w % 16))) & 15u;
+      };
       const std::size_t windows = (nbits + 3) / 4;
-      acc = table[Mont64Limbs::window(exp, windows - 1)];  // top one is set
+      acc = table[window_at(windows - 1)];  // top one is set
       for (std::size_t w = windows - 1; w-- > 0;) {
         for (int s = 0; s < 4; ++s) sqr(acc, acc, t);
-        const unsigned window = Mont64Limbs::window(exp, w);
+        const std::uint64_t window = window_at(w);
         if (window != 0) mul(acc, table[window], acc, t);
       }
     }
     from_mont(acc, t);
-    return Mont64Limbs::unpack(acc.data(), n());
+    return BigUint(acc.data(), acc.data() + n());
   }
 
  private:
@@ -312,10 +278,10 @@ class Kernel final : public Context {
     dbl(acc, t);  // mont(2), consuming the (set) top bit
     for (std::size_t i = nbits - 1; i-- > 0;) {
       sqr(acc, acc, t);
-      if (Mont64Limbs::bit(exp, i)) dbl(acc, t);
+      if (exp.bit(i)) dbl(acc, t);
     }
     from_mont(acc, t);
-    return Mont64Limbs::unpack(acc.data(), n());
+    return BigUint(acc.data(), acc.data() + n());
   }
 
   L m64_;        // modulus, zero-padded to n() limbs
@@ -329,7 +295,7 @@ std::unique_ptr<Context> make_context(const BigUint& m) {
   if (!m.is_odd()) {
     throw common::CryptoError("mont64: modulus must be odd");
   }
-  const std::size_t width = Mont64Limbs::width(m);
+  const std::size_t width = m.limbs().size();
   if (width <= 1) return std::make_unique<Kernel<1>>(m, 1);
   if (width <= 2) return std::make_unique<Kernel<2>>(m, 2);
   if (width <= 4) return std::make_unique<Kernel<4>>(m, 4);
@@ -356,17 +322,18 @@ std::vector<std::unique_ptr<Context>>& contexts() {
 
 BigUint mont64_modexp(const BigUint& base, const BigUint& exp,
                       const BigUint& m) {
+  static CacheCounters counters("mont64_context");
   auto& cache = contexts();
   for (std::size_t i = 0; i < cache.size(); ++i) {
     if (cache[i]->modulus() == m) {
       const auto it = cache.begin() + static_cast<std::ptrdiff_t>(i);
       if (i != 0) std::rotate(cache.begin(), it, it + 1);
-      count_cache_hit("mont64_context");
+      counters.count(true);
       return cache.front()->pow(base, exp);
     }
   }
   auto context = make_context(m);
-  count_cache_miss("mont64_context");
+  counters.count(false);
   BigUint result = context->pow(base, exp);
   cache.insert(cache.begin(), std::move(context));
   if (cache.size() > kMaxContexts) cache.pop_back();

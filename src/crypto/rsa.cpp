@@ -18,11 +18,27 @@ common::Bytes RsaPublicKey::serialize() const {
   return w.take();
 }
 
+namespace {
+
+/// A public-key integer: non-empty, with no leading zero byte, so every
+/// accepted key re-serializes to the bytes it was parsed from (a
+/// certificate is verified over its re-serialized TBS).
+BigUint parse_canonical(common::ByteReader& r, const char* field) {
+  const common::Bytes bytes = r.vec(2);
+  if (bytes.empty() || bytes.front() == 0) {
+    throw common::ParseError(std::string("RsaPublicKey: non-canonical ") +
+                             field);
+  }
+  return BigUint::from_bytes(bytes);
+}
+
+}  // namespace
+
 RsaPublicKey RsaPublicKey::parse(common::BytesView data) {
   common::ByteReader r(data);
   RsaPublicKey key;
-  key.n = BigUint::from_bytes(r.vec(2));
-  key.e = BigUint::from_bytes(r.vec(2));
+  key.n = parse_canonical(r, "modulus");
+  key.e = parse_canonical(r, "exponent");
   r.expect_end("RsaPublicKey");
   return key;
 }
@@ -131,6 +147,11 @@ KeypairShard& keypair_shard(const KeypairKey& key) {
   return keypair_shards()[KeypairKeyHash{}(key) % kKeypairShards];
 }
 
+CacheCounters& keypair_counters() {
+  static CacheCounters counters("keypair");
+  return counters;
+}
+
 }  // namespace
 
 namespace detail {
@@ -153,11 +174,11 @@ RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       rng.set_state(it->second.post_state);
-      count_cache_hit("keypair");
+      keypair_counters().count(true);
       return it->second.pair;
     }
   }
-  count_cache_miss("keypair");
+  keypair_counters().count(false);
   RsaKeyPair pair = rsa_generate_impl(rng, bits);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);

@@ -27,6 +27,8 @@ struct RsaPublicKey {
     return (n.bit_length() + 7) / 8;
   }
   [[nodiscard]] common::Bytes serialize() const;
+  /// Inverse of serialize(). Only canonical integers are accepted: an
+  /// empty field or a leading zero byte throws ParseError.
   static RsaPublicKey parse(common::BytesView data);
   bool operator==(const RsaPublicKey& other) const = default;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/cache.hpp"
 #include "pki/ca.hpp"
 #include "pki/spoof.hpp"
@@ -35,6 +37,43 @@ TEST_F(VerifyTest, ValidChainPasses) {
   const std::vector<Certificate> chain = {leaf_};
   const auto res = verify_chain(chain, "device.example.com", anchors_, kNow);
   EXPECT_TRUE(res.ok()) << verify_error_name(res.error);
+}
+
+TEST_F(VerifyTest, LeadingZeroModulusDoesNotParse) {
+  // A structural re-encoding of the leaf: one leading 0x00 on the SPKI
+  // modulus, with the modulus, SPKI and TBS length prefixes fixed up. It
+  // would re-serialize to the signed TBS and verify, so parse rejects it.
+  const crypto::RsaPublicKey& key = leaf_.tbs.subject_public_key;
+  common::Bytes modulus = key.n.to_bytes();
+  modulus.insert(modulus.begin(), 0x00);
+  common::ByteWriter padded_key;
+  padded_key.vec(modulus, 2);
+  padded_key.vec(key.e.to_bytes(), 2);
+  common::ByteWriter signed_field;
+  signed_field.vec(key.serialize(), 2);
+  common::ByteWriter padded_field;
+  padded_field.vec(padded_key.bytes(), 2);
+
+  const common::Bytes tbs = leaf_.tbs.serialize();
+  const common::Bytes& old_field = signed_field.bytes();
+  const auto at =
+      std::search(tbs.begin(), tbs.end(), old_field.begin(), old_field.end());
+  ASSERT_NE(at, tbs.end());
+  common::Bytes padded_tbs(tbs.begin(), at);
+  padded_tbs.insert(padded_tbs.end(), padded_field.bytes().begin(),
+                    padded_field.bytes().end());
+  padded_tbs.insert(padded_tbs.end(), at + static_cast<std::ptrdiff_t>(
+                                               old_field.size()),
+                    tbs.end());
+
+  common::ByteWriter wire;
+  wire.vec(padded_tbs, 3);
+  wire.vec(leaf_.signature, 2);
+  EXPECT_THROW((void)Certificate::parse(wire.bytes()), common::ParseError);
+
+  // The signed encoding itself parses back to the same bytes.
+  EXPECT_EQ(Certificate::parse(leaf_.serialize()).serialize(),
+            leaf_.serialize());
 }
 
 TEST_F(VerifyTest, EmptyChainFails) {
