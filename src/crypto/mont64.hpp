@@ -5,6 +5,9 @@
 // `mont64_modexp`, and keeps the schoolbook `modexp_plain` for even moduli
 // and as the test oracle. The kernel:
 //
+//   - works on `BigUint`'s own 64-bit limbs: it copies the modulus and base
+//     into zero-padded arrays, reads exponent bits and 4-bit windows as
+//     stored, and builds its result from its limbs, with no repacking;
 //   - is one body, a template over the limb count N, compiled at
 //     N = 1, 2, 4, 8, 16 and 32. Operands and scratch are `std::array`s on
 //     the stack, so the CIOS multiply, the SOS square and the doubling step

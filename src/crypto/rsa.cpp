@@ -147,11 +147,6 @@ KeypairShard& keypair_shard(const KeypairKey& key) {
   return keypair_shards()[KeypairKeyHash{}(key) % kKeypairShards];
 }
 
-CacheCounters& keypair_counters() {
-  static CacheCounters counters("keypair");
-  return counters;
-}
-
 }  // namespace
 
 namespace detail {
@@ -167,6 +162,7 @@ RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
   if (bits < 128) throw common::CryptoError("rsa_generate: modulus too small");
   if (!crypto_cache_enabled()) return rsa_generate_impl(rng, bits);
 
+  static CacheCounters counters("keypair");
   const KeypairKey key{rng.state(), bits};
   KeypairShard& shard = keypair_shard(key);
   {
@@ -174,11 +170,11 @@ RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       rng.set_state(it->second.post_state);
-      keypair_counters().count(true);
+      counters.count(true);
       return it->second.pair;
     }
   }
-  keypair_counters().count(false);
+  counters.count(false);
   RsaKeyPair pair = rsa_generate_impl(rng, bits);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
