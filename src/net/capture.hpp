@@ -51,6 +51,8 @@ struct HandshakeRecord {
   AlertDirection first_fatal_alert_direction = AlertDirection::None;
   int first_fatal_alert_ordinal = -1;
 
+  bool operator==(const HandshakeRecord&) const = default;
+
   [[nodiscard]] tls::ProtocolVersion max_advertised_version() const;
   [[nodiscard]] bool saw_fatal_alert() const {
     return first_fatal_alert_direction != AlertDirection::None;
