@@ -91,7 +91,7 @@ std::shared_ptr<const TemplateSet> TemplateBank::compute(
   const auto [first_off, last_off] = fleet_.window(key.model);
 
   auto set = std::make_shared<TemplateSet>();
-  testbed::replay_months(
+  set->handshakes = testbed::replay_months(
       frozen, universe_, fleet_.options().seed,
       common::month_range(common::kStudyStart.plus(first_off),
                           common::kStudyStart.plus(last_off)),
@@ -100,7 +100,6 @@ std::shared_ptr<const TemplateSet> TemplateBank::compute(
           std::vector<net::HandshakeRecord> records) {
         set->records[{first_off + static_cast<int>(m), static_cast<int>(d)}] =
             std::move(records);
-        ++set->handshakes;
       });
   return set;
 }

@@ -7,9 +7,10 @@
 // firmware epoch with the same clock drift produces byte-identical
 // handshakes (per-connection randomness never reaches a capture record).
 // So real handshakes run once per (model, epoch, drift) — a few hundred
-// sandbox replays — and per-instance synthesis reduces to stamping those
-// template records with the instance's identity, months, and sampled
-// connection counts. Peak RSS is one template bank plus one shard writer
+// sandbox replays, each of which runs a destination's handshake only when
+// its inputs change (testbed::replay_months) — and per-instance synthesis
+// reduces to stamping those template records with the instance's
+// identity, months, and sampled connection counts. Peak RSS is one template bank plus one shard writer
 // per worker, at any fleet size.
 #pragma once
 
@@ -43,6 +44,7 @@ struct TemplateKey {
 /// capture records of that connection (two when a fallback retry fired).
 struct TemplateSet {
   std::map<std::pair<int, int>, std::vector<net::HandshakeRecord>> records;
+  /// Connections the replay actually ran (the rest were re-stamped).
   std::uint64_t handshakes = 0;
 };
 

@@ -145,6 +145,11 @@ ConnectionOutcome DeviceRuntime::connect_to(
   return outcome;
 }
 
+void DeviceRuntime::note_repeated_success() {
+  ++connection_counter_;
+  consecutive_failures_ = 0;
+}
+
 BootResult DeviceRuntime::boot(common::SimDate now,
                                bool include_intermittent) {
   ++boot_counter_;

@@ -56,6 +56,12 @@ class DeviceRuntime {
   ConnectionOutcome connect_to(const devices::DestinationSpec& dest,
                                common::SimDate now);
 
+  /// The runtime state change of a connect_to whose first attempt
+  /// succeeds, without running it: the connection counter advances by one
+  /// and the failure streak resets. replay_months applies it when it
+  /// re-stamps a destination's memoised records.
+  void note_repeated_success();
+
   [[nodiscard]] const devices::DeviceProfile& profile() const {
     return profile_;
   }

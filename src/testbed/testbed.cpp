@@ -1,6 +1,7 @@
 #include "testbed/testbed.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/profile.hpp"
@@ -70,10 +71,40 @@ std::vector<std::string> Testbed::device_names() const {
   return out;
 }
 
-void replay_months(const devices::DeviceProfile& profile,
-                   const pki::CaUniverse& universe, std::uint64_t seed,
-                   const std::vector<common::Month>& months,
-                   int clock_skew_days, const ReplayVisitor& visit) {
+namespace {
+
+/// What one destination's connection in a replayed month depends on,
+/// besides what is fixed for the sandbox's lifetime. Fixed: the served
+/// chain, the server keys, the server seed and staple support (CloudFarm
+/// derives them from the hostname alone when the destination is added),
+/// the device's root store, the empty revocation list and the payload. The
+/// per-connection randomness never reaches a capture record.
+struct ReplayInputs {
+  tls::ClientConfig config;
+  bool validation_disabled = false;
+  /// The date-derived part of the farm's server_config.
+  std::vector<tls::ProtocolVersion> server_versions;
+  std::vector<std::uint16_t> server_suites;
+  /// The device clock against the served leaf and the farm CA root.
+  x509::Validity::Position leaf = x509::Validity::Position::Inside;
+  x509::Validity::Position root = x509::Validity::Position::Inside;
+
+  bool operator==(const ReplayInputs&) const = default;
+};
+
+/// A destination's last connection that actually ran, kept only when its
+/// first attempt succeeded.
+struct ReplayMemo {
+  ReplayInputs inputs;
+  std::vector<net::HandshakeRecord> records;
+};
+
+}  // namespace
+
+std::size_t replay_months(const devices::DeviceProfile& profile,
+                          const pki::CaUniverse& universe, std::uint64_t seed,
+                          const std::vector<common::Month>& months,
+                          int clock_skew_days, const ReplayVisitor& visit) {
   const obs::ProfileZone zone("testbed/replay");
   net::Network network;
   CloudFarm cloud(universe, seed);
@@ -83,7 +114,11 @@ void replay_months(const devices::DeviceProfile& profile,
   cloud.install(network);
   const pki::RevocationList revocations;  // nothing in a sandbox revokes
   DeviceRuntime runtime(profile, universe, network, &revocations);
+  const x509::Validity& root_validity =
+      universe.authority(cloud.ca_name()).root().tbs.validity;
   const auto& records = network.capture().records();
+  std::vector<std::optional<ReplayMemo>> memo(profile.destinations.size());
+  std::size_t connections = 0;
   for (std::size_t m = 0; m < months.size(); ++m) {
     // Mid-month sampling date. The farm keeps true time; the device
     // validates against what it believes the date is.
@@ -92,15 +127,39 @@ void replay_months(const devices::DeviceProfile& profile,
     const common::SimDate device_clock =
         cloud.current_date().plus_days(clock_skew_days);
     for (std::size_t d = 0; d < profile.destinations.size(); ++d) {
-      const std::size_t before = records.size();
-      (void)runtime.connect_to(profile.destinations[d], device_clock);
-      std::vector<net::HandshakeRecord> captured(
-          records.begin() + static_cast<std::ptrdiff_t>(before),
-          records.end());
+      const devices::DestinationSpec& dest = profile.destinations[d];
+      tls::ServerConfig server = cloud.server_config(dest.hostname);
+      ReplayInputs inputs{
+          profile.config_at(dest.instance_id, device_clock.to_month()),
+          runtime.validation_disabled(),
+          std::move(server.versions),
+          std::move(server.cipher_suites),
+          server.chain.front().tbs.validity.position(device_clock),
+          root_validity.position(device_clock)};
+      std::vector<net::HandshakeRecord> captured;
+      if (memo[d].has_value() && memo[d]->inputs == inputs) {
+        runtime.note_repeated_success();
+        captured = memo[d]->records;
+      } else {
+        const std::size_t before = records.size();
+        const ConnectionOutcome outcome =
+            runtime.connect_to(dest, device_clock);
+        ++connections;
+        captured.assign(records.begin() + static_cast<std::ptrdiff_t>(before),
+                        records.end());
+        // A failed first attempt moves the failure streak (and may retry),
+        // so it is never memoised: the next month connects again.
+        if (outcome.result.success()) {
+          memo[d] = ReplayMemo{std::move(inputs), captured};
+        } else {
+          memo[d].reset();
+        }
+      }
       for (auto& record : captured) record.month = months[m];
       visit(m, d, std::move(captured));
     }
   }
+  return connections;
 }
 
 }  // namespace iotls::testbed

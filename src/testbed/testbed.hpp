@@ -92,13 +92,22 @@ using ReplayVisitor =
 /// frozen epoch profile, a drifted clock). Builds a single-device sandbox
 /// — its own network, a cloud farm serving `profile`'s destinations and
 /// one runtime over `profile` — then, for each month, moves the farm to
-/// the 15th and connects once to each destination, in order, validating
+/// the 15th and visits each destination, in order, validating
 /// certificates against the farm date plus `clock_skew_days`. The runtime
 /// reads the sandbox's revocation list, which is empty: nothing in a
 /// sandbox revokes.
-void replay_months(const devices::DeviceProfile& profile,
-                   const pki::CaUniverse& universe, std::uint64_t seed,
-                   const std::vector<common::Month>& months,
-                   int clock_skew_days, const ReplayVisitor& visit);
+///
+/// Each distinct state is replayed once. A destination connects only when
+/// one of its inputs differs from the last month it connected: the client
+/// config, the runtime's validation_disabled(), the server's versions and
+/// suites, or where the device clock falls in the leaf's and the farm
+/// root's validity. Otherwise, if that month's first attempt succeeded,
+/// the month re-stamps its records and the runtime takes the state change
+/// of a success (note_repeated_success). Failed connections always run.
+/// Returns the number of connections actually run.
+std::size_t replay_months(const devices::DeviceProfile& profile,
+                          const pki::CaUniverse& universe, std::uint64_t seed,
+                          const std::vector<common::Month>& months,
+                          int clock_skew_days, const ReplayVisitor& visit);
 
 }  // namespace iotls::testbed

@@ -64,6 +64,8 @@ struct ClientConfig {
   /// directions, resumption, outcome.
   obs::Span* span = nullptr;
 
+  bool operator==(const ClientConfig&) const = default;
+
   [[nodiscard]] ProtocolVersion max_version() const;
   [[nodiscard]] bool supports(ProtocolVersion v) const;
 };

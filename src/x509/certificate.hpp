@@ -7,6 +7,7 @@
 // (DESIGN.md §6).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -24,8 +25,18 @@ struct Validity {
 
   bool operator==(const Validity&) const = default;
 
+  /// Where a date falls relative to the window. Validity checks depend on
+  /// this tristate alone, so anything memoised on a validity outcome keys
+  /// on it instead of the date.
+  enum class Position : std::uint8_t { Before, Inside, After };
+  [[nodiscard]] Position position(common::SimDate when) const {
+    if (when < not_before) return Position::Before;
+    if (when > not_after) return Position::After;
+    return Position::Inside;
+  }
+
   [[nodiscard]] bool contains(common::SimDate when) const {
-    return not_before <= when && when <= not_after;
+    return position(when) == Position::Inside;
   }
 };
 

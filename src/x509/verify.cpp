@@ -103,11 +103,13 @@ VerifyResult verify_resolved(const ResolvedChain& resolved,
 
   if (policy.check_validity) {
     for (std::size_t i = 0; i < certs.size(); ++i) {
-      if (now < certs[i].tbs.validity.not_before) {
-        return VerifyResult{VerifyError::NotYetValid, static_cast<int>(i)};
-      }
-      if (now > certs[i].tbs.validity.not_after) {
-        return VerifyResult{VerifyError::Expired, static_cast<int>(i)};
+      switch (certs[i].tbs.validity.position(now)) {
+        case Validity::Position::Before:
+          return VerifyResult{VerifyError::NotYetValid, static_cast<int>(i)};
+        case Validity::Position::After:
+          return VerifyResult{VerifyError::Expired, static_cast<int>(i)};
+        case Validity::Position::Inside:
+          break;
       }
     }
   }
@@ -154,7 +156,7 @@ VerifyResult verify_resolved(const ResolvedChain& resolved,
 // The full pipeline over a resolved chain is a pure function of: the
 // effective certificates, the issuer keys they verify under, the policy
 // knobs, the hostname, and — for validity — only *where* `now` sits
-// relative to each certificate's window (before / within / after). Keying
+// relative to each certificate's window (Validity::position). Keying
 // on that tristate instead of the raw date means a chain verified on many
 // simulated days hits the same entry while it stays inside (or outside)
 // its window, yet crossing not_before/not_after lands in a fresh slot —
@@ -190,14 +192,7 @@ crypto::DigestKey chain_cache_key(const ResolvedChain& resolved,
   w.u8(static_cast<std::uint8_t>(resolved.certs.size()));
   for (const Certificate& cert : resolved.certs) {
     w.vec(cert.serialize(), 3);
-    // Validity tristate: 0 = before the window, 1 = inside, 2 = after.
-    std::uint8_t tristate = 1;
-    if (now < cert.tbs.validity.not_before) {
-      tristate = 0;
-    } else if (now > cert.tbs.validity.not_after) {
-      tristate = 2;
-    }
-    w.u8(tristate);
+    w.u8(static_cast<std::uint8_t>(cert.tbs.validity.position(now)));
   }
   w.u8(static_cast<std::uint8_t>(resolved.issuer_keys.size()));
   for (const crypto::RsaPublicKey* key : resolved.issuer_keys) {

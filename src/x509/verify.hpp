@@ -56,6 +56,8 @@ struct VerifyPolicy {
   bool check_basic_constraints = true;
   bool check_validity = true;
 
+  bool operator==(const VerifyPolicy&) const = default;
+
   static VerifyPolicy strict() { return VerifyPolicy{}; }
   static VerifyPolicy none() { return VerifyPolicy{.validate = false}; }
   static VerifyPolicy no_hostname() {
