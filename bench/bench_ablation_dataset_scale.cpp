@@ -28,6 +28,18 @@ constexpr std::size_t kGenerateIters = 3;
 constexpr std::size_t kAnalyzeIters = 100;
 constexpr std::size_t kHandshakeIters = 500;
 
+/// tls/client_connect calls anywhere below a testbed/replay zone.
+std::uint64_t replay_connects(const obs::ProfileNode& node,
+                              bool in_replay = false) {
+  in_replay = in_replay || node.name == "testbed/replay";
+  std::uint64_t calls =
+      in_replay && node.name == "tls/client_connect" ? node.calls : 0;
+  for (const auto& [name, child] : node.children) {
+    calls += replay_connects(child, in_replay);
+  }
+  return calls;
+}
+
 /// The full study window at paper scale.
 testbed::GeneratorOptions generator() {
   testbed::GeneratorOptions gen;
@@ -51,9 +63,10 @@ int main(int argc, char** argv) {
   const obs::WallTimer total;
 
   std::vector<bench::Measurement> results;
-  const auto record = [&](const std::string& name, double value) {
-    results.push_back({name, value, "ms/op"});
-    std::printf("%-34s %12.3f ms/op\n", name.c_str(), value);
+  const auto record = [&](const std::string& name, double value,
+                          const std::string& unit = "ms/op") {
+    results.push_back({name, value, unit});
+    std::printf("%-34s %12.3f %s\n", name.c_str(), value, unit.c_str());
   };
 
   std::printf("==== bench_ablation_dataset_scale ====\n");
@@ -70,7 +83,19 @@ int main(int argc, char** argv) {
            }));
   }
 
+  // The exact work behind the full window: handshakes the replay actually
+  // runs (every other destination-month re-stamps its last records), in
+  // iotls-bench-track's gated work-count unit. A difference of snapshots,
+  // so an IOTLS_PROFILE run keeps its whole tree.
+  obs::set_profile_enabled(true);
+  const std::uint64_t connects_before =
+      replay_connects(obs::profile_snapshot().root);
   const auto dataset = testbed::generate_passive_dataset(generator());
+  record("replay_client_connect/27",
+         static_cast<double>(replay_connects(obs::profile_snapshot().root) -
+                             connects_before),
+         "calls");
+  obs::set_profile_enabled(profiling);
   const auto months = analysis::study_months();
   record("BM_FoldDataset", time_ms(kAnalyzeIters, [&](std::size_t) {
            volatile std::uint64_t sink =

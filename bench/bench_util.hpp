@@ -72,6 +72,30 @@ inline void print_observability(const core::IotlsStudy& study) {
   print_profile();
 }
 
+/// Mean wall time, in ms, of a fixed 64-bit multiply chain: xorshift steps
+/// folded through 64x64→128-bit products, the shape of the bignum kernels'
+/// inner loops. No repository code runs inside it, so a ratio over it
+/// compares the code under test with the host alone — a gated ratio that
+/// only the code under test can move.
+inline double reference_chain_ms(std::size_t iters) {
+  constexpr std::uint32_t kSteps = 1'000'000;
+  return time_ms(iters, [](std::size_t i) {
+    std::uint64_t x = i + 1;
+    std::uint64_t acc = 0;
+    for (std::uint32_t step = 0; step < kSteps; ++step) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const unsigned __int128 product =
+          static_cast<unsigned __int128>(x) * (acc | 1);
+      acc = static_cast<std::uint64_t>(product >> 64) ^
+            static_cast<std::uint64_t>(product);
+    }
+    volatile std::uint64_t sink = acc;
+    (void)sink;
+  });
+}
+
 /// One timed streaming pass, reported as derived rates. Used by the
 /// store lane (write/read throughput) and any future bulk-I/O benches.
 struct Throughput {

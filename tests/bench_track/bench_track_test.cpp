@@ -33,6 +33,7 @@ TEST(BenchTrack, UnitMapsToRegressionDirection) {
   EXPECT_EQ(direction_for_unit("records/s"), Direction::HigherBetter);
   EXPECT_EQ(direction_for_unit("MiB/s"), Direction::HigherBetter);
   EXPECT_EQ(direction_for_unit("bool"), Direction::BoolGate);
+  EXPECT_EQ(direction_for_unit("calls"), Direction::LowerBetter);
   EXPECT_EQ(direction_for_unit("count"), Direction::Info);
   EXPECT_EQ(direction_for_unit("bytes"), Direction::Info);
   EXPECT_EQ(direction_for_unit("fraction"), Direction::Info);
@@ -41,6 +42,8 @@ TEST(BenchTrack, UnitMapsToRegressionDirection) {
   EXPECT_TRUE(unit_is_relative("x"));
   EXPECT_TRUE(unit_is_relative("x_vs_tsv"));
   EXPECT_TRUE(unit_is_relative("bool"));
+  EXPECT_TRUE(unit_is_relative("calls"));
+  EXPECT_FALSE(unit_is_relative("count"));
   EXPECT_FALSE(unit_is_relative("ms"));
   EXPECT_FALSE(unit_is_relative("records/s"));
 }
@@ -152,6 +155,27 @@ TEST(BenchTrack, RelativeOnlyDemotesMachineDependentUnits) {
   EXPECT_FALSE(delta_named(deltas, "op_ms").regression);
   EXPECT_TRUE(delta_named(deltas, "crt_speedup").regression);
   EXPECT_FALSE(delta_named(deltas, "parity").regression);
+}
+
+TEST(BenchTrack, WorkCountsGateUnderRelativeOnly) {
+  const CompareOptions options{1.0, /*relative_only=*/true};
+  const auto with_calls = [](const std::string& label, double calls) {
+    TrajectoryEntry entry;
+    entry.label = label;
+    entry.lanes.push_back(
+        Lane{"ablation", 1, 1.0, {{"connects", calls, "calls"}}});
+    return entry;
+  };
+  // Fewer calls is an improvement; 2% more regresses past a 1% gate, and
+  // the count stays gated where absolute times are demoted.
+  const auto fewer = iotls::bench_track::compare(
+      with_calls("prev", 4759.0), with_calls("cur", 236.0), options);
+  EXPECT_TRUE(delta_named(fewer, "connects").gated);
+  EXPECT_FALSE(delta_named(fewer, "connects").regression);
+  EXPECT_GT(delta_named(fewer, "connects").change_pct, 90.0);
+  const auto more = iotls::bench_track::compare(
+      with_calls("prev", 100.0), with_calls("cur", 102.0), options);
+  EXPECT_TRUE(delta_named(more, "connects").regression);
 }
 
 TEST(BenchTrack, FreshMetricsNeverRegress) {

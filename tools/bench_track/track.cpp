@@ -61,7 +61,9 @@ void render_lane(const Lane& lane, std::string* out) {
 
 Direction direction_for_unit(const std::string& unit) {
   if (unit == "bool") return Direction::BoolGate;
-  if (unit.rfind("ms", 0) == 0) return Direction::LowerBetter;
+  if (unit.rfind("ms", 0) == 0 || unit == kWorkUnit) {
+    return Direction::LowerBetter;
+  }
   if (unit == "x" || unit.rfind("x_", 0) == 0) return Direction::HigherBetter;
   if (unit.size() >= 2 && unit.compare(unit.size() - 2, 2, "/s") == 0) {
     return Direction::HigherBetter;
@@ -70,7 +72,8 @@ Direction direction_for_unit(const std::string& unit) {
 }
 
 bool unit_is_relative(const std::string& unit) {
-  return unit == "bool" || unit == "x" || unit.rfind("x_", 0) == 0;
+  return unit == "bool" || unit == kWorkUnit || unit == "x" ||
+         unit.rfind("x_", 0) == 0;
 }
 
 Lane parse_bench_json(const std::string& text) {

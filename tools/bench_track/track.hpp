@@ -49,16 +49,21 @@ struct TrajectoryEntry {
 
 /// How a metric's unit maps onto the regression gate.
 enum class Direction {
-  LowerBetter,   // ms and friends: growth is a regression
+  LowerBetter,   // ms, work counts: growth is a regression
   HigherBetter,  // throughput and speedup ratios: shrinkage is a regression
   BoolGate,      // parity flags: any drop below 1 is a regression
-  Info,          // counts, sizes, fractions: tracked, never gated
+  Info,          // other counts, sizes, fractions: tracked, never gated
 };
+
+/// The unit of exact work counts: calls of a profiled zone (modexps,
+/// handshakes) over a fixed input. They are deterministic, so unlike other
+/// counts they gate, lower being better.
+inline constexpr const char* kWorkUnit = "calls";
 
 Direction direction_for_unit(const std::string& unit);
 
-/// Machine-independent units (speedups, parity bools) — the only ones
-/// gated under relative_only.
+/// Machine-independent units (speedups, parity bools, work counts) — the
+/// only ones gated under relative_only.
 bool unit_is_relative(const std::string& unit);
 
 /// Parse one BENCH_*.json document (throws common::JsonError on malformed
