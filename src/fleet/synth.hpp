@@ -10,8 +10,8 @@
 // sandbox replays, each of which runs a destination's handshake only when
 // its inputs change (testbed::replay_months) — and per-instance synthesis
 // reduces to stamping those template records with the instance's
-// identity, months, and sampled connection counts. Peak RSS is one template bank plus one shard writer
-// per worker, at any fleet size.
+// identity, months, and sampled connection counts. Peak RSS is one
+// template bank plus one shard writer per worker, at any fleet size.
 #pragma once
 
 #include <array>

@@ -101,9 +101,10 @@ using ReplayVisitor =
 /// one of its inputs differs from the last month it connected: the client
 /// config, the runtime's validation_disabled(), the server's versions and
 /// suites, or where the device clock falls in the leaf's and the farm
-/// root's validity. Otherwise, if that month's first attempt succeeded,
-/// the month re-stamps its records and the runtime takes the state change
-/// of a success (note_repeated_success). Failed connections always run.
+/// root's validity. Otherwise, if that connection's first attempt
+/// succeeded, the month re-stamps its records and the runtime takes the
+/// state change of a success (note_repeated_success). Failed connections
+/// always run.
 /// Returns the number of connections actually run.
 std::size_t replay_months(const devices::DeviceProfile& profile,
                           const pki::CaUniverse& universe, std::uint64_t seed,

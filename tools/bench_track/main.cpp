@@ -11,7 +11,8 @@
 // unreadable input), 2 usage error.
 //
 // --relative-only gates only machine-independent units (speedup ratios,
-// parity bools) — the CI mode, where absolute ms vary by runner.
+// parity bools, work counts) — the CI mode, where absolute ms vary by
+// runner.
 // --dry-run compares without appending.
 //
 // The entry label comes from --label, else GITHUB_SHA, else "local" — the

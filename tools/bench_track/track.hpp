@@ -10,7 +10,7 @@
 //
 // CI machines vary, so absolute time/throughput units can be demoted to
 // informational with relative_only: only machine-independent units
-// (speedup ratios and parity booleans) fail the build.
+// (speedup ratios, parity booleans and exact work counts) fail the build.
 #pragma once
 
 #include <cstdint>
