@@ -297,17 +297,14 @@ obs::ProfileSnapshot profiled_study(std::size_t threads) {
 }
 
 /// The zones whose calls the work budget pins.
-const std::vector<std::string>& budgeted_zones() {
-  static const std::vector<std::string> zones = {
-      "crypto/modexp", "crypto/rsa_private_op", "tls/client_connect",
-      "pki/issue", "mitm/forge"};
-  return zones;
-}
+const std::vector<std::string> kBudgetedZones = {
+    "crypto/modexp", "crypto/rsa_private_op", "tls/client_connect",
+    "pki/issue", "mitm/forge"};
 
 /// Calls of each budgeted zone in `node`'s subtree.
 std::vector<std::uint64_t> budgeted_calls(const obs::ProfileNode& node) {
   std::vector<std::uint64_t> calls;
-  for (const std::string& zone : budgeted_zones()) {
+  for (const std::string& zone : kBudgetedZones) {
     calls.push_back(zone_calls(node, zone));
   }
   return calls;
@@ -318,20 +315,17 @@ std::vector<std::uint64_t> budgeted_calls(const obs::ProfileNode& node) {
 /// at N threads two workers can miss the same memo key). A change that
 /// lowers a count updates these numbers and says so in CHANGES.md; a change
 /// that raises one must justify the increase there.
-const std::map<std::string, std::vector<std::uint64_t>>& work_budget() {
-  static const std::map<std::string, std::vector<std::uint64_t>> budget = {
-      {"<total>", {32736, 8383, 6296, 1270, 5731}},
-      {"study/downgrade", {1106, 454, 361, 185, 393}},
-      {"study/fingerprint", {1126, 306, 153, 153, 0}},
-      {"study/interception", {6172, 2090, 1932, 185, 1964}},
-      {"study/library-probe-matrix", {242, 17, 12, 0, 1}},
-      {"study/old-version", {1338, 437, 296, 185, 32}},
-      {"study/passive-dataset", {1599, 421, 236, 185, 0}},
-      {"study/passive-fold", {0, 0, 0, 0, 0}},
-      {"study/root-store-exploration", {13097, 4501, 3306, 221, 3340}},
-  };
-  return budget;
-}
+const std::map<std::string, std::vector<std::uint64_t>> kWorkBudget = {
+    {"<total>", {32736, 8383, 6296, 1270, 5731}},
+    {"study/downgrade", {1106, 454, 361, 185, 393}},
+    {"study/fingerprint", {1126, 306, 153, 153, 0}},
+    {"study/interception", {6172, 2090, 1932, 185, 1964}},
+    {"study/library-probe-matrix", {242, 17, 12, 0, 1}},
+    {"study/old-version", {1338, 437, 296, 185, 32}},
+    {"study/passive-dataset", {1599, 421, 236, 185, 0}},
+    {"study/passive-fold", {0, 0, 0, 0, 0}},
+    {"study/root-store-exploration", {13097, 4501, 3306, 221, 3340}},
+};
 
 /// How far each budgeted zone's total may exceed the budget per worker
 /// beyond the first. Workers that miss the same memo key at once all
@@ -367,13 +361,13 @@ TEST(Study, EveryExponentiationIsCreditedToALayer) {
 
   // The same work as at one thread, plus at most the memo-race excess.
   const std::uint64_t extra_workers = common::resolve_threads(0) - 1;
-  const std::vector<std::uint64_t> serial = work_budget().at("<total>");
+  const std::vector<std::uint64_t>& serial = kWorkBudget.at("<total>");
   const std::vector<std::uint64_t> parallel = budgeted_calls(snapshot.root);
-  for (std::size_t i = 0; i < budgeted_zones().size(); ++i) {
-    EXPECT_LE(serial[i], parallel[i]) << budgeted_zones()[i];
+  for (std::size_t i = 0; i < kBudgetedZones.size(); ++i) {
+    EXPECT_LE(serial[i], parallel[i]) << kBudgetedZones[i];
     EXPECT_LE(parallel[i],
               serial[i] + extra_workers * kExcessPerExtraWorker[i])
-        << budgeted_zones()[i];
+        << kBudgetedZones[i];
   }
 }
 
@@ -388,15 +382,14 @@ TEST(Study, WorkBudgetAtOneThread) {
   for (const auto& [name, child] : snapshot.root.children) {
     if (name.starts_with("study/")) actual[name] = budgeted_calls(child);
   }
-  const auto& budget = work_budget();
-  const auto& zones = budgeted_zones();
   for (const auto& [name, calls] : actual) {
-    for (std::size_t i = 0; i < zones.size(); ++i) {
-      EXPECT_EQ(budget.count(name) ? budget.at(name)[i] : 0, calls[i])
-          << zones[i] << " in " << name;
+    for (std::size_t i = 0; i < kBudgetedZones.size(); ++i) {
+      EXPECT_EQ(kWorkBudget.count(name) ? kWorkBudget.at(name)[i] : 0,
+                calls[i])
+          << kBudgetedZones[i] << " in " << name;
     }
   }
-  EXPECT_EQ(actual.size(), budget.size());
+  EXPECT_EQ(actual.size(), kWorkBudget.size());
 }
 
 TEST(Study, Table1CountsCategories) {

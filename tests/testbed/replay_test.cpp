@@ -4,6 +4,8 @@
 // the same order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
