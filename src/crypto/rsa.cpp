@@ -1,6 +1,8 @@
 #include "crypto/rsa.hpp"
 
 #include <array>
+#include <exception>
+#include <future>
 #include <mutex>
 #include <unordered_map>
 
@@ -105,7 +107,10 @@ RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {
 // the generator to the memoised post-generation state — downstream draws
 // (a CA's serial prefix, a server's next key) are byte-identical either
 // way. Sharded + mutex-guarded: the CA universe and sandboxes generate
-// concurrently.
+// concurrently. Single-flight: the first miss publishes a pending entry,
+// and every caller that finds it waits for that one generation instead of
+// running its own, so each key is computed once however many workers ask
+// for it at the same moment.
 
 struct KeypairKey {
   common::Rng::State state;
@@ -132,7 +137,10 @@ struct KeypairEntry {
 
 struct KeypairShard {
   std::mutex mutex;
-  std::unordered_map<KeypairKey, KeypairEntry, KeypairKeyHash> map;
+  /// Ready once the generating caller has set it; copies wait on it.
+  std::unordered_map<KeypairKey, std::shared_future<KeypairEntry>,
+                     KeypairKeyHash>
+      map;
 };
 
 constexpr std::size_t kKeypairShards = 16;
@@ -165,23 +173,37 @@ RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
   static CacheCounters counters("keypair");
   const KeypairKey key{rng.state(), bits};
   KeypairShard& shard = keypair_shard(key);
+  std::promise<KeypairEntry> promise;
+  std::shared_future<KeypairEntry> pending;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      rng.set_state(it->second.post_state);
-      counters.count(true);
-      return it->second.pair;
+      pending = it->second;
+    } else {
+      if (shard.map.size() >= kKeypairMaxPerShard) shard.map.clear();
+      shard.map.emplace(key, promise.get_future().share());
     }
   }
-  counters.count(false);
-  RsaKeyPair pair = rsa_generate_impl(rng, bits);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.size() >= kKeypairMaxPerShard) shard.map.clear();
-    shard.map.emplace(key, KeypairEntry{pair, rng.state()});
+  if (pending.valid()) {
+    // A hit, or another caller's generation still in flight.
+    const KeypairEntry& entry = pending.get();
+    rng.set_state(entry.post_state);
+    counters.count(true);
+    return entry.pair;
   }
-  return pair;
+  counters.count(false);
+  try {
+    RsaKeyPair pair = rsa_generate_impl(rng, bits);
+    promise.set_value(KeypairEntry{pair, rng.state()});
+    return pair;
+  } catch (...) {
+    // Waiters rethrow; later callers generate afresh.
+    promise.set_exception(std::current_exception());
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.map.erase(key);
+    throw;
+  }
 }
 
 BigUint rsa_private_op(const RsaPrivateKey& key, const BigUint& c) {

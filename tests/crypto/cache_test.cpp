@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -197,6 +198,45 @@ TEST_F(CryptoCacheTest, ConcurrentHammeringIsSafeAndConsistent) {
   }
   for (auto& th : threads) th.join();
   for (const bool t_ok : ok) EXPECT_TRUE(t_ok);
+}
+
+TEST_F(CryptoCacheTest, ConcurrentKeygenMissesShareOneGeneration) {
+  // Workers that ask for the same key at once, from one cold generator
+  // state, wait for a single generation instead of each running their own:
+  // one keypair miss, and every caller gets the same pair and post-state.
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& misses = obs::MetricsRegistry::global().counter(
+      "iotls_crypto_cache_misses_total", "Crypto memoisation misses by cache",
+      "cache", "keypair");
+  const std::uint64_t misses_before = misses.value();
+
+  constexpr std::size_t kWorkers = 8;
+  std::latch start(kWorkers);
+  std::array<RsaKeyPair, kWorkers> pairs;
+  std::array<std::uint64_t, kWorkers> next_draws{};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&, t] {
+      common::Rng rng(31337);
+      start.arrive_and_wait();
+      pairs[t] = rsa_generate(rng, 512);
+      next_draws[t] = rng.next_u64();
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  const std::uint64_t generations = misses.value() - misses_before;
+  obs::set_metrics_enabled(metrics_were_enabled);
+
+  EXPECT_EQ(generations, 1u);
+  set_crypto_cache_enabled(false);
+  common::Rng plain_rng(31337);
+  const RsaKeyPair plain = rsa_generate(plain_rng, 512);
+  const std::uint64_t plain_next = plain_rng.next_u64();
+  for (std::size_t t = 0; t < kWorkers; ++t) {
+    EXPECT_EQ(pairs[t].priv, plain.priv) << "worker " << t;
+    EXPECT_EQ(next_draws[t], plain_next) << "worker " << t;
+  }
 }
 
 TEST_F(CryptoCacheTest, HandshakeSigningBypassesCertSignMemo) {
