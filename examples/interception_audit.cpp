@@ -11,7 +11,6 @@
 
 int main(int argc, char** argv) {
   using namespace iotls;
-  testbed::Testbed tb;
 
   if (argc > 1) {
     // Audit a single device in detail.
@@ -20,6 +19,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown device: %s\n", device.c_str());
       return 1;
     }
+    testbed::Testbed tb;
     tb.set_date({2021, 3, 15});
     mitm::Interceptor interceptor(tb.universe(), tb.cloud());
     for (const auto attack : mitm::all_attacks()) {
@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto report = mitm::run_interception_experiments(tb);
+  // Every device runs in its own sandbox built from the default recipe.
+  const auto report =
+      mitm::run_interception_experiments(testbed::Testbed::Options{});
   common::TextTable table({"Device", "NoValidation", "InvalidBC",
                            "WrongHostname", "Vuln/Total", "Leaked secret"});
   for (const auto& row : report.rows) {

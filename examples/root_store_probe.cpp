@@ -26,22 +26,23 @@ int main(int argc, char** argv) {
     std::printf("NOT amenable (its TLS stack does not distinguish "
                 "unknown-CA from bad-signature via alerts).\n");
     std::printf("amenable devices:");
-    for (const auto& name : prober.amenable_devices()) {
-      std::printf(" [%s]", name.c_str());
+    for (const auto& name : probe::eligible_devices()) {
+      if (prober.device_amenable(name)) std::printf(" [%s]", name.c_str());
     }
     std::printf("\n");
     return 0;
   }
   std::printf("amenable.\n\n");
 
+  // Empty masks: every candidate is probed.
   const auto common_result =
-      prober.explore(device, universe.common_ca_names());
+      prober.explore(device, universe.common_ca_names(), {});
   std::printf("common set:     %d/%d present (%.0f%%)\n",
               common_result.present, common_result.checked,
               common_result.fraction() * 100);
 
   const auto deprecated_result =
-      prober.explore(device, universe.deprecated_ca_names());
+      prober.explore(device, universe.deprecated_ca_names(), {});
   std::printf("deprecated set: %d/%d present (%.0f%%)\n\n",
               deprecated_result.present, deprecated_result.checked,
               deprecated_result.fraction() * 100);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/pool.hpp"
+#include "devices/catalog.hpp"
 
 namespace iotls::analysis {
 
@@ -26,11 +26,10 @@ int FingerprintStudy::sharing_devices() const {
   return count;
 }
 
-FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
-                                       std::size_t threads) {
+FingerprintStudy run_fingerprint_study(
+    const testbed::Testbed::Options& recipe, std::size_t threads) {
   FingerprintStudy study;
   const common::SimDate snapshot{2021, 3, 25};
-  testbed.set_date(snapshot);
 
   // One clean sandboxed boot per device; the per-device fingerprint tallies
   // are independent, so they fan out and merge in sorted device order.
@@ -40,10 +39,11 @@ FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
     std::string dominant_hash;
   };
 
-  const auto names = testbed.device_names();
-  const auto per_device = common::parallel_map(
-      threads, names, [&](const std::string& name) {
-        testbed::Testbed sandbox(testbed.sandbox_options(name));
+  auto names = devices::active_device_names();
+  std::sort(names.begin(), names.end());
+  const auto per_device = testbed::sandbox_map(
+      recipe, names, threads,
+      [&](testbed::Testbed& sandbox, const std::string& name) {
         sandbox.set_date(snapshot);
         auto& runtime = sandbox.runtime(name);
         runtime.reset_failure_state();

@@ -26,10 +26,12 @@ struct FingerprintStudy {
   [[nodiscard]] int sharing_devices() const;          // paper: 19
 };
 
-/// `threads` fans the per-device boots out over a worker pool (0 =
-/// hardware concurrency, 1 = serial); the study is identical either way.
-FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
-                                       std::size_t threads = 0);
+/// One boot per active device, each in its own sandbox built from
+/// `recipe` (testbed::sandbox_map; the boots' spans go to `recipe.trace`).
+/// `threads` fans the boots out over a worker pool (0 = hardware
+/// concurrency, 1 = serial); the study is identical either way.
+FingerprintStudy run_fingerprint_study(
+    const testbed::Testbed::Options& recipe, std::size_t threads = 0);
 
 /// Text rendering of the sharing graph (cluster list + edges).
 std::string render_sharing_graph(const FingerprintStudy& study);

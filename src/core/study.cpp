@@ -5,7 +5,6 @@
 #include <ctime>
 
 #include "common/pool.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "devices/catalog.hpp"
@@ -76,13 +75,11 @@ std::vector<ExperimentTiming> IotlsStudy::timings() const {
 IotlsStudy::IotlsStudy(Options options)
     : options_(options), trace_log_(options.trace_level) {
   obs::set_metrics_enabled(options_.metrics_enabled);
-  testbed::Testbed::Options tb;
-  tb.seed = options_.seed;
-  tb.universe = options_.universe;
-  tb.trace = &trace_log_;
-  testbed_ = std::make_unique<testbed::Testbed>(tb);
-  prober_ = std::make_unique<probe::RootStoreProber>(*testbed_,
-                                                     options_.seed ^ 0xF00D);
+  recipe_.seed = options_.seed;
+  recipe_.universe = options_.universe != nullptr
+                         ? options_.universe
+                         : &pki::CaUniverse::standard();
+  recipe_.trace = &trace_log_;
 }
 
 const testbed::PassiveDataset& IotlsStudy::passive_dataset() {
@@ -136,7 +133,7 @@ const std::vector<LibraryProbeRow>& IotlsStudy::library_probe_rows() {
 const mitm::DowngradeReport& IotlsStudy::downgrade_report() {
   if (!downgrade_) {
     downgrade_ = timed("downgrade", devices::active_devices().size(), [&] {
-      return mitm::run_downgrade_experiments(*testbed_, options_.threads);
+      return mitm::run_downgrade_experiments(recipe_, options_.threads);
     });
   }
   return *downgrade_;
@@ -146,7 +143,7 @@ const mitm::OldVersionReport& IotlsStudy::old_version_report() {
   if (!old_versions_) {
     old_versions_ =
         timed("old-version", devices::active_devices().size(), [&] {
-          return mitm::run_old_version_experiments(*testbed_,
+          return mitm::run_old_version_experiments(recipe_,
                                                    options_.threads);
         });
   }
@@ -157,7 +154,7 @@ const mitm::InterceptionReport& IotlsStudy::interception_report() {
   if (!interception_) {
     interception_ =
         timed("interception", devices::active_devices().size(), [&] {
-          return mitm::run_interception_experiments(*testbed_, 4,
+          return mitm::run_interception_experiments(recipe_, 4,
                                                     options_.threads);
         });
   }
@@ -171,93 +168,13 @@ const analysis::RevocationSummary& IotlsStudy::revocation_summary() {
   return *revocation_;
 }
 
-const std::map<std::string, IotlsStudy::RootStoreExploration>&
+const std::map<std::string, probe::RootStoreExploration>&
 IotlsStudy::root_store_results() {
   if (!root_stores_) {
-    // Three stages. (1) Amenability fans out per eligible device — each
-    // task probes inside its own sandbox testbed, so ordering cannot leak
-    // between devices. (2) Inconclusive-probe draws are made serially, on
-    // the coordinating thread, from the exact RNG stream the serial prober
-    // consumes (amenable-device order, common set then deprecated set).
-    // (3) The explorations themselves fan out with the pre-drawn masks.
-    const auto& universe = testbed_->universe();
-    const auto common_names = universe.common_ca_names();
-    const auto deprecated_names = universe.deprecated_ca_names();
-
-    const auto eligible = prober_->eligible_devices();
-    const std::size_t amenability_tasks = eligible.size();
-
     root_stores_ = timed(
-        "root-store-exploration", amenability_tasks, [&] {
-          // Each task traces into a local log; the merge below happens
-          // serially, in eligible-device order, so the study trace is
-          // byte-identical at any thread count.
-          auto amenable_mask = common::parallel_map(
-              options_.threads, eligible, [&](const std::string& device) {
-                testbed::Testbed sandbox(testbed_->sandbox_options(device));
-                obs::TraceLog local(trace_log_.level());
-                sandbox.set_trace(&local);
-                probe::RootStoreProber prober(sandbox,
-                                              options_.seed ^ 0xF00D);
-                const bool amenable = prober.device_amenable(device);
-                return std::make_pair(amenable, std::move(local));
-              });
-          std::vector<std::string> amenable;
-          for (std::size_t i = 0; i < eligible.size(); ++i) {
-            if (amenable_mask[i].first) amenable.push_back(eligible[i]);
-          }
-          for (auto& [flag, local] : amenable_mask) {
-            trace_log_.merge(std::move(local));
-          }
-
-          // Mask pre-draw: replicates RootStoreProber's private stream so
-          // results are bit-identical to the serial-prober seed behaviour.
-          common::Rng mask_rng = common::Rng::derive(
-              options_.seed ^ 0xF00D, "root-store-prober");
-          struct DeviceMasks {
-            std::vector<bool> common;
-            std::vector<bool> deprecated;
-          };
-          std::vector<DeviceMasks> masks(amenable.size());
-          for (std::size_t i = 0; i < amenable.size(); ++i) {
-            const auto* profile = devices::find_device(amenable[i]);
-            masks[i].common.resize(common_names.size());
-            for (std::size_t c = 0; c < common_names.size(); ++c) {
-              masks[i].common[c] =
-                  mask_rng.chance(profile->root_store.inconclusive_common);
-            }
-            masks[i].deprecated.resize(deprecated_names.size());
-            for (std::size_t c = 0; c < deprecated_names.size(); ++c) {
-              masks[i].deprecated[c] = mask_rng.chance(
-                  profile->root_store.inconclusive_deprecated);
-            }
-          }
-
-          std::vector<std::size_t> indices(amenable.size());
-          for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-          auto explorations = common::parallel_map(
-              options_.threads, indices, [&](std::size_t i) {
-                const auto& device = amenable[i];
-                testbed::Testbed sandbox(testbed_->sandbox_options(device));
-                obs::TraceLog local(trace_log_.level());
-                sandbox.set_trace(&local);
-                probe::RootStoreProber prober(sandbox,
-                                              options_.seed ^ 0xF00D);
-                RootStoreExploration exploration;
-                exploration.common =
-                    prober.explore(device, common_names, masks[i].common);
-                exploration.deprecated = prober.explore(
-                    device, deprecated_names, masks[i].deprecated);
-                return std::make_pair(std::move(exploration),
-                                      std::move(local));
-              });
-
-          std::map<std::string, RootStoreExploration> results;
-          for (std::size_t i = 0; i < amenable.size(); ++i) {
-            results.emplace(amenable[i], std::move(explorations[i].first));
-            trace_log_.merge(std::move(explorations[i].second));
-          }
-          return results;
+        "root-store-exploration", probe::eligible_devices().size(), [&] {
+          return probe::explore_root_stores(recipe_, options_.seed ^ 0xF00D,
+                                            options_.threads);
         });
   }
   return *root_stores_;
@@ -269,8 +186,7 @@ const analysis::StalenessReport& IotlsStudy::staleness() {
     for (const auto& [device, exploration] : root_store_results()) {
       deprecated_only.emplace(device, exploration.deprecated);
     }
-    staleness_ =
-        analysis::staleness_report(testbed_->universe(), deprecated_only);
+    staleness_ = analysis::staleness_report(universe(), deprecated_only);
   }
   return *staleness_;
 }
@@ -278,9 +194,8 @@ const analysis::StalenessReport& IotlsStudy::staleness() {
 const analysis::FingerprintStudy& IotlsStudy::fingerprint_study() {
   if (!fingerprints_) {
     fingerprints_ =
-        timed("fingerprint", testbed_->device_names().size(), [&] {
-          return analysis::run_fingerprint_study(*testbed_,
-                                                 options_.threads);
+        timed("fingerprint", devices::active_devices().size(), [&] {
+          return analysis::run_fingerprint_study(recipe_, options_.threads);
         });
   }
   return *fingerprints_;
@@ -313,7 +228,7 @@ std::string IotlsStudy::render_table2() const {
 std::string IotlsStudy::render_table3() const {
   common::TextTable table(
       {"Platform", "Total versions", "Earliest year", "Comments"});
-  for (const auto& h : testbed_->universe().histories()) {
+  for (const auto& h : universe().histories()) {
     table.add_row({h.platform, std::to_string(h.versions.size()),
                    std::to_string(h.earliest().year), h.source_comment});
   }
@@ -381,22 +296,21 @@ std::string IotlsStudy::render_table8() {
 }
 
 std::string IotlsStudy::render_table9() {
-  const auto& universe = testbed_->universe();
   common::TextTable table({"Device",
                            "Common certs (total = " +
                                std::to_string(
-                                   universe.common_ca_names().size()) +
+                                   universe().common_ca_names().size()) +
                                ")",
                            "Deprecated certs (total = " +
                                std::to_string(
-                                   universe.deprecated_ca_names().size()) +
+                                   universe().deprecated_ca_names().size()) +
                                ")"});
   auto cell = [](const probe::ExplorationResult& r) {
     return common::percent(r.fraction()) + " (" + std::to_string(r.present) +
            "/" + std::to_string(r.checked) + ")";
   };
   // Paper row order: ascending deprecated fraction.
-  std::vector<const std::pair<const std::string, RootStoreExploration>*>
+  std::vector<const std::pair<const std::string, probe::RootStoreExploration>*>
       rows;
   for (const auto& kv : root_store_results()) rows.push_back(&kv);
   std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {

@@ -1,12 +1,12 @@
 // IotlsStudy — the top-level orchestrator and public entry point.
 //
-// One object owns the testbed and lazily runs each of the paper's
-// experiments; every table and figure has a structured accessor (for code)
+// One object lazily runs each of the paper's experiments, every one of
+// them in per-device sandboxes built from the study's seed and CA
+// universe; every table and figure has a structured accessor (for code)
 // and a `render_*` method (for humans / the bench binaries).
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,9 +73,8 @@ class IotlsStudy {
   IotlsStudy() : IotlsStudy(Options{}) {}
   explicit IotlsStudy(Options options);
 
-  [[nodiscard]] testbed::Testbed& testbed() { return *testbed_; }
   [[nodiscard]] const pki::CaUniverse& universe() const {
-    return testbed_->universe();
+    return *recipe_.universe;
   }
 
   // ---- datasets & experiment results (lazily computed, cached) ----
@@ -94,11 +93,8 @@ class IotlsStudy {
   const mitm::InterceptionReport& interception_report();          // Table 7
   const analysis::RevocationSummary& revocation_summary();        // Table 8
   /// device → (common-set result, deprecated-set result).
-  struct RootStoreExploration {
-    probe::ExplorationResult common;
-    probe::ExplorationResult deprecated;
-  };
-  const std::map<std::string, RootStoreExploration>& root_store_results();
+  const std::map<std::string, probe::RootStoreExploration>&
+  root_store_results();
   const analysis::StalenessReport& staleness();                   // Fig 4
   const analysis::FingerprintStudy& fingerprint_study();          // Fig 5
   const analysis::StudySummary& summary();
@@ -151,8 +147,9 @@ class IotlsStudy {
   /// Names of experiments run, in order — the keys timings() reads back
   /// from the iotls_experiment_* gauge families.
   std::vector<std::string> experiment_order_;
-  std::unique_ptr<testbed::Testbed> testbed_;
-  std::unique_ptr<probe::RootStoreProber> prober_;
+  /// What every experiment's sandboxes are built from: the study seed,
+  /// the resolved CA universe and the study trace log.
+  testbed::Testbed::Options recipe_;
 
   std::optional<testbed::PassiveDataset> passive_;
   std::optional<analysis::DatasetFold> passive_fold_;
@@ -161,7 +158,8 @@ class IotlsStudy {
   std::optional<mitm::OldVersionReport> old_versions_;
   std::optional<mitm::InterceptionReport> interception_;
   std::optional<analysis::RevocationSummary> revocation_;
-  std::optional<std::map<std::string, RootStoreExploration>> root_stores_;
+  std::optional<std::map<std::string, probe::RootStoreExploration>>
+      root_stores_;
   std::optional<analysis::StalenessReport> staleness_;
   std::optional<analysis::FingerprintStudy> fingerprints_;
   std::optional<analysis::StudySummary> summary_;

@@ -132,6 +132,12 @@ std::vector<const DeviceProfile*> active_devices() {
   return out;
 }
 
+std::vector<std::string> active_device_names() {
+  std::vector<std::string> out;
+  for (const auto* profile : active_devices()) out.push_back(profile->name);
+  return out;
+}
+
 std::vector<const DeviceProfile*> passive_devices() {
   std::vector<const DeviceProfile*> out;
   for (const auto& d : device_catalog()) out.push_back(&d);

@@ -9,6 +9,7 @@
 //   Fig 5    — shared TLS instances within and across vendors
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "devices/profile.hpp"
@@ -20,6 +21,9 @@ const std::vector<DeviceProfile>& device_catalog();
 
 /// The 32 devices used in active experiments.
 std::vector<const DeviceProfile*> active_devices();
+
+/// Their names, in catalog order.
+std::vector<std::string> active_device_names();
 
 /// The passive-experiment devices (all 40).
 std::vector<const DeviceProfile*> passive_devices();

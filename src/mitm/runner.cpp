@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/pool.hpp"
-
 namespace iotls::mitm {
 
 namespace {
@@ -43,44 +41,6 @@ bool sigalgs_weaker(const tls::ClientHello& original,
   return !has_sha1_only(orig) && has_sha1_only(now);
 }
 
-/// One device's isolated experiment environment: an own network, runtime
-/// and interceptor over the parent testbed's (const) CA universe and
-/// revocation list. Every per-device task builds one, so a fan-out shares
-/// no mutable state and its results are independent of scheduling order.
-///
-/// Tracing follows the same pattern: the lab records into its own local
-/// TraceLog (at the parent's level) and the coordinator merges the labs'
-/// logs back into the parent in catalog order — traces stay byte-identical
-/// at any thread count.
-struct DeviceLab {
-  testbed::Testbed bed;
-  Interceptor interceptor;
-  obs::TraceLog trace;
-
-  DeviceLab(const testbed::Testbed& parent,
-            const devices::DeviceProfile& profile)
-      : bed(parent.sandbox_options(profile.name)),
-        interceptor(bed.universe(), bed.cloud()),
-        trace(parent.trace() != nullptr ? parent.trace()->level()
-                                        : obs::TraceLevel::Off) {
-    if (trace.enabled()) bed.set_trace(&trace);
-    bed.set_date(kExperimentDate);
-  }
-
-  [[nodiscard]] testbed::DeviceRuntime& runtime(
-      const devices::DeviceProfile& profile) {
-    return bed.runtime(profile.name);
-  }
-};
-
-/// Serial catalog-order merge of per-lab trace logs into the parent.
-template <typename Item>
-void merge_lab_traces(testbed::Testbed& testbed, std::vector<Item>& items) {
-  obs::TraceLog* parent = testbed.trace();
-  if (parent == nullptr) return;
-  for (auto& item : items) parent->merge(std::move(item.second));
-}
-
 }  // namespace
 
 bool is_downgraded_hello(const tls::ClientHello& original,
@@ -94,33 +54,32 @@ bool is_downgraded_hello(const tls::ClientHello& original,
   return sigalgs_weaker(original, retry);
 }
 
-InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
-                                                int boots_per_attack,
-                                                std::size_t threads) {
-  testbed.set_date(kExperimentDate);
-  const auto profiles = devices::active_devices();
-
-  auto rows = common::parallel_map(
-      threads, profiles, [&](const devices::DeviceProfile* profile) {
-        DeviceLab lab(testbed, *profile);
-        auto& runtime = lab.runtime(*profile);
+InterceptionReport run_interception_experiments(
+    const testbed::Testbed::Options& recipe, int boots_per_attack,
+    std::size_t threads) {
+  const auto rows = testbed::sandbox_map(
+      recipe, devices::active_device_names(), threads,
+      [&](testbed::Testbed& bed, const std::string& device) {
+        bed.set_date(kExperimentDate);
+        Interceptor interceptor(bed.universe(), bed.cloud());
+        auto& runtime = bed.runtime(device);
         InterceptionRow row;
-        row.device = profile->name;
+        row.device = device;
         row.total_destinations =
-            static_cast<int>(profile->destinations.size());
+            static_cast<int>(runtime.profile().destinations.size());
         std::set<std::string> vulnerable_hosts;
 
         for (const AttackKind attack : all_attacks()) {
           runtime.reset_failure_state();
-          lab.interceptor.set_mode(InterceptMode::make_attack(attack));
-          lab.interceptor.install(lab.bed.network());
+          interceptor.set_mode(InterceptMode::make_attack(attack));
+          interceptor.install(bed.network());
 
           for (int boot = 0; boot < boots_per_attack; ++boot) {
             (void)runtime.boot(kExperimentDate,
                                /*include_intermittent=*/true);
           }
-          const auto interceptions = lab.interceptor.drain();
-          lab.interceptor.uninstall(lab.bed.network());
+          const auto interceptions = interceptor.drain();
+          interceptor.uninstall(bed.network());
 
           bool attack_succeeded = false;
           for (const auto& inter : interceptions) {
@@ -154,13 +113,11 @@ InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
 
         row.vulnerable_destinations =
             static_cast<int>(vulnerable_hosts.size());
-        return std::make_pair(std::move(row), std::move(lab.trace));
+        return row;
       });
 
-  // Deterministic merge in catalog order.
-  merge_lab_traces(testbed, rows);
   InterceptionReport report;
-  for (const auto& [row, trace] : rows) {
+  for (const auto& row : rows) {
     ++report.devices_tested;
     // §5.2: "seven devices do not perform any certificate validation" —
     // i.e. the self-signed attack succeeded against them.
@@ -182,18 +139,19 @@ InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
   return report;
 }
 
-DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
-                                          std::size_t threads) {
-  testbed.set_date(kExperimentDate);
-  const auto profiles = devices::active_devices();
-
-  auto rows = common::parallel_map(
-      threads, profiles, [&](const devices::DeviceProfile* profile) {
-        DeviceLab lab(testbed, *profile);
-        auto& runtime = lab.runtime(*profile);
+DowngradeReport run_downgrade_experiments(
+    const testbed::Testbed::Options& recipe, std::size_t threads) {
+  const auto rows = testbed::sandbox_map(
+      recipe, devices::active_device_names(), threads,
+      [&](testbed::Testbed& bed, const std::string& device) {
+        bed.set_date(kExperimentDate);
+        Interceptor interceptor(bed.universe(), bed.cloud());
+        auto& runtime = bed.runtime(device);
         DowngradeRow row;
-        row.device = profile->name;
-        if (profile->fallback) row.behavior = profile->fallback->behavior;
+        row.device = device;
+        if (runtime.profile().fallback) {
+          row.behavior = runtime.profile().fallback->behavior;
+        }
         std::set<std::string> downgraded_hosts;
         std::set<std::string> contacted_hosts;
 
@@ -201,10 +159,10 @@ DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
              {FailureKind::FailedHandshake,
               FailureKind::IncompleteHandshake}) {
           runtime.reset_failure_state();
-          lab.interceptor.set_mode(InterceptMode::make_failure(failure));
-          lab.interceptor.install(lab.bed.network());
+          interceptor.set_mode(InterceptMode::make_failure(failure));
+          interceptor.install(bed.network());
           const auto boot = runtime.boot(kExperimentDate);
-          lab.interceptor.uninstall(lab.bed.network());
+          interceptor.uninstall(bed.network());
           runtime.reset_failure_state();
 
           bool downgrade_seen = false;
@@ -227,12 +185,11 @@ DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
         row.downgraded_destinations =
             static_cast<int>(downgraded_hosts.size());
         row.total_destinations = static_cast<int>(contacted_hosts.size());
-        return std::make_pair(std::move(row), std::move(lab.trace));
+        return row;
       });
 
-  merge_lab_traces(testbed, rows);
   DowngradeReport report;
-  for (const auto& [row, trace] : rows) {
+  for (const auto& row : rows) {
     ++report.devices_tested;
     if (row.on_failed_handshake || row.on_incomplete_handshake) {
       report.rows.push_back(row);
@@ -245,25 +202,24 @@ DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
   return report;
 }
 
-OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
-                                             std::size_t threads) {
-  testbed.set_date(kExperimentDate);
-  const auto profiles = devices::active_devices();
-
-  auto rows = common::parallel_map(
-      threads, profiles, [&](const devices::DeviceProfile* profile) {
-        DeviceLab lab(testbed, *profile);
-        auto& runtime = lab.runtime(*profile);
+OldVersionReport run_old_version_experiments(
+    const testbed::Testbed::Options& recipe, std::size_t threads) {
+  const auto rows = testbed::sandbox_map(
+      recipe, devices::active_device_names(), threads,
+      [&](testbed::Testbed& bed, const std::string& device) {
+        bed.set_date(kExperimentDate);
+        Interceptor interceptor(bed.universe(), bed.cloud());
+        auto& runtime = bed.runtime(device);
         OldVersionRow row;
-        row.device = profile->name;
+        row.device = device;
 
         for (const auto version :
              {tls::ProtocolVersion::Tls1_0, tls::ProtocolVersion::Tls1_1}) {
-          lab.interceptor.set_mode(InterceptMode::make_old_version(version));
-          lab.interceptor.install(lab.bed.network());
+          interceptor.set_mode(InterceptMode::make_old_version(version));
+          interceptor.install(bed.network());
           runtime.reset_failure_state();
           const auto boot = runtime.boot(kExperimentDate);
-          lab.interceptor.uninstall(lab.bed.network());
+          interceptor.uninstall(bed.network());
           runtime.reset_failure_state();
 
           // The device "supports" the version if any connection
@@ -280,12 +236,11 @@ OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
             row.tls11 = accepted;
           }
         }
-        return std::make_pair(std::move(row), std::move(lab.trace));
+        return row;
       });
 
-  merge_lab_traces(testbed, rows);
   OldVersionReport report;
-  for (const auto& [row, trace] : rows) {
+  for (const auto& row : rows) {
     ++report.devices_tested;
     if (row.tls10 || row.tls11) report.rows.push_back(row);
   }
@@ -297,32 +252,31 @@ OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
   return report;
 }
 
-PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
-                                              std::size_t threads) {
-  testbed.set_date(kExperimentDate);
-  const auto profiles = devices::active_devices();
-
+PassthroughReport run_passthrough_experiments(
+    const testbed::Testbed::Options& recipe, std::size_t threads) {
   struct DeviceTally {
     int baseline_hosts = 0;
     int extra_hosts = 0;
     bool new_failures = false;
   };
 
-  auto tallies = common::parallel_map(
-      threads, profiles, [&](const devices::DeviceProfile* profile) {
-        DeviceLab lab(testbed, *profile);
-        auto& runtime = lab.runtime(*profile);
-        lab.interceptor.set_mode(
+  const auto tallies = testbed::sandbox_map(
+      recipe, devices::active_device_names(), threads,
+      [&](testbed::Testbed& bed, const std::string& device) {
+        bed.set_date(kExperimentDate);
+        Interceptor interceptor(bed.universe(), bed.cloud());
+        auto& runtime = bed.runtime(device);
+        interceptor.set_mode(
             InterceptMode::make_attack(AttackKind::NoValidation));
         DeviceTally tally;
 
         // Pass 1: intercept everything; note which hostnames failed and
         // which were compromised.
         runtime.reset_failure_state();
-        lab.interceptor.install(lab.bed.network());
+        interceptor.install(bed.network());
         const auto attacked = runtime.boot(kExperimentDate);
-        const auto pass1 = lab.interceptor.drain();
-        lab.interceptor.uninstall(lab.bed.network());
+        const auto pass1 = interceptor.drain();
+        interceptor.uninstall(bed.network());
         runtime.reset_failure_state();
 
         std::set<std::string> failed_hosts;
@@ -341,13 +295,13 @@ PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
         // Pass 2: same attack, but pass through previously-failed
         // connections; successful earlier flows unlock the intermittent
         // destinations.
-        lab.interceptor.set_passthrough(failed_hosts);
-        lab.interceptor.install(lab.bed.network());
+        interceptor.set_passthrough(failed_hosts);
+        interceptor.install(bed.network());
         const auto repeated = runtime.boot(
             kExperimentDate, /*include_intermittent=*/true);
-        const auto interceptions = lab.interceptor.drain();
-        lab.interceptor.uninstall(lab.bed.network());
-        lab.interceptor.clear_passthrough();
+        const auto interceptions = interceptor.drain();
+        interceptor.uninstall(bed.network());
+        interceptor.clear_passthrough();
         runtime.reset_failure_state();
 
         std::set<std::string> pass2_hosts;
@@ -367,14 +321,13 @@ PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
         for (const auto& host : pass2_hosts) {
           if (!seen_hosts.count(host)) ++tally.extra_hosts;
         }
-        return std::make_pair(std::move(tally), std::move(lab.trace));
+        return tally;
       });
 
-  merge_lab_traces(testbed, tallies);
   PassthroughReport report;
   int baseline_hosts = 0;
   int extra_hosts = 0;
-  for (const auto& [tally, trace] : tallies) {
+  for (const auto& tally : tallies) {
     baseline_hosts += tally.baseline_hosts;
     extra_hosts += tally.extra_hosts;
     report.new_failures_found |= tally.new_failures;

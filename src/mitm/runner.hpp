@@ -35,14 +35,16 @@ struct InterceptionReport {
   int devices_with_sensitive_leaks = 0;    // §5.2: 7/11
 };
 
-/// Run all three Table 2 attacks against every active device.
-/// `boots_per_attack` models the repeated reboots of §4.1 (the Yi Camera
-/// needs ≥4 to expose its disable-after-3-failures behaviour).
-/// `threads` fans the devices out over a worker pool (0 = hardware
-/// concurrency, 1 = serial); results are identical for any value.
-InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
-                                                int boots_per_attack = 4,
-                                                std::size_t threads = 0);
+/// Run all three Table 2 attacks against every active device, each in its
+/// own sandbox built from `recipe` (testbed::sandbox_map; spans go to
+/// `recipe.trace`). `boots_per_attack` models the repeated reboots of §4.1
+/// (the Yi Camera needs ≥4 to expose its disable-after-3-failures
+/// behaviour). `threads` fans the devices out over a worker pool (0 =
+/// hardware concurrency, 1 = serial); results are identical for any value.
+/// The other drivers below take the same recipe and threads.
+InterceptionReport run_interception_experiments(
+    const testbed::Testbed::Options& recipe, int boots_per_attack = 4,
+    std::size_t threads = 0);
 
 /// Per-device downgrade results (Table 5 rows).
 struct DowngradeRow {
@@ -59,8 +61,8 @@ struct DowngradeReport {
   int devices_tested = 0;
 };
 
-DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
-                                          std::size_t threads = 0);
+DowngradeReport run_downgrade_experiments(
+    const testbed::Testbed::Options& recipe, std::size_t threads = 0);
 
 /// Per-device old-version acceptance (Table 6 rows).
 struct OldVersionRow {
@@ -74,8 +76,8 @@ struct OldVersionReport {
   int devices_tested = 0;
 };
 
-OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
-                                             std::size_t threads = 0);
+OldVersionReport run_old_version_experiments(
+    const testbed::Testbed::Options& recipe, std::size_t threads = 0);
 
 /// §4.2 TrafficPassthrough validation: repeat the attacks while passing
 /// through connections that previously failed; report the extra
@@ -86,8 +88,8 @@ struct PassthroughReport {
   int devices_tested = 0;
 };
 
-PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
-                                              std::size_t threads = 0);
+PassthroughReport run_passthrough_experiments(
+    const testbed::Testbed::Options& recipe, std::size_t threads = 0);
 
 /// A ClientHello is a downgrade of another if it advertises a lower
 /// maximum version, or a strictly weaker ciphersuite set, or weaker

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/rng.hpp"
+#include "devices/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "tls/alert.hpp"
 
@@ -57,15 +59,7 @@ std::string verdict_name(Verdict verdict) {
   return "unknown";
 }
 
-RootStoreProber::RootStoreProber(testbed::Testbed& testbed,
-                                 std::uint64_t seed)
-    : testbed_(&testbed),
-      interceptor_(testbed.universe(), testbed.cloud(), seed ^ 0x9999),
-      rng_(common::Rng::derive(seed, "root-store-prober")) {
-  testbed_->set_date(kProbeDate);
-}
-
-std::vector<std::string> RootStoreProber::eligible_devices() const {
+std::vector<std::string> eligible_devices() {
   std::vector<std::string> out;
   for (const auto* profile : devices::active_devices()) {
     if (!profile->reboot_safe) continue;  // §5.2: no repeated reboots
@@ -75,6 +69,67 @@ std::vector<std::string> RootStoreProber::eligible_devices() const {
     out.push_back(profile->name);
   }
   return out;
+}
+
+std::map<std::string, RootStoreExploration> explore_root_stores(
+    const testbed::Testbed::Options& recipe, std::uint64_t seed,
+    std::size_t threads) {
+  const pki::CaUniverse& universe = recipe.universe != nullptr
+                                        ? *recipe.universe
+                                        : pki::CaUniverse::standard();
+  const auto common_names = universe.common_ca_names();
+  const auto deprecated_names = universe.deprecated_ca_names();
+
+  const auto eligible = eligible_devices();
+  const auto amenable_flags = testbed::sandbox_map(
+      recipe, eligible, threads,
+      [&](testbed::Testbed& sandbox, const std::string& device) {
+        return RootStoreProber(sandbox, seed).device_amenable(device);
+      });
+  std::vector<std::string> amenable;
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    if (amenable_flags[i]) amenable.push_back(eligible[i]);
+  }
+
+  common::Rng rng = common::Rng::derive(seed, "root-store-prober");
+  const auto draw_mask = [&](std::size_t count, double rate) {
+    std::vector<bool> mask(count);
+    for (std::size_t i = 0; i < count; ++i) mask[i] = rng.chance(rate);
+    return mask;
+  };
+  std::map<std::string, std::vector<bool>> common_masks;
+  std::map<std::string, std::vector<bool>> deprecated_masks;
+  for (const auto& device : amenable) {
+    const auto& store = devices::find_device(device)->root_store;
+    common_masks[device] =
+        draw_mask(common_names.size(), store.inconclusive_common);
+    deprecated_masks[device] =
+        draw_mask(deprecated_names.size(), store.inconclusive_deprecated);
+  }
+
+  auto explorations = testbed::sandbox_map(
+      recipe, amenable, threads,
+      [&](testbed::Testbed& sandbox, const std::string& device) {
+        RootStoreProber prober(sandbox, seed);
+        RootStoreExploration exploration;
+        exploration.common =
+            prober.explore(device, common_names, common_masks.at(device));
+        exploration.deprecated = prober.explore(
+            device, deprecated_names, deprecated_masks.at(device));
+        return exploration;
+      });
+  std::map<std::string, RootStoreExploration> results;
+  for (std::size_t i = 0; i < amenable.size(); ++i) {
+    results.emplace(amenable[i], std::move(explorations[i]));
+  }
+  return results;
+}
+
+RootStoreProber::RootStoreProber(testbed::Testbed& testbed,
+                                 std::uint64_t seed)
+    : testbed_(&testbed),
+      interceptor_(testbed.universe(), testbed.cloud(), seed ^ 0x9999) {
+  testbed_->set_date(kProbeDate);
 }
 
 std::optional<tls::Alert> RootStoreProber::run_probe(
@@ -118,14 +173,6 @@ bool RootStoreProber::device_amenable(const std::string& device_name) {
     trace->add(std::move(span));
   }
   return amenable;
-}
-
-std::vector<std::string> RootStoreProber::amenable_devices() {
-  std::vector<std::string> out;
-  for (const auto& name : eligible_devices()) {
-    if (device_amenable(name)) out.push_back(name);
-  }
-  return out;
 }
 
 ProbeOutcome RootStoreProber::probe_certificate(
@@ -178,19 +225,6 @@ ProbeOutcome RootStoreProber::probe_certificate(
     trace->add(std::move(span));
   }
   return outcome;
-}
-
-ExplorationResult RootStoreProber::explore(
-    const std::string& device_name, const std::vector<std::string>& ca_names,
-    double inconclusive_rate) {
-  // Pre-draw the inconclusive mask, then delegate; the rng_ stream is
-  // consumed exactly as if each probe drew on demand, and the mask form
-  // lets callers pre-derive draws before fanning out over a thread pool.
-  std::vector<bool> mask(ca_names.size());
-  for (std::size_t i = 0; i < ca_names.size(); ++i) {
-    mask[i] = rng_.chance(inconclusive_rate);
-  }
-  return explore(device_name, ca_names, mask);
 }
 
 ExplorationResult RootStoreProber::explore(

@@ -51,36 +51,50 @@ struct ExplorationResult {
   }
 };
 
+/// One Table 9 row: a device's common-set and deprecated-set results.
+struct RootStoreExploration {
+  ExplorationResult common;
+  ExplorationResult deprecated;
+};
+
+/// Devices eligible for probing: active, reboot-safe, and validating on
+/// the probe path (§5.2 exclusions), in catalog order.
+std::vector<std::string> eligible_devices();
+
+/// The one root-store exploration (Table 9, Fig 4), in three stages:
+///   1. amenability: each eligible device is tested in its own sandbox;
+///   2. masks: the inconclusive draws, made serially on the coordinating
+///      thread from `Rng::derive(seed, "root-store-prober")` in
+///      amenable-device order, common set then deprecated set, each CA
+///      skipped with the device's inconclusive rate for that set;
+///   3. exploration: each amenable device probes both sets, with its
+///      masks, in its own sandbox.
+/// Both fan-outs go through testbed::sandbox_map over `recipe` (spans go
+/// to `recipe.trace`), so the result and the trace are identical at any
+/// `threads` (0 = hardware concurrency, 1 = serial). Keyed by device.
+std::map<std::string, RootStoreExploration> explore_root_stores(
+    const testbed::Testbed::Options& recipe, std::uint64_t seed,
+    std::size_t threads = 0);
+
+/// The probe primitives over one testbed (usually a sandbox). The prober
+/// sets the testbed's date to the §4.1 snapshot.
 class RootStoreProber {
  public:
   explicit RootStoreProber(testbed::Testbed& testbed,
                            std::uint64_t seed = 0xB0BE);
 
-  /// Devices eligible for probing: active, reboot-safe, and validating on
-  /// the probe path (§5.2 exclusions).
-  [[nodiscard]] std::vector<std::string> eligible_devices() const;
-
   /// §4.2 amenability test: does this device emit *different* alerts for
   /// spoofed-known vs unknown CA?
   [[nodiscard]] bool device_amenable(const std::string& device_name);
-
-  /// All amenable devices (the Table 9 row set).
-  [[nodiscard]] std::vector<std::string> amenable_devices();
 
   /// Probe one candidate root certificate on one device.
   ProbeOutcome probe_certificate(const std::string& device_name,
                                  const std::string& ca_name);
 
-  /// Probe a whole certificate set; `inconclusive_rate` models probe runs
-  /// that produce no traffic (Table 9's varying denominators).
-  ExplorationResult explore(const std::string& device_name,
-                            const std::vector<std::string>& ca_names,
-                            double inconclusive_rate = 0.0);
-
-  /// As above, but with the inconclusive draws made up front (mask[i] ⇒
-  /// skip ca_names[i]). The parallel study pre-draws masks on the
-  /// coordinating thread so probes can run on a pool without touching the
-  /// shared RNG stream; out-of-range indices count as conclusive.
+  /// Probe a whole certificate set. `inconclusive_mask[i]` skips
+  /// ca_names[i] as a probe run that produced no traffic (Table 9's
+  /// varying denominators); out-of-range indices count as conclusive, so
+  /// an empty mask probes every name.
   ExplorationResult explore(const std::string& device_name,
                             const std::vector<std::string>& ca_names,
                             const std::vector<bool>& inconclusive_mask);
@@ -93,7 +107,6 @@ class RootStoreProber {
 
   testbed::Testbed* testbed_;
   mitm::Interceptor interceptor_;
-  common::Rng rng_;
 };
 
 }  // namespace iotls::probe

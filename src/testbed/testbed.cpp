@@ -36,18 +36,6 @@ Testbed::Testbed(Options options)
   cloud_->install(network_);
 }
 
-Testbed::Options Testbed::sandbox_options(
-    const std::string& device_name) const {
-  Options sandbox = options_;
-  sandbox.universe = universe_;
-  sandbox.devices = {device_name};
-  sandbox.revocations =
-      options_.revocations != nullptr ? options_.revocations : &revocations_;
-  // Sandboxes trace into their own local log (see Options::trace).
-  sandbox.trace = nullptr;
-  return sandbox;
-}
-
 DeviceRuntime& Testbed::runtime(const std::string& device_name) {
   const auto it = runtimes_.find(device_name);
   if (it == runtimes_.end()) {

@@ -6,9 +6,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "obs/trace.hpp"
+#include "pki/universe.hpp"
 #include "testbed/cloud.hpp"
 #include "testbed/plug.hpp"
 #include "testbed/runtime.hpp"
@@ -27,24 +30,18 @@ class Testbed {
     /// sandboxes cheap.
     std::vector<std::string> devices;
     /// Revocation list the runtimes consult (nullptr = the testbed's own).
-    /// Sandboxes point this at their parent's list so CRL/OCSP behaviour
-    /// carries over; the list must be const while sandboxes are live.
+    /// Sandboxes share the recipe's list so CRL/OCSP behaviour carries
+    /// over; the list must be const while sandboxes are live.
     const pki::RevocationList* revocations = nullptr;
     /// Trace log per-connection spans are committed to (non-owning, may be
-    /// null). Deliberately NOT propagated by sandbox_options(): pool-fanned
-    /// sandboxes each use their own local log, merged in catalog order by
-    /// the coordinator, so traces stay byte-identical across thread counts.
+    /// null). sandbox_map never hands it to a sandbox: each sandbox traces
+    /// into its own local log, merged in input order by the coordinator,
+    /// so traces stay byte-identical across thread counts.
     obs::TraceLog* trace = nullptr;
   };
 
   Testbed() : Testbed(Options{}) {}
   explicit Testbed(Options options);
-
-  /// Options for an isolated single-device replica of this testbed: same
-  /// seed, shared (const) CA universe and revocation list, own network /
-  /// cloud endpoints / runtime. The experiment drivers build one per task
-  /// so device fan-outs share no mutable state.
-  [[nodiscard]] Options sandbox_options(const std::string& device_name) const;
 
   [[nodiscard]] const Options& options() const { return options_; }
 
@@ -79,6 +76,45 @@ class Testbed {
   std::map<std::string, std::unique_ptr<DeviceRuntime>> runtimes_;
   std::map<std::string, std::unique_ptr<SmartPlug>> plugs_;
 };
+
+/// The one per-device experiment fan-out. For each name in `devices`, on
+/// a pool of `threads` workers (0 = hardware concurrency, 1 = serial), it
+/// builds a single-device sandbox from `recipe` — the recipe's seed, CA
+/// universe and revocation list; its own network, cloud endpoints and
+/// runtime — and calls `fn(sandbox, device)`. Each sandbox traces into a
+/// local log at the level of `recipe.trace` (none when that is null); the
+/// coordinator merges the logs into `recipe.trace` in `devices` order.
+/// Returns fn's results in `devices` order, so results and traces are
+/// byte-identical at any thread count.
+template <typename Fn>
+auto sandbox_map(const Testbed::Options& recipe,
+                 const std::vector<std::string>& devices, std::size_t threads,
+                 Fn&& fn) {
+  Testbed::Options base = recipe;
+  // Resolved on the coordinating thread: a CaUniverse::standard() first
+  // built inside a pool worker takes the pool's serial path.
+  if (base.universe == nullptr) base.universe = &pki::CaUniverse::standard();
+  base.trace = nullptr;
+  const obs::TraceLevel level =
+      recipe.trace != nullptr ? recipe.trace->level() : obs::TraceLevel::Off;
+  auto outputs = common::parallel_map(
+      threads, devices, [&](const std::string& device) {
+        Testbed::Options options = base;
+        options.devices = {device};
+        obs::TraceLog local(level);
+        if (local.enabled()) options.trace = &local;
+        Testbed sandbox(std::move(options));
+        auto result = fn(sandbox, device);
+        return std::make_pair(std::move(result), std::move(local));
+      });
+  std::vector<typename decltype(outputs)::value_type::first_type> results;
+  results.reserve(outputs.size());
+  for (auto& [result, local] : outputs) {
+    if (recipe.trace != nullptr) recipe.trace->merge(std::move(local));
+    results.push_back(std::move(result));
+  }
+  return results;
+}
 
 /// One destination's connection in a replayed month: the records it left
 /// in the sandbox capture (two when a fallback retry fired), stamped with

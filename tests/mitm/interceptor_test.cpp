@@ -197,7 +197,7 @@ TEST(InterceptorTest, ForgeryIsCreditedToMitm) {
       tb.runtime("Zmodo Doorbell").reset_failure_state();
     }
   }
-  (void)run_downgrade_experiments(tb, 2);
+  (void)run_downgrade_experiments(tb.options(), 2);
   const obs::ProfileSnapshot snap = obs::profile_snapshot();
   obs::set_profile_enabled(false);
   obs::profile_reset();

@@ -10,27 +10,24 @@
 namespace iotls::mitm {
 namespace {
 
-testbed::Testbed& shared_testbed() {
-  static testbed::Testbed testbed;
-  return testbed;
-}
+/// The default sandbox recipe: seed 42, the standard CA universe.
+const testbed::Testbed::Options kRecipe;
 
 // Reports are expensive; compute once per binary.
 const InterceptionReport& interception_report() {
   static const InterceptionReport report =
-      run_interception_experiments(shared_testbed());
+      run_interception_experiments(kRecipe);
   return report;
 }
 
 const DowngradeReport& downgrade_report() {
-  static const DowngradeReport report =
-      run_downgrade_experiments(shared_testbed());
+  static const DowngradeReport report = run_downgrade_experiments(kRecipe);
   return report;
 }
 
 const OldVersionReport& old_version_report() {
   static const OldVersionReport report =
-      run_old_version_experiments(shared_testbed());
+      run_old_version_experiments(kRecipe);
   return report;
 }
 
@@ -97,8 +94,7 @@ TEST(Interception, NamedSecretsRecovered) {
 TEST(Interception, YiCameraNeedsRepeatedFailures) {
   // With a single boot per attack the Yi Camera never reaches 3
   // consecutive failures, so it is NOT vulnerable.
-  testbed::Testbed local;
-  const auto quick = run_interception_experiments(local,
+  const auto quick = run_interception_experiments(kRecipe,
                                                   /*boots_per_attack=*/1);
   const bool yi_vulnerable = std::any_of(
       quick.rows.begin(), quick.rows.end(),
@@ -203,8 +199,7 @@ TEST(OldVersions, ModernDevicesRejectBoth) {
 // ---------------- §4.2 TrafficPassthrough ----------------
 
 TEST(Passthrough, ExtraConnectionsNoNewFailures) {
-  testbed::Testbed local;
-  const auto report = run_passthrough_experiments(local);
+  const auto report = run_passthrough_experiments(kRecipe);
   EXPECT_EQ(report.devices_tested, 32);
   // Paper: ≈20.4% more hostnames, and no new validation failures.
   EXPECT_GT(report.extra_destination_fraction, 0.0);

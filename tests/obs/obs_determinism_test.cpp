@@ -4,9 +4,11 @@
 // per-device logs merge in catalog order, never completion order.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "core/study.hpp"
+#include "devices/catalog.hpp"
 
 namespace iotls::core {
 namespace {
@@ -85,6 +87,26 @@ TEST(ObsDeterminism, MetricsOnDoesNotPerturbOutputsAndRegistersFamilies) {
   EXPECT_NE(prom.find("iotls_mitm_interceptions_total"), std::string::npos);
   EXPECT_NE(prom.find("iotls_probe_verdicts_total"), std::string::npos);
   EXPECT_NE(prom.find("iotls_experiment_wall_ms"), std::string::npos);
+}
+
+TEST(ObsDeterminism, FingerprintBootsAreTraced) {
+  // Fig 5's boots run on the shared sandbox fan-out, so they record
+  // connection spans like every other experiment, merged in device order.
+  auto serial = make_study(1, obs::TraceLevel::Handshake, false);
+  auto parallel = make_study(8, obs::TraceLevel::Handshake, false);
+  ASSERT_EQ(serial.render_fig5(), parallel.render_fig5());
+
+  std::set<std::string> booted;
+  for (const auto& span : serial.traces().spans()) {
+    const std::string& name = span.name();
+    if (!name.starts_with("conn:")) continue;
+    // conn:<device>:<host>
+    booted.insert(name.substr(5, name.rfind(':') - 5));
+  }
+  for (const auto& device : devices::active_device_names()) {
+    EXPECT_EQ(booted.count(device), 1u) << device;
+  }
+  ASSERT_EQ(serial.traces().to_jsonl(), parallel.traces().to_jsonl());
 }
 
 TEST(ObsDeterminism, HandshakeLevelTracesAreSubsetOfFull) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,8 +24,16 @@ RootStoreProber& shared_prober() {
   return prober;
 }
 
+/// The whole three-stage exploration over the default recipe, fanned out
+/// over every hardware thread.
+const std::map<std::string, RootStoreExploration>& explorations() {
+  static const auto results =
+      explore_root_stores(testbed::Testbed::Options{}, 0xF00D);
+  return results;
+}
+
 TEST(Prober, EligibilityExcludesPaperDevices) {
-  const auto eligible = shared_prober().eligible_devices();
+  const auto eligible = eligible_devices();
   const std::set<std::string> set(eligible.begin(), eligible.end());
   // §5.2: appliances unsuitable for reboots and non-validating devices are
   // excluded.
@@ -39,8 +48,13 @@ TEST(Prober, EligibilityExcludesPaperDevices) {
 }
 
 TEST(Prober, ExactlyTheEightTable9DevicesAreAmenable) {
-  const auto amenable = shared_prober().amenable_devices();
-  const std::set<std::string> got(amenable.begin(), amenable.end());
+  std::set<std::string> got;
+  for (const auto& [device, exploration] : explorations()) {
+    got.insert(device);
+    // Both sets were probed, through masks that skip some CAs.
+    EXPECT_GT(exploration.common.checked, 0) << device;
+    EXPECT_GT(exploration.deprecated.checked, 0) << device;
+  }
   const std::set<std::string> expected = {
       "Google Home Mini", "Amazon Echo Plus", "Amazon Echo Dot",
       "Amazon Echo Dot 3", "Wink Hub 2",      "Roku TV",
@@ -103,7 +117,7 @@ TEST(Prober, AlertsMatchOpenSslProfile) {
 TEST(Prober, DistrustedCAsFoundOnAllAmenableDevices) {
   // §5.2: every probeable device trusts at least one explicitly
   // distrusted CA.
-  for (const auto& device : shared_prober().amenable_devices()) {
+  for (const auto& [device, exploration] : explorations()) {
     bool any_distrusted = false;
     for (const char* ca :
          {"WoSign CA Free SSL", "TurkTrust Elektronik Sertifika",
@@ -122,18 +136,23 @@ TEST(Prober, ExploreAggregatesAndInconclusives) {
   const auto& universe = shared_testbed().universe();
   std::vector<std::string> subset(universe.common_ca_names().begin(),
                                   universe.common_ca_names().begin() + 20);
-  const auto result =
-      shared_prober().explore("Google Home Mini", subset, 0.0);
+  // An empty mask probes every name.
+  const auto result = shared_prober().explore("Google Home Mini", subset, {});
   EXPECT_EQ(result.checked + result.inconclusive, 20);
   EXPECT_EQ(result.inconclusive, 0);
   // GHM includes 100% of common certs (Table 9).
   EXPECT_EQ(result.present, result.checked);
   EXPECT_DOUBLE_EQ(result.fraction(), 1.0);
 
+  // Every masked name is skipped as inconclusive, and only those.
+  std::vector<bool> mask(subset.size());
+  for (std::size_t i = 0; i < mask.size(); i += 2) mask[i] = true;
   const auto with_failures =
-      shared_prober().explore("Google Home Mini", subset, 0.5);
-  EXPECT_GT(with_failures.inconclusive, 0);
-  EXPECT_LT(with_failures.checked, 20);
+      shared_prober().explore("Google Home Mini", subset, mask);
+  EXPECT_EQ(with_failures.inconclusive, 10);
+  EXPECT_EQ(with_failures.checked, 10);
+  EXPECT_EQ(with_failures.verdicts.at(subset[0]), Verdict::Inconclusive);
+  EXPECT_EQ(with_failures.verdicts.at(subset[1]), Verdict::Present);
 }
 
 TEST(Prober, TraceAnnotatesAlertsWithClassification) {
