@@ -7,7 +7,9 @@
 #include <set>
 #include <string>
 
+#include "common/hex.hpp"
 #include "core/study.hpp"
+#include "crypto/sha256.hpp"
 #include "devices/catalog.hpp"
 
 namespace iotls::core {
@@ -120,6 +122,21 @@ TEST(ObsDeterminism, HandshakeLevelTracesAreSubsetOfFull) {
     if (span.find("outcome") != nullptr) saw_outcome = true;
   }
   EXPECT_TRUE(saw_outcome);
+}
+
+TEST(ObsDeterminism, ActiveExperimentTraceDigest) {
+  // Absolute anchor for the active experiments' traces: the Handshake-level
+  // spans of Table 7 (the per-device MITM attacks) then Table 5 (the
+  // downgrade runner) of the seed-42 study. Every connection there runs a
+  // real handshake, so any change to a handshake, a forged identity or the
+  // merge order moves this digest; the relative checks above would not see
+  // a change that moves both sides.
+  auto study = make_study(4, obs::TraceLevel::Handshake, false);
+  (void)study.render_table7();
+  (void)study.render_table5();
+  EXPECT_EQ(common::hex_encode(crypto::Sha256::digest(
+                common::to_bytes(study.traces().to_jsonl()))),
+            "cc7646c9f815f94f02347533f3b638f5343724ebc5f0fbbfb7d674b799125800");
 }
 
 TEST(ObsDeterminism, TimingsAreServedFromTheRegistry) {
