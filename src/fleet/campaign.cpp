@@ -9,6 +9,7 @@
 #include "mitm/interceptor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "probe/prober.hpp"
 #include "testbed/testbed.hpp"
 #include "tls/ciphersuite.hpp"
 
@@ -42,22 +43,6 @@ const devices::DestinationSpec* scan_destination(
   }
   return profile.destinations.empty() ? nullptr
                                       : &profile.destinations.front();
-}
-
-/// One interceptor-mediated connection; returns the alert the device sent
-/// (the probe side channel), resetting failure state afterwards.
-std::optional<tls::Alert> run_alert_probe(
-    testbed::Testbed& testbed, testbed::DeviceRuntime& runtime,
-    mitm::Interceptor& interceptor, const devices::DestinationSpec& dest,
-    common::SimDate now, mitm::InterceptMode mode) {
-  interceptor.set_mode(std::move(mode));
-  interceptor.install(testbed.network());
-  (void)runtime.connect_to(dest, now);
-  const auto interceptions = interceptor.drain();
-  interceptor.uninstall(testbed.network());
-  runtime.reset_failure_state();
-  if (interceptions.empty()) return std::nullopt;
-  return interceptions.front().alert_received;
 }
 
 /// Probe one behaviour key in its own single-model sandbox: plain scan,
@@ -133,12 +118,15 @@ ProbeResult probe_key(const FleetModel& fleet, const pki::CaUniverse& universe,
     const std::string& ca_name = deprecated[static_cast<std::size_t>(
         common::split_seed(fleet.options().seed, region_name(key.region)) %
         deprecated.size())];
-    const auto alert_unknown = run_alert_probe(
-        testbed, runtime, interceptor, *dest, device_clock,
-        mitm::InterceptMode::unknown_ca());
-    const auto alert_spoofed = run_alert_probe(
-        testbed, runtime, interceptor, *dest, device_clock,
-        mitm::InterceptMode::spoofed_ca(universe.authority(ca_name).root()));
+    const auto alert_unknown =
+        probe::run_alert_probe(testbed.network(), runtime, interceptor, *dest,
+                               device_clock, mitm::InterceptMode::unknown_ca())
+            .alert;
+    const auto alert_spoofed =
+        probe::run_alert_probe(
+            testbed.network(), runtime, interceptor, *dest, device_clock,
+            mitm::InterceptMode::spoofed_ca(universe.authority(ca_name).root()))
+            .alert;
     result.trusts_deprecated = alert_unknown.has_value() &&
                                alert_spoofed.has_value() &&
                                *alert_unknown != *alert_spoofed;

@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "devices/catalog.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "tls/alert.hpp"
 
 namespace iotls::probe {
@@ -57,6 +58,27 @@ std::string verdict_name(Verdict verdict) {
     case Verdict::Inconclusive: return "inconclusive";
   }
   return "unknown";
+}
+
+AlertProbe run_alert_probe(net::Network& network,
+                           testbed::DeviceRuntime& runtime,
+                           mitm::Interceptor& interceptor,
+                           const devices::DestinationSpec& dest,
+                           common::SimDate date, mitm::InterceptMode mode) {
+  const obs::ProfileZone zone("probe/alert_probe");
+  interceptor.set_mode(std::move(mode));
+  interceptor.install(network);
+  const testbed::ConnectionOutcome outcome = runtime.connect_to(dest, date);
+  const auto interceptions = interceptor.drain();
+  interceptor.uninstall(network);
+  runtime.reset_failure_state();
+
+  AlertProbe probe;
+  probe.connections = outcome.used_fallback ? 2 : 1;
+  if (!interceptions.empty()) {
+    probe.alert = interceptions.front().alert_received;
+  }
+  return probe;
 }
 
 std::vector<std::string> eligible_devices() {
@@ -135,17 +157,10 @@ RootStoreProber::RootStoreProber(testbed::Testbed& testbed,
 std::optional<tls::Alert> RootStoreProber::run_probe(
     const std::string& device_name, mitm::InterceptMode mode) {
   auto& runtime = testbed_->runtime(device_name);
-  const auto& dest = probe_destination(runtime.profile());
-
-  interceptor_.set_mode(std::move(mode));
-  interceptor_.install(testbed_->network());
-  (void)runtime.connect_to(dest, kProbeDate);
-  const auto interceptions = interceptor_.drain();
-  interceptor_.uninstall(testbed_->network());
-  runtime.reset_failure_state();
-
-  if (interceptions.empty()) return std::nullopt;
-  return interceptions.front().alert_received;
+  return run_alert_probe(testbed_->network(), runtime, interceptor_,
+                         probe_destination(runtime.profile()), kProbeDate,
+                         std::move(mode))
+      .alert;
 }
 
 bool RootStoreProber::device_amenable(const std::string& device_name) {

@@ -11,8 +11,12 @@
 //
 // A device is amenable iff step 2 on a known-included certificate yields a
 // different alert than step 1 (Table 4 behaviour of its TLS library).
+//
+// Each step is one run_alert_probe, the side channel's one primitive; the
+// fleet scan campaign's deprecated-CA probe uses it too.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +36,26 @@ enum class Verdict {
 };
 
 std::string verdict_name(Verdict verdict);
+
+/// What one alert probe observed.
+struct AlertProbe {
+  /// The alert the device sent the interceptor on its first attempt
+  /// (nullopt = silent failure or no traffic).
+  std::optional<tls::Alert> alert;
+  /// Connections the device made: two when it retried with its fallback
+  /// configuration (Table 5 behaviour), else one.
+  std::uint64_t connections = 0;
+};
+
+/// One interceptor-mediated connection: install `interceptor` in `mode` on
+/// `network`, let `runtime` connect to `dest` at `date`, drain and
+/// uninstall the interceptor, and reset the runtime's failure state. Runs
+/// under the `probe/alert_probe` profile zone.
+AlertProbe run_alert_probe(net::Network& network,
+                           testbed::DeviceRuntime& runtime,
+                           mitm::Interceptor& interceptor,
+                           const devices::DestinationSpec& dest,
+                           common::SimDate date, mitm::InterceptMode mode);
 
 struct ProbeOutcome {
   Verdict verdict = Verdict::Inconclusive;

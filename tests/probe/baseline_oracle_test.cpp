@@ -41,23 +41,6 @@ testbed::Testbed::Options single_device(const std::string& device) {
   return options;
 }
 
-/// One intercepted connection to the device's probe destination; returns
-/// the alert the device sent.
-std::optional<tls::Alert> alert_probe(testbed::Testbed& testbed,
-                                      const std::string& device,
-                                      mitm::Interceptor& interceptor,
-                                      mitm::InterceptMode mode) {
-  auto& runtime = testbed.runtime(device);
-  interceptor.set_mode(std::move(mode));
-  interceptor.install(testbed.network());
-  (void)runtime.connect_to(first_destination(runtime.profile()), kProbeDate);
-  const auto interceptions = interceptor.drain();
-  interceptor.uninstall(testbed.network());
-  runtime.reset_failure_state();
-  if (interceptions.empty()) return std::nullopt;
-  return interceptions.front().alert_received;
-}
-
 /// The ClientHello of the device's next connection: equal on two twin
 /// runtimes iff their per-connection random streams are at the same point.
 tls::ClientHello next_client_hello(testbed::Testbed& testbed,
@@ -131,14 +114,20 @@ DeviceRecord reference_record(const std::string& device) {
   testbed.set_date(kProbeDate);
   mitm::Interceptor interceptor(testbed.universe(), testbed.cloud(),
                                 0xB0BE ^ 0x9999);
+  auto& runtime = testbed.runtime(device);
+  const auto& dest = first_destination(runtime.profile());
   DeviceRecord record;
   for (const auto& ca : all_candidates(testbed.universe())) {
-    const auto unknown = alert_probe(testbed, device, interceptor,
-                                     mitm::InterceptMode::unknown_ca());
-    const auto spoofed = alert_probe(
-        testbed, device, interceptor,
-        mitm::InterceptMode::spoofed_ca(
-            testbed.universe().authority(ca).root()));
+    const auto unknown =
+        run_alert_probe(testbed.network(), runtime, interceptor, dest,
+                        kProbeDate, mitm::InterceptMode::unknown_ca())
+            .alert;
+    const auto spoofed =
+        run_alert_probe(testbed.network(), runtime, interceptor, dest,
+                        kProbeDate,
+                        mitm::InterceptMode::spoofed_ca(
+                            testbed.universe().authority(ca).root()))
+            .alert;
     Verdict verdict = Verdict::Inconclusive;
     if (unknown.has_value() && spoofed.has_value()) {
       verdict = *unknown != *spoofed ? Verdict::Present : Verdict::Absent;
