@@ -163,14 +163,33 @@ std::optional<tls::Alert> RootStoreProber::run_probe(
       .alert;
 }
 
+std::optional<tls::Alert> RootStoreProber::baseline(
+    const std::string& device_name) {
+  auto& runtime = testbed_->runtime(device_name);
+  const bool reset_state =
+      runtime.failure_streak() == 0 && !runtime.validation_disabled();
+  const auto stored = baselines_.find(device_name);
+  if (reset_state && stored != baselines_.end()) {
+    // The state a real run leaves: its connections counted, failures reset.
+    runtime.skip_connections(stored->second.connections);
+    runtime.reset_failure_state();
+    return stored->second.alert;
+  }
+  AlertProbe probe = run_alert_probe(
+      testbed_->network(), runtime, interceptor_,
+      probe_destination(runtime.profile()), kProbeDate,
+      mitm::InterceptMode::unknown_ca());
+  if (reset_state) baselines_.emplace(device_name, probe);
+  return probe.alert;
+}
+
 bool RootStoreProber::device_amenable(const std::string& device_name) {
   auto& runtime = testbed_->runtime(device_name);
   if (runtime.root_store().empty()) return false;
   // Calibrate with a certificate we know the device trusts.
   const x509::Certificate known_root = runtime.root_store().roots().front();
 
-  const auto alert_unknown =
-      run_probe(device_name, mitm::InterceptMode::unknown_ca());
+  const auto alert_unknown = baseline(device_name);
   const auto alert_spoofed = run_probe(
       device_name, mitm::InterceptMode::spoofed_ca(known_root));
   const bool amenable = alert_unknown.has_value() &&
@@ -196,8 +215,7 @@ ProbeOutcome RootStoreProber::probe_certificate(
   const x509::Certificate& candidate = universe.authority(ca_name).root();
 
   ProbeOutcome outcome;
-  outcome.alert_unknown =
-      run_probe(device_name, mitm::InterceptMode::unknown_ca());
+  outcome.alert_unknown = baseline(device_name);
   outcome.alert_spoofed = run_probe(
       device_name, mitm::InterceptMode::spoofed_ca(candidate));
 

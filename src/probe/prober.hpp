@@ -13,7 +13,16 @@
 // different alert than step 1 (Table 4 behaviour of its TLS library).
 //
 // Each step is one run_alert_probe, the side channel's one primitive; the
-// fleet scan campaign's deprecated-CA probe uses it too.
+// fleet scan campaign's deprecated-CA probe uses it too. Step 1 does not
+// depend on the candidate: its inputs are the device, the interceptor's
+// identity, the §4.1 date and the runtime's failure state, and every probe
+// resets that state. So step 1 runs once per device state: a prober runs
+// it for real the first time a device is probed from the reset failure
+// state (no failure streak, validation enabled) and keeps the alert and
+// the connection count. Later probes from that state reuse them and
+// advance the runtime's connection counter as the real run would have; a
+// probe from any other state (an outside connection left a failure
+// streak, or disabled validation) runs step 1 for real.
 #pragma once
 
 #include <cstdint>
@@ -111,7 +120,8 @@ class RootStoreProber {
   /// spoofed-known vs unknown CA?
   [[nodiscard]] bool device_amenable(const std::string& device_name);
 
-  /// Probe one candidate root certificate on one device.
+  /// Probe one candidate root certificate on one device. The probe span
+  /// records both alerts, also when step 1 was served from the memo.
   ProbeOutcome probe_certificate(const std::string& device_name,
                                  const std::string& ca_name);
 
@@ -129,8 +139,16 @@ class RootStoreProber {
   std::optional<tls::Alert> run_probe(const std::string& device_name,
                                       mitm::InterceptMode mode);
 
+  /// Step 1, the unknown-CA baseline: served from `baselines_` when the
+  /// device starts from the reset failure state and has a stored entry,
+  /// else run (and stored, from the reset state). A served baseline opens
+  /// no interceptor session and emits no connection span.
+  std::optional<tls::Alert> baseline(const std::string& device_name);
+
   testbed::Testbed* testbed_;
   mitm::Interceptor interceptor_;
+  /// Per device: the baseline run from the reset failure state.
+  std::map<std::string, AlertProbe> baselines_;
 };
 
 }  // namespace iotls::probe

@@ -146,8 +146,12 @@ ConnectionOutcome DeviceRuntime::connect_to(
 }
 
 void DeviceRuntime::note_repeated_success() {
-  ++connection_counter_;
+  skip_connections(1);
   consecutive_failures_ = 0;
+}
+
+void DeviceRuntime::skip_connections(std::uint64_t count) {
+  connection_counter_ += count;
 }
 
 BootResult DeviceRuntime::boot(common::SimDate now,

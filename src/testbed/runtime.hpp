@@ -62,10 +62,17 @@ class DeviceRuntime {
   /// re-stamps a destination's memoised records.
   void note_repeated_success();
 
+  /// Advance the connection counter past `count` connections that are not
+  /// run, so later connections keep the per-connection random streams
+  /// they would have had. The prober applies it when it serves a memoised
+  /// baseline probe.
+  void skip_connections(std::uint64_t count);
+
   [[nodiscard]] const devices::DeviceProfile& profile() const {
     return profile_;
   }
   [[nodiscard]] const pki::RootStore& root_store() const { return roots_; }
+  [[nodiscard]] int failure_streak() const { return consecutive_failures_; }
   [[nodiscard]] bool validation_disabled() const {
     return validation_disabled_;
   }

@@ -316,7 +316,7 @@ std::vector<std::uint64_t> budgeted_calls(const obs::ProfileNode& node) {
 /// lowers a count updates these numbers and says so in CHANGES.md; a change
 /// that raises one must justify the increase there.
 const std::map<std::string, std::vector<std::uint64_t>> kWorkBudget = {
-    {"<total>", {32424, 8227, 6296, 1114, 5730}},
+    {"<total>", {28143, 6800, 4679, 1114, 4113}},
     {"study/downgrade", {7338, 454, 361, 185, 393}},
     {"study/fingerprint", {1126, 306, 153, 153, 0}},
     {"study/interception", {6172, 2090, 1932, 185, 1964}},
@@ -324,7 +324,7 @@ const std::map<std::string, std::vector<std::uint64_t>> kWorkBudget = {
     {"study/old-version", {1338, 437, 296, 185, 32}},
     {"study/passive-dataset", {3070, 421, 236, 185, 0}},
     {"study/passive-fold", {0, 0, 0, 0, 0}},
-    {"study/root-store-exploration", {13138, 4502, 3306, 221, 3340}},
+    {"study/root-store-exploration", {8857, 3075, 1689, 221, 1723}},
 };
 
 /// Every budgeted call sits inside an experiment's study/* subtree: the

@@ -173,19 +173,12 @@ TEST(ProberOracle, EveryPairMatchesAReferenceLoop) {
   }
 }
 
-/// Connection spans the testbed's trace gained while `fn` ran.
-template <typename Fn>
-std::size_t connections_during(obs::TraceLog& trace, Fn&& fn) {
-  const auto count = [&] {
-    std::size_t n = 0;
-    for (const auto& span : trace.spans()) {
-      if (span.name().starts_with("conn:")) ++n;
-    }
-    return n;
-  };
-  const std::size_t before = count();
-  fn();
-  return count() - before;
+std::size_t connection_spans(const obs::TraceLog& trace) {
+  std::size_t count = 0;
+  for (const auto& span : trace.spans()) {
+    if (span.name().starts_with("conn:")) ++count;
+  }
+  return count;
 }
 
 TEST(ProberOracle, OutsideFailureStateIsProbedForReal) {
@@ -199,6 +192,13 @@ TEST(ProberOracle, OutsideFailureStateIsProbedForReal) {
   options.trace = &trace;
   testbed::Testbed testbed(options);
   RootStoreProber prober(testbed);
+  const std::string ca = "WoSign CA Free SSL";
+  // One probe pair, and the connections it put on the wire.
+  const auto probe = [&](const std::string& device) {
+    const std::size_t before = connection_spans(trace);
+    const ProbeOutcome outcome = prober.probe_certificate(device, ca);
+    return std::make_pair(outcome, connection_spans(trace) - before);
+  };
   mitm::Interceptor outside(testbed.universe(), testbed.cloud());
   const auto fail_outside = [&](const std::string& device) {
     auto& runtime = testbed.runtime(device);
@@ -210,39 +210,38 @@ TEST(ProberOracle, OutsideFailureStateIsProbedForReal) {
     outside.uninstall(testbed.network());
     EXPECT_FALSE(outcome.final_result().success()) << device;
   };
-  const std::string ca = "WoSign CA Free SSL";
 
-  // LG TV: a failure streak of one.
-  const auto first = prober.probe_certificate("LG TV", ca);
+  // LG TV: the first pair runs both probes, the second reuses the
+  // baseline, and after a failure streak of one the baseline runs again.
+  const auto [first, first_connections] = probe("LG TV");
   ASSERT_EQ(first.verdict, Verdict::Present);
+  EXPECT_EQ(first_connections, 2u);
+  const auto [served, served_connections] = probe("LG TV");
+  EXPECT_EQ(served_connections, 1u);
+  EXPECT_EQ(served.alert_unknown, first.alert_unknown);
   fail_outside("LG TV");
-  ProbeOutcome after_streak;
-  EXPECT_EQ(connections_during(trace,
-                               [&] {
-                                 after_streak =
-                                     prober.probe_certificate("LG TV", ca);
-                               }),
-            2u);
-  EXPECT_EQ(after_streak.alert_unknown, first.alert_unknown);
-  EXPECT_EQ(after_streak.verdict, Verdict::Present);
+  ASSERT_EQ(testbed.runtime("LG TV").failure_streak(), 1);
+  const auto [streak, streak_connections] = probe("LG TV");
+  EXPECT_EQ(streak_connections, 2u);
+  EXPECT_EQ(streak.alert_unknown, first.alert_unknown);
+  EXPECT_EQ(streak.verdict, Verdict::Present);
 
-  // Yi Camera: validation disabled, so the baseline handshake completes
-  // and the device sends no alert at all.
-  const auto baseline = prober.probe_certificate("Yi Camera", ca);
+  // Yi Camera: with validation disabled the baseline handshake completes
+  // and the device sends no alert at all. The probe resets that state, so
+  // the next pair is served the stored baseline again.
+  const auto [baseline, baseline_connections] = probe("Yi Camera");
   ASSERT_TRUE(baseline.alert_unknown.has_value());
+  EXPECT_EQ(baseline_connections, 2u);
   for (int i = 0; i < 3; ++i) fail_outside("Yi Camera");
   ASSERT_TRUE(testbed.runtime("Yi Camera").validation_disabled());
-  ProbeOutcome disabled;
-  EXPECT_EQ(connections_during(trace,
-                               [&] {
-                                 disabled =
-                                     prober.probe_certificate("Yi Camera", ca);
-                               }),
-            2u);
+  const auto [disabled, disabled_connections] = probe("Yi Camera");
+  EXPECT_EQ(disabled_connections, 2u);
   EXPECT_FALSE(disabled.alert_unknown.has_value());
   EXPECT_EQ(disabled.verdict, Verdict::Inconclusive);
-  // The probe resets the failure state it found.
   EXPECT_FALSE(testbed.runtime("Yi Camera").validation_disabled());
+  const auto [again, again_connections] = probe("Yi Camera");
+  EXPECT_EQ(again_connections, 1u);
+  EXPECT_EQ(again.alert_unknown, baseline.alert_unknown);
 }
 
 }  // namespace
