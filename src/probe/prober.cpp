@@ -154,13 +154,12 @@ RootStoreProber::RootStoreProber(testbed::Testbed& testbed,
   testbed_->set_date(kProbeDate);
 }
 
-std::optional<tls::Alert> RootStoreProber::run_probe(
-    const std::string& device_name, mitm::InterceptMode mode) {
+AlertProbe RootStoreProber::run_probe(const std::string& device_name,
+                                      mitm::InterceptMode mode) {
   auto& runtime = testbed_->runtime(device_name);
   return run_alert_probe(testbed_->network(), runtime, interceptor_,
                          probe_destination(runtime.profile()), kProbeDate,
-                         std::move(mode))
-      .alert;
+                         std::move(mode));
 }
 
 std::optional<tls::Alert> RootStoreProber::baseline(
@@ -170,15 +169,13 @@ std::optional<tls::Alert> RootStoreProber::baseline(
       runtime.failure_streak() == 0 && !runtime.validation_disabled();
   const auto stored = baselines_.find(device_name);
   if (reset_state && stored != baselines_.end()) {
-    // The state a real run leaves: its connections counted, failures reset.
+    // A real run from the reset state leaves that state as it found it,
+    // with the connection counter moved on by its connections.
     runtime.skip_connections(stored->second.connections);
-    runtime.reset_failure_state();
     return stored->second.alert;
   }
-  AlertProbe probe = run_alert_probe(
-      testbed_->network(), runtime, interceptor_,
-      probe_destination(runtime.profile()), kProbeDate,
-      mitm::InterceptMode::unknown_ca());
+  const AlertProbe probe =
+      run_probe(device_name, mitm::InterceptMode::unknown_ca());
   if (reset_state) baselines_.emplace(device_name, probe);
   return probe.alert;
 }
@@ -190,8 +187,9 @@ bool RootStoreProber::device_amenable(const std::string& device_name) {
   const x509::Certificate known_root = runtime.root_store().roots().front();
 
   const auto alert_unknown = baseline(device_name);
-  const auto alert_spoofed = run_probe(
-      device_name, mitm::InterceptMode::spoofed_ca(known_root));
+  const auto alert_spoofed =
+      run_probe(device_name, mitm::InterceptMode::spoofed_ca(known_root))
+          .alert;
   const bool amenable = alert_unknown.has_value() &&
                         alert_spoofed.has_value() &&
                         *alert_unknown != *alert_spoofed;
@@ -216,8 +214,9 @@ ProbeOutcome RootStoreProber::probe_certificate(
 
   ProbeOutcome outcome;
   outcome.alert_unknown = baseline(device_name);
-  outcome.alert_spoofed = run_probe(
-      device_name, mitm::InterceptMode::spoofed_ca(candidate));
+  outcome.alert_spoofed =
+      run_probe(device_name, mitm::InterceptMode::spoofed_ca(candidate))
+          .alert;
 
   if (!outcome.alert_unknown.has_value() ||
       !outcome.alert_spoofed.has_value()) {

@@ -134,10 +134,9 @@ class RootStoreProber {
                             const std::vector<bool>& inconclusive_mask);
 
  private:
-  /// Run one intercepted boot-time connection; returns the alert the
-  /// device sent (nullopt = silent failure or no traffic).
-  std::optional<tls::Alert> run_probe(const std::string& device_name,
-                                      mitm::InterceptMode mode);
+  /// Run one intercepted boot-time connection.
+  AlertProbe run_probe(const std::string& device_name,
+                       mitm::InterceptMode mode);
 
   /// Step 1, the unknown-CA baseline: served from `baselines_` when the
   /// device starts from the reset failure state and has a stored entry,
