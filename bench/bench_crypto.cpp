@@ -4,8 +4,9 @@
 // verification with and without memoisation, 512-bit key generation,
 // SHA-256 streaming and which compression body ran it, the per-handshake
 // key schedule), the standard CA universe build from cold caches, plus
-// a reduced full-study wall clock with caches on vs off and their ratio, and
-// writes the results as machine-readable JSON for CI trending.
+// a reduced full-study wall clock with caches on vs off and their ratio, the
+// alert probes one reduced Table 9 runs, and writes the results as
+// machine-readable JSON for CI trending.
 //
 // Knobs:
 //   IOTLS_BENCH_ITERS        inner-loop repetitions (default 20; CI uses a
@@ -32,6 +33,7 @@
 #include "crypto/cache.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
+#include "obs/profile.hpp"
 #include "pki/universe.hpp"
 #include "tls/secrets.hpp"
 
@@ -43,7 +45,8 @@ using iotls::crypto::BigUint;
 
 /// Reduced-universe study (same shape as the determinism tests): enough
 /// devices and months to exercise every cache, small enough to run in CI.
-double reduced_study_wall_ms(const iotls::pki::CaUniverse& universe) {
+iotls::core::IotlsStudy::Options reduced_study(
+    const iotls::pki::CaUniverse& universe) {
   iotls::core::IotlsStudy::Options opts;
   opts.seed = 42;
   opts.threads = 1;
@@ -51,7 +54,11 @@ double reduced_study_wall_ms(const iotls::pki::CaUniverse& universe) {
   opts.passive_scale = 0.01;
   opts.passive_first = iotls::common::Month{2019, 10};
   opts.passive_last = iotls::common::Month{2020, 3};
-  iotls::core::IotlsStudy study(opts);
+  return opts;
+}
+
+double reduced_study_wall_ms(const iotls::pki::CaUniverse& universe) {
+  iotls::core::IotlsStudy study(reduced_study(universe));
   const auto start = std::chrono::steady_clock::now();
   volatile std::size_t sink = study.render_table7().size();
   sink = sink + study.render_table9().size();
@@ -59,6 +66,15 @@ double reduced_study_wall_ms(const iotls::pki::CaUniverse& universe) {
   const std::chrono::duration<double, std::milli> elapsed =
       std::chrono::steady_clock::now() - start;
   return elapsed.count();
+}
+
+/// probe/alert_probe calls anywhere in `node`'s subtree.
+std::uint64_t alert_probe_calls(const iotls::obs::ProfileNode& node) {
+  std::uint64_t calls = node.name == "probe/alert_probe" ? node.calls : 0;
+  for (const auto& [name, child] : node.children) {
+    calls += alert_probe_calls(child);
+  }
+  return calls;
 }
 
 }  // namespace
@@ -267,6 +283,24 @@ int main(int argc, char** argv) {
   const double study_on_ms = reduced_study_wall_ms(universe);
   record("study_wall_cache_on", study_on_ms, "ms");
   record("study_cache_speedup", study_off_ms / study_on_ms, "x");
+
+  // The exact work behind one reduced Table 9: the alert probes its
+  // root-store exploration runs, in iotls-bench-track's gated work-count
+  // unit. A difference of snapshots, so an IOTLS_PROFILE run keeps its
+  // whole tree.
+  {
+    iotls::core::IotlsStudy study(reduced_study(universe));
+    iotls::obs::set_profile_enabled(true);
+    const std::uint64_t probes_before =
+        alert_probe_calls(iotls::obs::profile_snapshot().root);
+    (void)study.render_table9();
+    record("root_store_alert_probes",
+           static_cast<double>(
+               alert_probe_calls(iotls::obs::profile_snapshot().root) -
+               probes_before),
+           "calls");
+    iotls::obs::set_profile_enabled(profiling);
+  }
 
   // --- Emit JSON + observability artifacts. ---
   if (!iotls::bench::write_bench_json(out_path, "crypto", iters,
