@@ -5,6 +5,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "common/hex.hpp"
 #include "common/pool.hpp"
@@ -213,21 +214,49 @@ TEST(CaUniverse, StandardRootsDigest) {
             "a90f46ea0bc0aef27ea0f6a520def1617e272306f7996d9b3a20899048042ea8");
 }
 
-TEST(CaUniverse, BuildIsCreditedToPki) {
-  crypto::crypto_caches_clear();
+/// Calls of the zone `name` anywhere in `node`'s subtree.
+std::uint64_t zone_calls(const obs::ProfileNode& node,
+                         const std::string& name) {
+  std::uint64_t calls = node.name == name ? node.calls : 0;
+  for (const auto& [child_name, child] : node.children) {
+    calls += zone_calls(child, name);
+  }
+  return calls;
+}
+
+/// Calls of the zone `op` inside every `zone` subtree of `node`.
+std::uint64_t calls_within(const obs::ProfileNode& node,
+                           const std::string& zone, const std::string& op) {
+  if (node.name == zone) return zone_calls(node, op);
+  std::uint64_t calls = 0;
+  for (const auto& [child_name, child] : node.children) {
+    calls += calls_within(child, zone, op);
+  }
+  return calls;
+}
+
+/// A profiled build of the tiny seed-11 universe.
+obs::ProfileSnapshot profiled_tiny_build() {
   obs::profile_reset();
   obs::set_profile_enabled(true);
-  const CaUniverse tiny(tiny_options(11));
-  const obs::ProfileSnapshot snap = obs::profile_snapshot();
+  { const CaUniverse tiny(tiny_options(11)); }
+  obs::ProfileSnapshot snap = obs::profile_snapshot();
   obs::set_profile_enabled(false);
   obs::profile_reset();
+  return snap;
+}
 
-  std::uint64_t universe_calls = 0;
-  std::uint64_t keygen_calls = 0;
+TEST(CaUniverse, BuildIsCreditedToPki) {
+  // The warm half needs the memo on whatever IOTLS_CRYPTO_CACHE says.
+  const bool cache_was_enabled = crypto::crypto_cache_enabled();
+  crypto::set_crypto_cache_enabled(true);
+  crypto::crypto_caches_clear();
+  const obs::ProfileSnapshot snap = profiled_tiny_build();
+  const std::size_t ca_count =
+      CaUniverse(tiny_options(11)).all_ca_names().size();
+
   const std::function<void(const obs::ProfileNode&)> walk =
       [&](const obs::ProfileNode& node) {
-        if (node.name == "pki/universe") universe_calls += node.calls;
-        if (node.name == "pki/ca_keygen") keygen_calls += node.calls;
         // Key generation is never anonymous: no modexp directly under the
         // root or a bare pool task.
         if (node.name == "<root>" || node.name == "pool/task") {
@@ -236,8 +265,22 @@ TEST(CaUniverse, BuildIsCreditedToPki) {
         for (const auto& [name, child] : node.children) walk(child);
       };
   walk(snap.root);
-  EXPECT_EQ(universe_calls, 1u);
-  EXPECT_EQ(keygen_calls, tiny.all_ca_names().size());
+  EXPECT_EQ(zone_calls(snap.root, "pki/universe"), 1u);
+  EXPECT_EQ(zone_calls(snap.root, "pki/ca_keygen"), ca_count);
+
+  // The cold build's work budget, summed over the whole tree. Every CA's
+  // key is a distinct memo key and the keypair memo computes each key
+  // once, so the totals are the same at any thread count.
+  EXPECT_EQ(zone_calls(snap.root, "crypto/modexp"), 683u);
+  EXPECT_EQ(zone_calls(snap.root, "crypto/rsa_private_op"), 14u);
+  EXPECT_EQ(calls_within(snap.root, "pki/ca_keygen", "crypto/modexp"), 683u);
+
+  // An immediate warm rebuild finds every key in the memo: key generation
+  // runs no exponentiation at all.
+  const obs::ProfileSnapshot warm = profiled_tiny_build();
+  EXPECT_EQ(zone_calls(warm.root, "pki/ca_keygen"), ca_count);
+  EXPECT_EQ(calls_within(warm.root, "pki/ca_keygen", "crypto/modexp"), 0u);
+  crypto::set_crypto_cache_enabled(cache_was_enabled);
 }
 
 }  // namespace
