@@ -38,61 +38,25 @@ void CacheCounters::count(bool hit) {
   (hit ? hits_ : misses_)->inc();
 }
 
-template <typename Value>
-std::optional<Value> DigestCache<Value>::lookup(const DigestKey& key) {
-  Shard& s = shard(key);
-  std::optional<Value> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) out = it->second;
-  }
-  counters_.count(out.has_value());
-  return out;
-}
-
-template <typename Value>
-void DigestCache<Value>::store(const DigestKey& key, const Value& value) {
-  Shard& s = shard(key);
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (s.map.size() >= max_per_shard_) s.map.clear();
-  s.map.emplace(key, value);
-}
-
-template <typename Value>
-void DigestCache<Value>::clear() {
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.map.clear();
-  }
-}
-
-template <typename Value>
-std::size_t DigestCache<Value>::size() {
-  std::size_t total = 0;
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    total += s.map.size();
-  }
-  return total;
-}
-
-template class DigestCache<std::uint64_t>;
-template class DigestCache<common::Bytes>;
-
-DigestCache<std::uint64_t>& sig_verify_cache() {
-  static DigestCache<std::uint64_t> cache("sig_verify", 1 << 15);
+CryptoMemo<DigestKey, std::uint64_t>& sig_verify_cache() {
+  static CryptoMemo<DigestKey, std::uint64_t> cache("sig_verify", 1 << 15);
   return cache;
 }
 
-DigestCache<std::uint64_t>& chain_verify_cache() {
-  static DigestCache<std::uint64_t> cache("chain_verify", 1 << 15);
+CryptoMemo<DigestKey, std::uint64_t>& chain_verify_cache() {
+  static CryptoMemo<DigestKey, std::uint64_t> cache("chain_verify", 1 << 15);
   return cache;
 }
 
-DigestCache<common::Bytes>& cert_sign_cache() {
+CryptoMemo<DigestKey, common::Bytes>& cert_sign_cache() {
   // Small on purpose; see the header.
-  static DigestCache<common::Bytes> cache("cert_sign", 256);
+  static CryptoMemo<DigestKey, common::Bytes> cache("cert_sign", 256);
+  return cache;
+}
+
+CryptoMemo<KeypairKey, KeypairEntry, KeypairKeyHash>& keypair_cache() {
+  static CryptoMemo<KeypairKey, KeypairEntry, KeypairKeyHash> cache(
+      "keypair", 1 << 14);
   return cache;
 }
 
@@ -100,7 +64,7 @@ void crypto_caches_clear() {
   sig_verify_cache().clear();
   chain_verify_cache().clear();
   cert_sign_cache().clear();
-  detail::keypair_cache_clear();
+  keypair_cache().clear();
 }
 
 }  // namespace iotls::crypto

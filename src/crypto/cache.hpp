@@ -25,19 +25,22 @@
 //   - keypair cache (rsa.cpp): keyed by the generator state + modulus bits;
 //     a hit replays the generator's consumption exactly via Rng snapshots.
 //
-// All tables are sharded and mutex-guarded; hit/miss counts export as
-// iotls_crypto_cache_{hits,misses}_total{cache=...} through the metrics
-// registry. The IOTLS_CRYPTO_CACHE env knob (strict parsing, 0 = disable)
-// seeds the master switch; tests flip it with set_crypto_cache_enabled().
+// Each is a common::Memo (common/memo.hpp): sharded, generational and
+// single-flight, so workers that miss one key at once compute it once.
+// Hit/miss counts export as iotls_crypto_cache_{hits,misses}_total{cache=...}
+// through the metrics registry. The IOTLS_CRYPTO_CACHE env knob (strict
+// parsing, 0 = disable) seeds the master switch; tests flip it with
+// set_crypto_cache_enabled().
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <optional>
-#include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/memo.hpp"
+#include "common/rng.hpp"
+#include "crypto/rsa.hpp"
 
 namespace iotls::obs {
 class Counter;
@@ -75,60 +78,82 @@ class CacheCounters {
 /// The SHA-256 every digest-keyed memo table is addressed by.
 using DigestKey = std::array<std::uint8_t, 32>;
 
-/// A sharded digest -> Value memo table. Shard picked from a key byte not
-/// used by the in-shard hash; each shard is generational — when it reaches
-/// `max_per_shard` entries it is cleared rather than evicted entry-by-entry,
-/// which keeps memory bounded on workloads with unbounded distinct keys
-/// (e.g. the certificate chains of a long run of freshly issued server
-/// identities). Instantiated for u64 verdicts and Bytes signatures.
-template <typename Value>
-class DigestCache {
- public:
-  static constexpr std::size_t kShards = 16;
-
-  DigestCache(const char* name, std::size_t max_per_shard)
-      : counters_(name), max_per_shard_(max_per_shard) {}
-
-  std::optional<Value> lookup(const DigestKey& key);
-  void store(const DigestKey& key, const Value& value);
-  void clear();
-  /// Entries currently held, over all shards.
-  [[nodiscard]] std::size_t size();
-  [[nodiscard]] std::size_t max_per_shard() const { return max_per_shard_; }
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const DigestKey& k) const {
-      std::uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) v = (v << 8) | k[static_cast<std::size_t>(i)];
-      return static_cast<std::size_t>(v);
-    }
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<DigestKey, Value, KeyHash> map;
-  };
-
-  Shard& shard(const DigestKey& key) { return shards_[key[8] % kShards]; }
-
-  CacheCounters counters_;
-  std::size_t max_per_shard_;
-  std::array<Shard, kShards> shards_;
+/// Bytes 1..8 of the digest, big-endian: its low byte, key[8], picks the
+/// shard.
+struct DigestKeyHash {
+  std::size_t operator()(const DigestKey& k) const {
+    std::uint64_t v = 0;
+    for (std::size_t i = 1; i <= 8; ++i) v = (v << 8) | k[i];
+    return static_cast<std::size_t>(v);
+  }
 };
 
-extern template class DigestCache<std::uint64_t>;
-extern template class DigestCache<common::Bytes>;
+/// A crypto memo table: a common::Memo with its hit/miss counters, behind
+/// the master switch.
+template <typename Key, typename Value, typename Hash = DigestKeyHash>
+class CryptoMemo {
+ public:
+  CryptoMemo(const char* name, std::size_t max_per_shard)
+      : counters_(name), memo_(max_per_shard) {}
 
-/// The shared instances. Lookup/store already count hits/misses under the
-/// instance's name; callers only gate on crypto_cache_enabled().
-DigestCache<std::uint64_t>& sig_verify_cache();
-DigestCache<std::uint64_t>& chain_verify_cache();
-DigestCache<common::Bytes>& cert_sign_cache();
+  /// `compute()` itself while the caches are off. Otherwise the value
+  /// memoised for `key_of()`, computed on a miss; a caller that waits for
+  /// another's computation counts a hit. `key_of` runs only while the
+  /// caches are on, so the uncached path pays no key digest.
+  template <typename KeyFn, typename Fn>
+  Value get_or_compute(KeyFn&& key_of, Fn&& compute) {
+    if (!crypto_cache_enabled()) return compute();
+    bool computed = false;
+    Value value = memo_.get_or_compute(key_of(), [&] {
+      computed = true;
+      return compute();
+    });
+    counters_.count(!computed);
+    return value;
+  }
 
-namespace detail {
-/// Implemented in rsa.cpp (the keypair table's value type lives there);
-/// called by crypto_caches_clear().
-void keypair_cache_clear();
-}  // namespace detail
+  void clear() { memo_.clear(); }
+  /// Entries currently held, over all shards.
+  [[nodiscard]] std::size_t size() { return memo_.size(); }
+  [[nodiscard]] std::size_t max_per_shard() const {
+    return memo_.max_per_shard();
+  }
+
+ private:
+  CacheCounters counters_;
+  common::Memo<Key, Value, Hash> memo_;
+};
+
+/// The keypair memo's key: a generation is a pure function of the
+/// generator state and the modulus size.
+struct KeypairKey {
+  common::Rng::State state;
+  std::size_t bits;
+
+  bool operator==(const KeypairKey& other) const = default;
+};
+
+struct KeypairKeyHash {
+  std::size_t operator()(const KeypairKey& k) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t word : k.state) {
+      h = (h ^ word) * 0x100000001b3ULL;
+    }
+    h = (h ^ k.bits) * 0x100000001b3ULL;
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// A memoised generation: the pair and the generator state it left.
+struct KeypairEntry {
+  RsaKeyPair pair;
+  common::Rng::State post_state;
+};
+
+/// The shared instances.
+CryptoMemo<DigestKey, std::uint64_t>& sig_verify_cache();
+CryptoMemo<DigestKey, std::uint64_t>& chain_verify_cache();
+CryptoMemo<DigestKey, common::Bytes>& cert_sign_cache();
+CryptoMemo<KeypairKey, KeypairEntry, KeypairKeyHash>& keypair_cache();
 
 }  // namespace iotls::crypto

@@ -1,11 +1,5 @@
 #include "crypto/rsa.hpp"
 
-#include <array>
-#include <exception>
-#include <future>
-#include <mutex>
-#include <unordered_map>
-
 #include "common/rng.hpp"
 #include "crypto/cache.hpp"
 #include "crypto/sha256.hpp"
@@ -100,110 +94,22 @@ RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {
   }
 }
 
-// ---- keypair cache ----
-//
-// Keyed by (generator state, modulus bits): the generation is a pure
-// function of those, so a hit can return the memoised pair and fast-forward
-// the generator to the memoised post-generation state — downstream draws
-// (a CA's serial prefix, a server's next key) are byte-identical either
-// way. Sharded + mutex-guarded: the CA universe and sandboxes generate
-// concurrently. Single-flight: the first miss publishes a pending entry,
-// and every caller that finds it waits for that one generation instead of
-// running its own, so each key is computed once however many workers ask
-// for it at the same moment.
-
-struct KeypairKey {
-  common::Rng::State state;
-  std::size_t bits;
-
-  bool operator==(const KeypairKey& other) const = default;
-};
-
-struct KeypairKeyHash {
-  std::size_t operator()(const KeypairKey& k) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const std::uint64_t word : k.state) {
-      h = (h ^ word) * 0x100000001b3ULL;
-    }
-    h = (h ^ k.bits) * 0x100000001b3ULL;
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct KeypairEntry {
-  RsaKeyPair pair;
-  common::Rng::State post_state;
-};
-
-struct KeypairShard {
-  std::mutex mutex;
-  /// Ready once the generating caller has set it; copies wait on it.
-  std::unordered_map<KeypairKey, std::shared_future<KeypairEntry>,
-                     KeypairKeyHash>
-      map;
-};
-
-constexpr std::size_t kKeypairShards = 16;
-constexpr std::size_t kKeypairMaxPerShard = 1 << 14;
-
-std::array<KeypairShard, kKeypairShards>& keypair_shards() {
-  static std::array<KeypairShard, kKeypairShards> shards;
-  return shards;
-}
-
-KeypairShard& keypair_shard(const KeypairKey& key) {
-  return keypair_shards()[KeypairKeyHash{}(key) % kKeypairShards];
-}
-
 }  // namespace
-
-namespace detail {
-void keypair_cache_clear() {
-  for (KeypairShard& shard : keypair_shards()) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-}
-}  // namespace detail
 
 RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
   if (bits < 128) throw common::CryptoError("rsa_generate: modulus too small");
-  if (!crypto_cache_enabled()) return rsa_generate_impl(rng, bits);
-
-  static CacheCounters counters("keypair");
-  const KeypairKey key{rng.state(), bits};
-  KeypairShard& shard = keypair_shard(key);
-  std::promise<KeypairEntry> promise;
-  std::shared_future<KeypairEntry> pending;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      pending = it->second;
-    } else {
-      if (shard.map.size() >= kKeypairMaxPerShard) shard.map.clear();
-      shard.map.emplace(key, promise.get_future().share());
-    }
-  }
-  if (pending.valid()) {
-    // A hit, or another caller's generation still in flight.
-    const KeypairEntry& entry = pending.get();
-    rng.set_state(entry.post_state);
-    counters.count(true);
-    return entry.pair;
-  }
-  counters.count(false);
-  try {
-    RsaKeyPair pair = rsa_generate_impl(rng, bits);
-    promise.set_value(KeypairEntry{pair, rng.state()});
-    return pair;
-  } catch (...) {
-    // Waiters rethrow; later callers generate afresh.
-    promise.set_exception(std::current_exception());
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.erase(key);
-    throw;
-  }
+  // The generation is a pure function of (generator state, bits), so a hit
+  // returns the memoised pair and fast-forwards the generator to the state
+  // the generation left: downstream draws (a CA's serial prefix, a
+  // server's next key) are byte-identical either way.
+  KeypairEntry entry = keypair_cache().get_or_compute(
+      [&] { return KeypairKey{rng.state(), bits}; },
+      [&] {
+        RsaKeyPair pair = rsa_generate_impl(rng, bits);
+        return KeypairEntry{std::move(pair), rng.state()};
+      });
+  rng.set_state(entry.post_state);
+  return std::move(entry.pair);
 }
 
 BigUint rsa_private_op(const RsaPrivateKey& key, const BigUint& c) {
@@ -278,27 +184,20 @@ bool rsa_verify(const RsaPublicKey& key, common::BytesView message,
   const std::size_t k = (key.n.bit_length() + 7) / 8;
   if (signature.size() != k) return false;
 
-  if (!crypto_cache_enabled()) {
-    return rsa_verify_impl(key, message, signature, k);
-  }
-
-  Sha256 h;
-  common::ByteWriter prefix;
-  prefix.vec(key.n.to_bytes(), 2);
-  prefix.vec(key.e.to_bytes(), 2);
-  h.update(prefix.bytes());
-  const Sha256Digest msg_digest = Sha256::digest(message);
-  const Sha256Digest sig_digest = Sha256::digest(signature);
-  h.update(msg_digest);
-  h.update(sig_digest);
-  const DigestKey cache_key = h.finish();
-
-  if (const auto cached = sig_verify_cache().lookup(cache_key)) {
-    return *cached != 0;
-  }
-  const bool ok = rsa_verify_impl(key, message, signature, k);
-  sig_verify_cache().store(cache_key, ok ? 1 : 0);
-  return ok;
+  const auto cache_key = [&] {
+    Sha256 h;
+    common::ByteWriter prefix;
+    prefix.vec(key.n.to_bytes(), 2);
+    prefix.vec(key.e.to_bytes(), 2);
+    h.update(prefix.bytes());
+    h.update(Sha256::digest(message));
+    h.update(Sha256::digest(signature));
+    return h.finish();
+  };
+  return sig_verify_cache().get_or_compute(cache_key, [&] {
+           return std::uint64_t{
+               rsa_verify_impl(key, message, signature, k) ? 1U : 0U};
+         }) != 0;
 }
 
 bool rsa_verify_uncached(const RsaPublicKey& key, common::BytesView message,

@@ -1,10 +1,16 @@
 #include "fleet/synth.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>  // snprintf for shard names (not raw file I/O)
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
 
+#include "common/memo.hpp"
 #include "common/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -14,6 +20,32 @@
 namespace iotls::fleet {
 
 namespace {
+
+/// Template set key: which sandbox replay an instance's records come from.
+struct TemplateKey {
+  std::uint32_t model = 0;
+  int epoch = 0;
+  int drift_bucket = 0;
+
+  bool operator==(const TemplateKey&) const = default;
+};
+
+struct TemplateKeyHash {
+  std::size_t operator()(const TemplateKey& key) const {
+    return static_cast<std::size_t>(key.model) * 31 +
+           static_cast<std::size_t>(key.epoch) * 5 +
+           static_cast<std::size_t>(key.drift_bucket);
+  }
+};
+
+/// One model's full passive window replayed on one firmware epoch with one
+/// clock drift: records[(month_offset, destination_index)] holds the
+/// capture records of that connection (two when a fallback retry fired).
+struct TemplateSet {
+  std::map<std::pair<int, int>, std::vector<net::HandshakeRecord>> records;
+  /// Connections the replay actually ran (the rest were re-stamped).
+  std::uint64_t handshakes = 0;
+};
 
 struct FleetMetrics {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
@@ -51,48 +83,19 @@ std::vector<int> sample_sorted(common::Rng& rng, int base, std::size_t size,
   return values;
 }
 
-}  // namespace
-
-TemplateBank::TemplateBank(const FleetModel& fleet,
-                           const pki::CaUniverse& universe)
-    : fleet_(fleet), universe_(universe) {}
-
-std::shared_ptr<const TemplateSet> TemplateBank::get(TemplateKey key) {
-  const std::size_t shard_index =
-      (static_cast<std::size_t>(key.model) * 31 +
-       static_cast<std::size_t>(key.epoch) * 5 +
-       static_cast<std::size_t>(key.drift_bucket)) %
-      kShards;
-  Shard& shard = shards_[shard_index];
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.sets.find(key);
-    if (it != shard.sets.end()) return it->second;
-  }
-  // Compute outside the lock: a set is deterministic in its key, so two
-  // workers racing on the same key do redundant (identical) work at worst.
-  std::shared_ptr<const TemplateSet> computed = compute(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto [it, inserted] = shard.sets.emplace(key, std::move(computed));
-  if (inserted && obs::metrics_enabled()) {
-    FleetMetrics::get().template_sets.inc();
-    FleetMetrics::get().template_handshakes.inc(it->second->handshakes);
-  }
-  return it->second;
-}
-
-std::shared_ptr<const TemplateSet> TemplateBank::compute(
-    TemplateKey key) const {
+std::shared_ptr<const TemplateSet> compute_template_set(
+    const FleetModel& fleet, const pki::CaUniverse& universe,
+    TemplateKey key) {
   const obs::ProfileZone zone("fleet/template_set");
   // The runtime is built over the frozen profile, so the epoch's
   // configuration — not the live update timeline — drives every handshake.
   const devices::DeviceProfile frozen =
-      fleet_.frozen_profile(key.model, key.epoch);
-  const auto [first_off, last_off] = fleet_.window(key.model);
+      fleet.frozen_profile(key.model, key.epoch);
+  const auto [first_off, last_off] = fleet.window(key.model);
 
   auto set = std::make_shared<TemplateSet>();
   set->handshakes = testbed::replay_months(
-      frozen, universe_, fleet_.options().seed,
+      frozen, universe, fleet.options().seed,
       common::month_range(common::kStudyStart.plus(first_off),
                           common::kStudyStart.plus(last_off)),
       kDriftDays[static_cast<std::size_t>(key.drift_bucket)],
@@ -104,23 +107,7 @@ std::shared_ptr<const TemplateSet> TemplateBank::compute(
   return set;
 }
 
-std::uint64_t TemplateBank::sets_computed() const {
-  std::uint64_t n = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.sets.size();
-  }
-  return n;
-}
-
-std::uint64_t TemplateBank::handshakes_run() const {
-  std::uint64_t n = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, set] : shard.sets) n += set->handshakes;
-  }
-  return n;
-}
+}  // namespace
 
 std::string fleet_shard_name(std::uint32_t index) {
   char name[32];
@@ -136,7 +123,25 @@ SynthReport synthesize_fleet(const SynthOptions& options,
       options.universe != nullptr ? *options.universe
                                   : pki::CaUniverse::standard();
   const FleetModel fleet(options.fleet);
-  TemplateBank bank(fleet, universe);
+  // Each set is computed once, whichever worker asks first; the report
+  // and the metrics count it there.
+  common::Memo<TemplateKey, std::shared_ptr<const TemplateSet>,
+               TemplateKeyHash>
+      template_sets;
+  std::atomic<std::uint64_t> sets_computed{0};
+  std::atomic<std::uint64_t> handshakes_run{0};
+  const auto template_set = [&](TemplateKey key) {
+    return template_sets.get_or_compute(key, [&] {
+      auto set = compute_template_set(fleet, universe, key);
+      sets_computed.fetch_add(1, std::memory_order_relaxed);
+      handshakes_run.fetch_add(set->handshakes, std::memory_order_relaxed);
+      if (obs::metrics_enabled()) {
+        FleetMetrics::get().template_sets.inc();
+        FleetMetrics::get().template_handshakes.inc(set->handshakes);
+      }
+      return set;
+    });
+  };
 
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -227,7 +232,7 @@ SynthReport synthesize_fleet(const SynthOptions& options,
             const common::Month month = common::kStudyStart.plus(off);
             const int epoch = fleet.epoch_at(spec, month);
             const auto set =
-                bank.get({spec.model, epoch, spec.drift_bucket});
+                template_set({spec.model, epoch, spec.drift_bucket});
             const std::string device = fleet.label(spec, month);
             const std::vector<int> dests =
                 sample_sorted(obs_rng, 0, model.destinations.size(),
@@ -263,8 +268,8 @@ SynthReport synthesize_fleet(const SynthOptions& options,
     report.bytes += outcome.info.bytes;
     report.connections += outcome.connections;
   }
-  report.template_sets = bank.sets_computed();
-  report.template_handshakes = bank.handshakes_run();
+  report.template_sets = sets_computed.load();
+  report.template_handshakes = handshakes_run.load();
   return report;
 }
 

@@ -10,70 +10,20 @@
 // sandbox replays, each of which runs a destination's handshake only when
 // its inputs change (testbed::replay_months) — and per-instance synthesis
 // reduces to stamping those template records with the instance's
-// identity, months, and sampled connection counts. Peak RSS is one
-// template bank plus one shard writer per worker, at any fleet size.
+// identity, months, and sampled connection counts. Each set is computed
+// once, by whichever worker first asks for it, while the others wait for
+// it (common::Memo's single-flight contract). Peak RSS is the template
+// sets plus one shard writer per worker, at any fleet size.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "fleet/fleet.hpp"
-#include "net/capture.hpp"
 #include "pki/universe.hpp"
 #include "store/writer.hpp"
 
 namespace iotls::fleet {
-
-/// Template bank key: which sandbox replay an instance's records come from.
-struct TemplateKey {
-  std::uint32_t model = 0;
-  int epoch = 0;
-  int drift_bucket = 0;
-
-  auto operator<=>(const TemplateKey&) const = default;
-};
-
-/// One model's full passive window replayed on one firmware epoch with one
-/// clock drift: records[(month_offset, destination_index)] holds the
-/// capture records of that connection (two when a fallback retry fired).
-struct TemplateSet {
-  std::map<std::pair<int, int>, std::vector<net::HandshakeRecord>> records;
-  /// Connections the replay actually ran (the rest were re-stamped).
-  std::uint64_t handshakes = 0;
-};
-
-/// Lazy, thread-safe cache of template sets. Lookups race benignly: a set
-/// is a pure function of its key, so concurrent workers may compute the
-/// same set twice and the first insert wins — the sharded-mutex idiom the
-/// crypto caches use (DESIGN.md §8).
-class TemplateBank {
- public:
-  TemplateBank(const FleetModel& fleet, const pki::CaUniverse& universe);
-
-  [[nodiscard]] std::shared_ptr<const TemplateSet> get(TemplateKey key);
-
-  [[nodiscard]] std::uint64_t sets_computed() const;
-  [[nodiscard]] std::uint64_t handshakes_run() const;
-
- private:
-  std::shared_ptr<const TemplateSet> compute(TemplateKey key) const;
-
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
-    std::mutex mutex;
-    std::map<TemplateKey, std::shared_ptr<const TemplateSet>> sets;
-  };
-
-  const FleetModel& fleet_;
-  const pki::CaUniverse& universe_;
-  mutable std::array<Shard, kShards> shards_;
-};
 
 struct SynthOptions {
   FleetOptions fleet;
@@ -113,7 +63,7 @@ std::string fleet_shard_name(std::uint32_t index);
 /// Synthesize the fleet's passive captures into `dir` (created if
 /// missing), one shard per `shard_instances` contiguous instance indices.
 /// Byte-identical output at any thread count; RSS bounded by the template
-/// bank + one shard writer per worker.
+/// sets + one shard writer per worker.
 SynthReport synthesize_fleet(const SynthOptions& options,
                              const std::string& dir);
 

@@ -101,25 +101,19 @@ Certificate issue_certificate(const TbsCertificate& tbs,
   Certificate cert;
   cert.tbs = tbs;
   const common::Bytes tbs_bytes = tbs.serialize();
-  if (!crypto::crypto_cache_enabled()) {
-    cert.signature = crypto::rsa_sign(issuer_key, tbs_bytes);
-    return cert;
-  }
   // The issuer's private exponent is part of the key, so two keys that
   // share a modulus never share a signature; only its digest is held.
-  crypto::Sha256 h;
-  common::ByteWriter prefix;
-  prefix.vec(issuer_key.n.to_bytes(), 2);
-  prefix.vec(issuer_key.d.to_bytes(), 2);
-  h.update(prefix.bytes());
-  h.update(crypto::Sha256::digest(tbs_bytes));
-  const crypto::DigestKey key = h.finish();
-  if (auto cached = crypto::cert_sign_cache().lookup(key)) {
-    cert.signature = std::move(*cached);
-    return cert;
-  }
-  cert.signature = crypto::rsa_sign(issuer_key, tbs_bytes);
-  crypto::cert_sign_cache().store(key, cert.signature);
+  const auto cache_key = [&] {
+    crypto::Sha256 h;
+    common::ByteWriter prefix;
+    prefix.vec(issuer_key.n.to_bytes(), 2);
+    prefix.vec(issuer_key.d.to_bytes(), 2);
+    h.update(prefix.bytes());
+    h.update(crypto::Sha256::digest(tbs_bytes));
+    return h.finish();
+  };
+  cert.signature = crypto::cert_sign_cache().get_or_compute(
+      cache_key, [&] { return crypto::rsa_sign(issuer_key, tbs_bytes); });
   return cert;
 }
 

@@ -215,17 +215,11 @@ VerifyResult verify_impl(std::span<const Certificate> chain,
 
   const ResolvedChain resolved = resolve_chain(chain, trust_anchors, policy);
 
-  if (!crypto::crypto_cache_enabled()) {
-    return verify_resolved(resolved, hostname, now, policy);
-  }
-  const crypto::DigestKey key =
-      chain_cache_key(resolved, hostname, now, policy);
-  if (const auto cached = crypto::chain_verify_cache().lookup(key)) {
-    return unpack_result(*cached);
-  }
-  const VerifyResult result = verify_resolved(resolved, hostname, now, policy);
-  crypto::chain_verify_cache().store(key, pack_result(result));
-  return result;
+  return unpack_result(crypto::chain_verify_cache().get_or_compute(
+      [&] { return chain_cache_key(resolved, hostname, now, policy); },
+      [&] {
+        return pack_result(verify_resolved(resolved, hostname, now, policy));
+      }));
 }
 
 struct VerifyMetrics {

@@ -51,36 +51,48 @@ std::uint64_t cache_lookups(const char* cache) {
              .value();
 }
 
-TEST_F(CryptoCacheTest, DigestCacheStoresAndClears) {
-  DigestCache<std::uint64_t> cache("test", 4);
-  DigestKey key{};
-  key[8] = 7;  // also exercises shard selection
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  cache.store(key, 42);
-  ASSERT_TRUE(cache.lookup(key).has_value());
-  EXPECT_EQ(*cache.lookup(key), 42u);
-  cache.clear();
-  EXPECT_FALSE(cache.lookup(key).has_value());
+/// Memoise `value` under `key` in `cache`: the memoised value on a hit,
+/// `value` itself on a miss. Counts the computations in `computes`.
+template <typename Value>
+Value memoise(CryptoMemo<DigestKey, Value>& cache, const DigestKey& key,
+              const Value& value, int* computes = nullptr) {
+  return cache.get_or_compute([&] { return key; },
+                              [&] {
+                                if (computes != nullptr) ++*computes;
+                                return value;
+                              });
 }
 
-TEST_F(CryptoCacheTest, DigestCacheHoldsByteValues) {
-  DigestCache<common::Bytes> cache("test_bytes", 4);
+TEST_F(CryptoCacheTest, CryptoMemoStoresAndClears) {
+  CryptoMemo<DigestKey, std::uint64_t> cache("test", 4);
+  DigestKey key{};
+  key[8] = 7;  // also exercises shard selection
+  int computes = 0;
+  EXPECT_EQ(memoise<std::uint64_t>(cache, key, 42, &computes), 42u);
+  EXPECT_EQ(computes, 1);  // cold: computed and stored
+  EXPECT_EQ(memoise<std::uint64_t>(cache, key, 99, &computes), 42u);
+  EXPECT_EQ(computes, 1);  // warm: the stored value
+  cache.clear();
+  EXPECT_EQ(memoise<std::uint64_t>(cache, key, 99, &computes), 99u);
+  EXPECT_EQ(computes, 2);  // cleared: computed afresh
+}
+
+TEST_F(CryptoCacheTest, CryptoMemoHoldsByteValues) {
+  CryptoMemo<DigestKey, common::Bytes> cache("test_bytes", 4);
   DigestKey key{};
   key[0] = 1;
-  cache.store(key, to_bytes("signature"));
-  const auto hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, to_bytes("signature"));
+  (void)memoise(cache, key, to_bytes("signature"));
+  EXPECT_EQ(memoise(cache, key, to_bytes("other")), to_bytes("signature"));
 }
 
 TEST_F(CryptoCacheTest, ShardNeverHoldsMoreThanItsCapacity) {
   // Every key below lands in one shard (same key[8]); the shard clears
   // itself at capacity instead of growing.
-  DigestCache<common::Bytes> cache("test_bound", 8);
+  CryptoMemo<DigestKey, common::Bytes> cache("test_bound", 8);
   for (std::uint8_t i = 0; i < 50; ++i) {
     DigestKey key{};
     key[0] = i;
-    cache.store(key, common::Bytes(64, i));
+    (void)memoise(cache, key, common::Bytes(64, i));
     EXPECT_LE(cache.size(), cache.max_per_shard());
   }
   // Spread over every shard, the whole table stays within kShards shards.
@@ -89,10 +101,10 @@ TEST_F(CryptoCacheTest, ShardNeverHoldsMoreThanItsCapacity) {
     key[0] = static_cast<std::uint8_t>(i);
     key[1] = static_cast<std::uint8_t>(i >> 8);
     key[8] = static_cast<std::uint8_t>(i % 251);
-    cache.store(key, common::Bytes(64, 0));
+    (void)memoise(cache, key, common::Bytes(64, 0));
   }
-  EXPECT_LE(cache.size(),
-            cache.max_per_shard() * DigestCache<common::Bytes>::kShards);
+  using Table = common::Memo<DigestKey, common::Bytes, DigestKeyHash>;
+  EXPECT_LE(cache.size(), cache.max_per_shard() * Table::kShards);
 
   // The shared certificate-signing memo has the same bound.
   EXPECT_EQ(cert_sign_cache().max_per_shard(), 256u);

@@ -1,14 +1,17 @@
 // Fleet expansion model unit behavior: pure per-index expansion, disjoint
 // uid sets across seeds, wire labels, epoch selection, window clamping and
-// the shard-name helpers.
+// the shard-name helpers, and how often synthesis computes a template set.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
 
 #include "fleet/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/synth.hpp"
+#include "obs/profile.hpp"
+#include "pki/universe.hpp"
 
 namespace iotls::fleet {
 namespace {
@@ -180,6 +183,49 @@ TEST(FleetRegions, NamesAndIterationAgree) {
   EXPECT_EQ(age_bucket_name(6), "6mo");
   EXPECT_EQ(age_bucket_name(12), "12mo");
   EXPECT_EQ(age_bucket_name(13), "old");
+}
+
+/// Calls of the zone `name` anywhere in `node`'s subtree.
+std::uint64_t zone_calls(const obs::ProfileNode& node,
+                         const std::string& name) {
+  std::uint64_t calls = node.name == name ? node.calls : 0;
+  for (const auto& [child_name, child] : node.children) {
+    calls += zone_calls(child, name);
+  }
+  return calls;
+}
+
+TEST(FleetSynth, EachTemplateSetIsComputedOnce) {
+  // Sixteen shards of three models at eight threads: the shards start at
+  // once and ask for the same (model, epoch, drift) sets, and each set is
+  // replayed by one worker while the others wait for it.
+  pki::CaUniverse::Options universe_options;
+  universe_options.common_count = 30;
+  universe_options.deprecated_count = 58;
+  const pki::CaUniverse universe(universe_options);
+
+  SynthOptions options;
+  options.fleet.seed = 4242;
+  options.fleet.instances = 4'000;
+  options.fleet.devices = {"Yi Camera", "Amazon Echo Dot", "Roku TV"};
+  options.universe = &universe;
+  options.shard_instances = 250;
+  options.threads = 8;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "iotls_fleet_template_once";
+  std::filesystem::remove_all(dir);
+
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+  const SynthReport report = synthesize_fleet(options, dir.string());
+  const obs::ProfileSnapshot snap = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(report.shards, 16u);
+  EXPECT_GT(report.template_sets, 3u);
+  EXPECT_EQ(zone_calls(snap.root, "fleet/template_set"), report.template_sets);
 }
 
 }  // namespace

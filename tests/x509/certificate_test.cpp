@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "common/pool.hpp"
 #include "crypto/cache.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 
 namespace iotls::x509 {
 namespace {
@@ -294,6 +299,75 @@ TEST_F(IssueMemoTest, ConcurrentIssuanceMatchesUncached) {
   });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_LE(crypto::cert_sign_cache().size(), expected.size());
+}
+
+/// Calls of the zone `name` anywhere in `node`'s subtree.
+std::uint64_t zone_calls(const obs::ProfileNode& node,
+                         const std::string& name) {
+  std::uint64_t calls = node.name == name ? node.calls : 0;
+  for (const auto& [child_name, child] : node.children) {
+    calls += zone_calls(child, name);
+  }
+  return calls;
+}
+
+TEST_F(IssueMemoTest, ConcurrentColdIssuanceSignsOnce) {
+  // Eight threads issuing one cold TBS under one key at the same moment
+  // wait for a single signature: one cert_sign miss, one private op, and
+  // every thread gets the bytes an uncached signature has. Each round
+  // issues a fresh TBS. A 1024-bit key without CRT factors signs through
+  // the full-width exponent, which keeps the signature in flight for more
+  // than a millisecond: longer than the threads take to wake.
+  common::Rng rng(16);
+  const crypto::RsaKeyPair keys = crypto::rsa_generate(rng, 1024);
+  crypto::RsaPrivateKey legacy;
+  legacy.n = keys.priv.n;
+  legacy.e = keys.priv.e;
+  legacy.d = keys.priv.d;
+  constexpr std::size_t kRounds = 32;
+  std::vector<TbsCertificate> tbss;
+  std::vector<common::Bytes> expected;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    tbss.push_back(leaf_tbs("flight.example.com", keys.pub));
+    tbss.back().serial = {0x42, static_cast<std::uint8_t>(round)};
+    expected.push_back(crypto::rsa_sign(legacy, tbss.back().serialize()));
+  }
+
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& misses = obs::MetricsRegistry::global().counter(
+      "iotls_crypto_cache_misses_total", "Crypto memoisation misses by cache",
+      "cache", "cert_sign");
+  const std::uint64_t misses_before = misses.value();
+  obs::profile_reset();
+  obs::set_profile_enabled(true);
+
+  constexpr std::size_t kThreads = 8;
+  std::atomic<int> mismatches{0};
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, round] {
+        start.arrive_and_wait();
+        if (issue_certificate(tbss[round], legacy).signature !=
+            expected[round]) {
+          ++mismatches;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+
+  const obs::ProfileSnapshot snap = obs::profile_snapshot();
+  obs::set_profile_enabled(false);
+  obs::profile_reset();
+  const std::uint64_t signed_misses = misses.value() - misses_before;
+  obs::set_metrics_enabled(metrics_were_enabled);
+
+  EXPECT_EQ(signed_misses, kRounds);
+  EXPECT_EQ(zone_calls(snap.root, "crypto/rsa_private_op"), kRounds);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
