@@ -9,18 +9,19 @@
 //     threads ask for it at the same moment.
 //   - Throwing compute. If `fn` throws, every waiter receives the
 //     exception and the entry is dropped; the next caller computes afresh.
-//   - Finished entries hold the value itself. A future's shared state
+//   - Finished entries hold the value itself. The record waiters block on
 //     exists only while a value is in flight: when `fn` returns, its
 //     pending entry is replaced by the value, but only if that entry is
-//     still its own (a shard clear may have removed it meanwhile).
+//     still its own (a shard clear may have removed it meanwhile). The
+//     value is copied to the waiters only when there are some.
 //   - A hit on a finished entry takes its shard's lock once and copies the
 //     value out.
 //
 // Shards are generational: one that reaches `max_per_shard` entries
 // (finished and pending together) is cleared wholesale rather than evicted
 // entry by entry, which bounds memory on workloads with unbounded distinct
-// keys. Waiters already holding a cleared entry's future still get its
-// value. The shard is picked by `Hash(key) % kShards`.
+// keys. Waiters of a cleared pending entry still get its value. The shard
+// is picked by `Hash(key) % kShards`.
 //
 // Deadlock freedom: a compute function must never ask its own memo for a
 // key, directly or through another memo's compute. The memos in src/ form
@@ -31,10 +32,10 @@
 #pragma once
 
 #include <array>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -67,9 +68,10 @@ class Memo {
         return it->second;
       }
       if (const auto it = shard.flights.find(key); it != shard.flights.end()) {
-        const std::shared_future<Value> result = it->second->result;
-        lock.unlock();
-        return result.get();  // rethrows a failed computation's exception
+        const std::shared_ptr<Flight> pending = it->second;
+        shard.landed.wait(lock, [&] { return pending->done; });
+        if (pending->error) std::rethrow_exception(pending->error);
+        return *pending->value;
       }
       if (shard.values.size() + shard.flights.size() >= max_per_shard_) {
         shard.values.clear();
@@ -82,12 +84,10 @@ class Memo {
     try {
       value.emplace(std::forward<Fn>(fn)());
     } catch (...) {
-      flight->promise.set_exception(std::current_exception());
-      land(shard, key, flight, nullptr);
+      land(shard, key, flight, nullptr, std::current_exception());
       throw;
     }
-    land(shard, key, flight, &*value);
-    flight->promise.set_value(*value);
+    land(shard, key, flight, &*value, nullptr);
     return std::move(*value);
   }
 
@@ -113,27 +113,48 @@ class Memo {
   [[nodiscard]] std::size_t max_per_shard() const { return max_per_shard_; }
 
  private:
-  /// A computation in flight; waiters share its future.
+  /// A computation in flight. Its waiters hold a reference to it and
+  /// wait on their shard's condition variable until it is done.
   struct Flight {
-    std::promise<Value> promise;
-    std::shared_future<Value> result = promise.get_future().share();
+    bool done = false;
+    std::optional<Value> value;
+    std::exception_ptr error;
   };
 
   struct Shard {
     std::mutex mutex;
+    std::condition_variable landed;
     std::unordered_map<Key, Value, Hash> values;
     std::unordered_map<Key, std::shared_ptr<Flight>, Hash> flights;
   };
 
-  /// Retire `flight`'s pending entry if it is still there, replacing it
-  /// with `value` when the computation succeeded.
+  /// Finish `flight`: replace its pending entry, if it is still there,
+  /// with `value` (or drop it when the computation threw), and hand the
+  /// outcome to its waiters.
   static void land(Shard& shard, const Key& key,
-                   const std::shared_ptr<Flight>& flight, const Value* value) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.flights.find(key);
-    if (it == shard.flights.end() || it->second != flight) return;
-    shard.flights.erase(it);
-    if (value != nullptr) shard.values.emplace(key, *value);
+                   const std::shared_ptr<Flight>& flight, const Value* value,
+                   std::exception_ptr error) {
+    bool waited_for = false;
+    {
+      const std::lock_guard<std::mutex> lock(shard.mutex);
+      const auto it = shard.flights.find(key);
+      if (it != shard.flights.end() && it->second == flight) {
+        shard.flights.erase(it);
+        if (value != nullptr) shard.values.emplace(key, *value);
+      }
+      // Waiters copy the reference under this lock, so any copy besides
+      // the caller's is a waiter that still needs the outcome.
+      waited_for = flight.use_count() > 1;
+      if (waited_for) {
+        if (value != nullptr) {
+          flight->value = *value;
+        } else {
+          flight->error = std::move(error);
+        }
+      }
+      flight->done = true;
+    }
+    if (waited_for) shard.landed.notify_all();
   }
 
   std::size_t max_per_shard_;
