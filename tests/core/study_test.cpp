@@ -11,6 +11,7 @@
 
 #include "crypto/cache.hpp"
 #include "obs/profile.hpp"
+#include "obs/zone_calls.hpp"
 #include "pki/universe.hpp"
 
 namespace iotls::core {
@@ -239,16 +240,6 @@ TEST(Study, Table8MatchesPaperMembership) {
   EXPECT_EQ(summary.non_checking_count(40), 28);
 }
 
-/// Calls of zone `name` anywhere in the merged profile tree.
-std::uint64_t zone_calls(const obs::ProfileNode& node,
-                         const std::string& name) {
-  std::uint64_t calls = node.name == name ? node.calls : 0;
-  for (const auto& [child_name, child] : node.children) {
-    calls += zone_calls(child, name);
-  }
-  return calls;
-}
-
 TEST(Study, PassiveRenderingsShareOneFold) {
   obs::profile_reset();
   obs::set_profile_enabled(true);
@@ -265,7 +256,7 @@ TEST(Study, PassiveRenderingsShareOneFold) {
   const auto snapshot = obs::profile_snapshot();
   obs::set_profile_enabled(false);
   obs::profile_reset();
-  EXPECT_EQ(zone_calls(snapshot.root, "analysis/fold_dataset"), 1u);
+  EXPECT_EQ(obs::zone_calls(snapshot.root, "analysis/fold_dataset"), 1u);
 }
 
 /// A cold-cache, profiled, reduced-scale study over the tables and figures
@@ -304,7 +295,7 @@ const std::vector<std::string> kBudgetedZones = {
 std::vector<std::uint64_t> budgeted_calls(const obs::ProfileNode& node) {
   std::vector<std::uint64_t> calls;
   for (const std::string& zone : kBudgetedZones) {
-    calls.push_back(zone_calls(node, zone));
+    calls.push_back(obs::zone_calls(node, zone));
   }
   return calls;
 }

@@ -11,6 +11,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/synth.hpp"
 #include "obs/profile.hpp"
+#include "obs/zone_calls.hpp"
 #include "pki/universe.hpp"
 
 namespace iotls::fleet {
@@ -185,16 +186,6 @@ TEST(FleetRegions, NamesAndIterationAgree) {
   EXPECT_EQ(age_bucket_name(13), "old");
 }
 
-/// Calls of the zone `name` anywhere in `node`'s subtree.
-std::uint64_t zone_calls(const obs::ProfileNode& node,
-                         const std::string& name) {
-  std::uint64_t calls = node.name == name ? node.calls : 0;
-  for (const auto& [child_name, child] : node.children) {
-    calls += zone_calls(child, name);
-  }
-  return calls;
-}
-
 TEST(FleetSynth, EachTemplateSetIsComputedOnce) {
   // Sixteen shards of three models at eight threads: the shards start at
   // once and ask for the same (model, epoch, drift) sets, and each set is
@@ -225,7 +216,7 @@ TEST(FleetSynth, EachTemplateSetIsComputedOnce) {
 
   EXPECT_EQ(report.shards, 16u);
   EXPECT_GT(report.template_sets, 3u);
-  EXPECT_EQ(zone_calls(snap.root, "fleet/template_set"), report.template_sets);
+  EXPECT_EQ(obs::zone_calls(snap.root, "fleet/template_set"), report.template_sets);
 }
 
 }  // namespace

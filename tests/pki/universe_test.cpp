@@ -12,6 +12,7 @@
 #include "crypto/cache.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/profile.hpp"
+#include "obs/zone_calls.hpp"
 
 namespace iotls::pki {
 namespace {
@@ -214,20 +215,10 @@ TEST(CaUniverse, StandardRootsDigest) {
             "a90f46ea0bc0aef27ea0f6a520def1617e272306f7996d9b3a20899048042ea8");
 }
 
-/// Calls of the zone `name` anywhere in `node`'s subtree.
-std::uint64_t zone_calls(const obs::ProfileNode& node,
-                         const std::string& name) {
-  std::uint64_t calls = node.name == name ? node.calls : 0;
-  for (const auto& [child_name, child] : node.children) {
-    calls += zone_calls(child, name);
-  }
-  return calls;
-}
-
 /// Calls of the zone `op` inside every `zone` subtree of `node`.
 std::uint64_t calls_within(const obs::ProfileNode& node,
                            const std::string& zone, const std::string& op) {
-  if (node.name == zone) return zone_calls(node, op);
+  if (node.name == zone) return obs::zone_calls(node, op);
   std::uint64_t calls = 0;
   for (const auto& [child_name, child] : node.children) {
     calls += calls_within(child, zone, op);
@@ -265,20 +256,20 @@ TEST(CaUniverse, BuildIsCreditedToPki) {
         for (const auto& [name, child] : node.children) walk(child);
       };
   walk(snap.root);
-  EXPECT_EQ(zone_calls(snap.root, "pki/universe"), 1u);
-  EXPECT_EQ(zone_calls(snap.root, "pki/ca_keygen"), ca_count);
+  EXPECT_EQ(obs::zone_calls(snap.root, "pki/universe"), 1u);
+  EXPECT_EQ(obs::zone_calls(snap.root, "pki/ca_keygen"), ca_count);
 
   // The cold build's work budget, summed over the whole tree. Every CA's
   // key is a distinct memo key and the keypair memo computes each key
   // once, so the totals are the same at any thread count.
-  EXPECT_EQ(zone_calls(snap.root, "crypto/modexp"), 683u);
-  EXPECT_EQ(zone_calls(snap.root, "crypto/rsa_private_op"), 14u);
+  EXPECT_EQ(obs::zone_calls(snap.root, "crypto/modexp"), 683u);
+  EXPECT_EQ(obs::zone_calls(snap.root, "crypto/rsa_private_op"), 14u);
   EXPECT_EQ(calls_within(snap.root, "pki/ca_keygen", "crypto/modexp"), 683u);
 
   // An immediate warm rebuild finds every key in the memo: key generation
   // runs no exponentiation at all.
   const obs::ProfileSnapshot warm = profiled_tiny_build();
-  EXPECT_EQ(zone_calls(warm.root, "pki/ca_keygen"), ca_count);
+  EXPECT_EQ(obs::zone_calls(warm.root, "pki/ca_keygen"), ca_count);
   EXPECT_EQ(calls_within(warm.root, "pki/ca_keygen", "crypto/modexp"), 0u);
   crypto::set_crypto_cache_enabled(cache_was_enabled);
 }

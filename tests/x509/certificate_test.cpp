@@ -11,6 +11,7 @@
 #include "crypto/cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "obs/zone_calls.hpp"
 
 namespace iotls::x509 {
 namespace {
@@ -301,16 +302,6 @@ TEST_F(IssueMemoTest, ConcurrentIssuanceMatchesUncached) {
   EXPECT_LE(crypto::cert_sign_cache().size(), expected.size());
 }
 
-/// Calls of the zone `name` anywhere in `node`'s subtree.
-std::uint64_t zone_calls(const obs::ProfileNode& node,
-                         const std::string& name) {
-  std::uint64_t calls = node.name == name ? node.calls : 0;
-  for (const auto& [child_name, child] : node.children) {
-    calls += zone_calls(child, name);
-  }
-  return calls;
-}
-
 TEST_F(IssueMemoTest, ConcurrentColdIssuanceSignsOnce) {
   // Eight threads issuing one cold TBS under one key at the same moment
   // wait for a single signature: one cert_sign miss, one private op, and
@@ -366,7 +357,7 @@ TEST_F(IssueMemoTest, ConcurrentColdIssuanceSignsOnce) {
   obs::set_metrics_enabled(metrics_were_enabled);
 
   EXPECT_EQ(signed_misses, kRounds);
-  EXPECT_EQ(zone_calls(snap.root, "crypto/rsa_private_op"), kRounds);
+  EXPECT_EQ(obs::zone_calls(snap.root, "crypto/rsa_private_op"), kRounds);
   EXPECT_EQ(mismatches.load(), 0);
 }
 
