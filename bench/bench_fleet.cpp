@@ -16,6 +16,7 @@
 // tables must be byte-identical at threads 1 vs 8.
 //
 // Usage: bench_fleet [output.json]   (default ./BENCH_fleet.json)
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -78,11 +79,21 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> devices = bench_devices();
   const double sample_fraction = [] {
-    const char* raw =
-        iotls::common::env_string("IOTLS_BENCH_FLEET_SAMPLE", "0.01");
+    // Strict like common::strict_env_long: a malformed or out-of-range
+    // fraction exits instead of silently running some other campaign.
+    const char* name = "IOTLS_BENCH_FLEET_SAMPLE";
+    const char* raw = iotls::common::env_string(name, "0.01");
     char* end = nullptr;
+    errno = 0;
     const double v = std::strtod(raw, &end);
-    return (end != raw && v >= 0.0 && v <= 1.0) ? v : 0.01;
+    if (errno != 0 || end == raw || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+      std::fprintf(stderr,
+                   "error: %s='%s' is not a number in [0, 1] "
+                   "(e.g. %s=0.01)\n",
+                   name, raw, name);
+      std::exit(2);
+    }
+    return v;
   }();
   const iotls::obs::WallTimer total;
 

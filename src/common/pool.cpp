@@ -1,6 +1,9 @@
 #include "common/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -13,15 +16,9 @@ namespace {
 /// operator surface only, never an input to any experiment output.
 struct PoolMetrics {
   obs::Counter& tasks = obs::MetricsRegistry::global().counter(
-      "iotls_pool_tasks_total", "Tasks submitted to any ThreadPool");
-  obs::Counter& steals = obs::MetricsRegistry::global().counter(
-      "iotls_pool_steals_total",
-      "Tasks taken from a sibling worker's deque");
-  obs::Gauge& queue_depth_peak = obs::MetricsRegistry::global().gauge(
-      "iotls_pool_queue_depth_peak",
-      "Largest number of queued-but-unstarted tasks observed");
+      "iotls_pool_tasks_total", "Tasks run by parallel fan-outs");
   obs::Gauge& workers = obs::MetricsRegistry::global().gauge(
-      "iotls_pool_workers", "Worker count of the most recent ThreadPool");
+      "iotls_pool_workers", "Worker count of the most recent fan-out");
 
   static PoolMetrics& get() {
     static PoolMetrics metrics;
@@ -29,10 +26,8 @@ struct PoolMetrics {
   }
 };
 
-}  // namespace
+thread_local bool tl_in_worker = false;
 
-namespace {
-thread_local int tl_worker_depth = 0;
 }  // namespace
 
 std::size_t default_threads() {
@@ -44,125 +39,50 @@ std::size_t resolve_threads(std::size_t threads) {
   return threads == 0 ? default_threads() : threads;
 }
 
-bool ThreadPool::in_worker() { return tl_worker_depth > 0; }
+bool in_worker() { return tl_in_worker; }
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : queues_(std::max<std::size_t>(1, threads)) {
-  if (obs::metrics_enabled()) {
-    PoolMetrics::get().workers.set(static_cast<double>(queues_.size()));
-  }
-  workers_.reserve(queues_.size());
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  std::size_t queued = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++unfinished_;
-    for (const auto& q : queues_) queued += q.size();
-  }
-  if (obs::metrics_enabled()) {
-    auto& metrics = PoolMetrics::get();
-    metrics.tasks.inc();
-    metrics.queue_depth_peak.set_max(static_cast<double>(queued));
-  }
-  work_cv_.notify_one();
-}
-
-bool ThreadPool::pop_task(std::size_t index, std::function<void()>& out) {
-  // Own queue first (front = submission order), then steal from the back
-  // of the busiest sibling.
-  if (!queues_[index].empty()) {
-    out = std::move(queues_[index].front());
-    queues_[index].pop_front();
-    return true;
-  }
-  std::size_t victim = queues_.size();
-  std::size_t most = 0;
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    if (queues_[i].size() > most) {
-      most = queues_[i].size();
-      victim = i;
+void parallel_for(std::size_t threads, std::size_t count,
+                  const std::function<void(std::size_t)>& fn) {
+  std::vector<std::exception_ptr> errors(count);
+  const auto run = [&](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-  }
-  if (victim == queues_.size()) return false;
-  out = std::move(queues_[victim].back());
-  queues_[victim].pop_back();
-  if (obs::metrics_enabled()) PoolMetrics::get().steals.inc();
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-  ++tl_worker_depth;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    std::function<void()> task;
-    if (pop_task(index, task)) {
-      lock.unlock();
-      {
-        const obs::ProfileZone zone("pool/task");
-        task();
-      }
-      lock.lock();
-      if (--unfinished_ == 0) idle_cv_.notify_all();
-      continue;
-    }
-    if (stop_) break;
-    work_cv_.wait(lock);
-  }
-  --tl_worker_depth;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return unfinished_ == 0; });
-}
-
-namespace detail {
-
-void run_indexed(std::size_t threads, std::size_t count,
-                 const std::function<void(std::size_t)>& task) {
-  const std::size_t resolved = resolve_threads(threads);
+  };
+  const std::size_t width = std::min(resolve_threads(threads), count);
   // Serial path: threads = 1, nothing to fan out, or we are already inside
-  // a pool worker (running inline avoids nested wait_idle deadlocks). The
+  // a worker (a nested fan-out would only oversubscribe the cores). The
   // parallel path runs the very same task bodies and merges by index, so
   // both paths are bit-compatible by construction.
-  if (resolved <= 1 || count <= 1 || ThreadPool::in_worker()) {
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
+  if (width <= 1 || in_worker()) {
+    for (std::size_t i = 0; i < count; ++i) run(i);
+  } else {
+    const obs::ProfileZone zone("pool/fan_out");
+    if (obs::metrics_enabled()) {
+      auto& metrics = PoolMetrics::get();
+      metrics.tasks.inc(count);
+      metrics.workers.set(static_cast<double>(width));
+    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> workers;
+    workers.reserve(width);
+    for (std::size_t w = 0; w < width; ++w) {
+      workers.emplace_back([&] {
+        tl_in_worker = true;
+        for (std::size_t i = next.fetch_add(1); i < count;
+             i = next.fetch_add(1)) {
+          const obs::ProfileZone task("pool/task");
+          run(i);
+        }
+      });
+    }
+    for (auto& worker : workers) worker.join();
   }
-  const obs::ProfileZone zone("pool/fan_out");
-  std::vector<std::exception_ptr> errors(count);
-  ThreadPool pool(std::min(resolved, count));
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([&, i] {
-      try {
-        task(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
   for (auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 }
-
-}  // namespace detail
 
 }  // namespace iotls::common

@@ -1,26 +1,21 @@
-// Work-stealing thread pool + deterministic parallel utilities.
+// Deterministic fan-out: the experiment engine's concurrency substrate.
 //
-// The experiment engine's concurrency substrate. The determinism contract
-// (DESIGN.md "Concurrency model"): tasks must pre-derive any randomness
-// from `(seed, label)` BEFORE dispatch, shared inputs are const during a
-// fan-out, and `parallel_map` always merges results in input order — so a
-// run at `threads = N` is byte-identical to `threads = 1` for every N.
+// The determinism contract (DESIGN.md "Concurrency model"): tasks must
+// pre-derive any randomness from `(seed, label)` BEFORE dispatch, shared
+// inputs are const during a fan-out, and `parallel_map` always merges
+// results in input order — so a run at `threads = N` is byte-identical to
+// `threads = 1` for every N.
 //
-// Scheduling: one deque per worker, submissions distributed round-robin;
-// an idle worker pops from its own deque front and steals from the back
-// of its siblings'. Tasks here are coarse (a whole per-device experiment),
-// so a single pool mutex guards the deques — contention is negligible and
-// the structure stays easy to reason about.
+// Scheduling: each fan-out starts its own worker threads, which claim the
+// next unstarted index from one atomic counter until none is left, and
+// joins them before it returns. Tasks are coarse (a whole per-device
+// experiment) and every task of a fan-out is known up front, so there is
+// no queue to balance.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -32,78 +27,34 @@ std::size_t default_threads();
 /// Resolve a `threads` knob: 0 = hardware concurrency, otherwise as given.
 std::size_t resolve_threads(std::size_t threads);
 
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
+/// True when the calling thread is a fan-out worker. The nested-fan-out
+/// guard: a fan-out issued from inside a task runs serially inline.
+bool in_worker();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueue a task. Safe from any thread, including pool workers
-  /// (nested submissions go to the queues like any other task; use
-  /// `in_worker()` to decide whether blocking on the pool is safe).
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished. Must not be called
-  /// from a worker thread (it would deadlock the pool) — parallel_map's
-  /// nested-call guard exists precisely to avoid this.
-  void wait_idle();
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// True when the calling thread is a worker of *any* ThreadPool. Used as
-  /// the nested-submission deadlock guard: a parallel_map issued from
-  /// inside a task runs serially inline instead of blocking on the pool.
-  static bool in_worker();
-
- private:
-  void worker_loop(std::size_t index);
-  bool pop_task(std::size_t index, std::function<void()>& out);
-
-  std::vector<std::deque<std::function<void()>>> queues_;
-  std::vector<std::thread> workers_;
-  mutable std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::size_t next_queue_ = 0;
-  std::size_t unfinished_ = 0;  // queued + running
-  bool stop_ = false;
-};
-
-namespace detail {
-
-/// Run `count` index tasks, writing into caller-provided slots. The first
-/// failing index's exception is rethrown (deterministically, regardless of
-/// completion order).
-void run_indexed(std::size_t threads, std::size_t count,
-                 const std::function<void(std::size_t)>& task);
-
-}  // namespace detail
+/// Index-space fan-out: fn(0) .. fn(count - 1), each index exactly once.
+/// Each index must touch only its own output slot (or synchronize).
+/// `threads` semantics: 0 = hardware concurrency, 1 = serial execution on
+/// the calling thread; otherwise min(threads, count) worker threads, with
+/// the caller waiting. A call from a worker, or with count <= 1, also runs
+/// serially. Exceptions: every index still runs, then the lowest-index
+/// failure is rethrown, so the choice does not depend on scheduling.
+void parallel_for(std::size_t threads, std::size_t count,
+                  const std::function<void(std::size_t)>& fn);
 
 /// Apply `fn` to every item; results are returned in input order, so the
-/// merge is deterministic for every thread count. `threads` semantics:
-/// 0 = hardware concurrency, 1 = bit-compatible serial execution (same
-/// code path, no pool). Exceptions: the lowest-index failure is rethrown.
+/// merge is deterministic for every thread count. `threads` and exceptions
+/// as for `parallel_for`.
 template <typename Item, typename Fn>
 auto parallel_map(std::size_t threads, const std::vector<Item>& items,
                   Fn&& fn) {
   using Result = std::decay_t<std::invoke_result_t<Fn&, const Item&>>;
   std::vector<std::optional<Result>> slots(items.size());
-  detail::run_indexed(threads, items.size(), [&](std::size_t i) {
-    slots[i].emplace(fn(items[i]));
-  });
+  parallel_for(threads, items.size(),
+               [&](std::size_t i) { slots[i].emplace(fn(items[i])); });
   std::vector<Result> out;
   out.reserve(items.size());
   for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
-}
-
-/// Index-space fan-out for side-effecting tasks: fn(0) .. fn(count - 1).
-/// Each index must touch only its own output slot (or synchronize).
-template <typename Fn>
-void parallel_for(std::size_t threads, std::size_t count, Fn&& fn) {
-  detail::run_indexed(threads, count, [&](std::size_t i) { fn(i); });
 }
 
 }  // namespace iotls::common

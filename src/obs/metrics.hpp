@@ -2,7 +2,7 @@
 // histograms with a Prometheus-style text exposition.
 //
 // Naming convention: `iotls_<area>_<name>` (e.g. iotls_tls_alerts_total,
-// iotls_pool_steals_total). A family may declare one label key; children
+// iotls_pool_tasks_total). A family may declare one label key; children
 // are addressed by label value (iotls_tls_alerts_total{description="..."}).
 //
 // Hot-path writes use cheap thread-local sharding: each (thread, metric)
@@ -13,7 +13,7 @@
 // aggregation never races with a dying thread.
 //
 // Determinism contract: metrics are wall-clock- and scheduling-dependent by
-// nature (e.g. steal counts). They are an operator surface — NEVER an input
+// nature (e.g. fan-out widths). They are an operator surface — NEVER an input
 // to any table, figure, or trace. Values only ever flow registry → scrape.
 #pragma once
 

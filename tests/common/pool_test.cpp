@@ -1,16 +1,20 @@
 // The parallel engine's substrate: ordering, exception propagation, the
-// nested-submission deadlock guard, and the serial fallback.
+// nested-fan-out guard, fan-out width, and the serial fallback.
 #include "common/pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace iotls::common {
 namespace {
@@ -90,7 +94,7 @@ TEST(ParallelMap, SerialFallbackRunsOnCallingThread) {
   std::vector<int> items{1, 2, 3, 4};
   const auto out = parallel_map(1, items, [&](const int& v) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
-    EXPECT_FALSE(ThreadPool::in_worker());
+    EXPECT_FALSE(in_worker());
     return v + 1;
   });
   EXPECT_EQ(out, (std::vector<int>{2, 3, 4, 5}));
@@ -105,29 +109,46 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, DrainsSubmissionsFromOutsideAndInsideWorkers) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.submit([&done, &pool] {
-      EXPECT_TRUE(ThreadPool::in_worker());
-      // Nested submissions are queued like any other task, not run inline.
-      pool.submit([&done] { done.fetch_add(1); });
-      done.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
+TEST(ParallelFor, TasksRunOnWorkersAndTheCallerIsNotOne) {
+  std::atomic<int> on_worker{0};
+  parallel_for(4, 32, [&](std::size_t) {
+    if (in_worker()) on_worker.fetch_add(1);
+  });
+  EXPECT_EQ(on_worker.load(), 32);
+  EXPECT_FALSE(in_worker());
 }
 
-TEST(ThreadPool, WaitIdleOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  std::atomic<int> done{0};
-  pool.submit([&] { done = 1; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
+TEST(ParallelFor, EveryIndexRunsOnceAndTheLowestFailureIsRethrown) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<std::atomic<int>> visits(64);
+    try {
+      parallel_for(threads, visits.size(), [&](std::size_t i) {
+        visits[i].fetch_add(1);
+        if (i % 10 == 3) throw std::runtime_error("task " + std::to_string(i));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3");
+    }
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1) << threads;
+  }
+}
+
+TEST(ParallelFor, StartsAtMostOneWorkerPerIndex) {
+  const auto caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallel_for(8, 3, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 3u);
+  EXPECT_EQ(ids.count(caller), 0u);  // the caller only waits
+  const obs::Gauge* workers =
+      obs::MetricsRegistry::global().find_gauge("iotls_pool_workers");
+  ASSERT_NE(workers, nullptr);
+  EXPECT_DOUBLE_EQ(workers->value(), 3.0);
 }
 
 }  // namespace

@@ -23,11 +23,7 @@ TEST(Counter, IncrementAndReset) {
 
 TEST(Counter, AggregatesAcrossPoolWorkers) {
   Counter c;
-  common::ThreadPool pool(8);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&c] { c.inc(); });
-  }
-  pool.wait_idle();
+  common::parallel_for(8, 100, [&c](std::size_t) { c.inc(); });
   // Each worker wrote its own thread-local cell; value() sums them all.
   EXPECT_EQ(c.value(), 100u);
 }
@@ -62,11 +58,9 @@ TEST(Histogram, BucketBoundsAreInclusiveUpperEdges) {
 
 TEST(Histogram, AggregatesAcrossPoolWorkers) {
   Histogram h({10.0});
-  common::ThreadPool pool(4);
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&h, i] { h.observe(i < 32 ? 1.0 : 100.0); });
-  }
-  pool.wait_idle();
+  common::parallel_for(4, 64, [&h](std::size_t i) {
+    h.observe(i < 32 ? 1.0 : 100.0);
+  });
   const auto counts = h.bucket_counts();
   ASSERT_EQ(counts.size(), 2u);
   EXPECT_EQ(counts[0], 32u);

@@ -176,17 +176,25 @@ TEST_F(ProfileTest, ConcurrentZonesAcrossPoolWorkersMergeByPath) {
   const ProfileSnapshot snap = iotls::obs::profile_snapshot();
   // parallel_for itself opens a pool/fan_out zone on the calling thread
   // and pool/task zones on the workers; our "task" zones nest inside.
+  std::uint64_t fan_out_calls = 0;
+  std::uint64_t pool_task_calls = 0;
   std::uint64_t task_calls = 0;
   std::uint64_t even_calls = 0;
   std::uint64_t odd_calls = 0;
   const std::function<void(const ProfileNode&)> walk =
       [&](const ProfileNode& node) {
+        if (node.name == "pool/fan_out") fan_out_calls += node.calls;
+        if (node.name == "pool/task") pool_task_calls += node.calls;
         if (node.name == "task") task_calls += node.calls;
         if (node.name == "even") even_calls += node.calls;
         if (node.name == "odd") odd_calls += node.calls;
         for (const auto& [name, kid] : node.children) walk(kid);
       };
   walk(snap.root);
+  // The shape the profile tree's readers rely on: one fan-out zone for the
+  // call and one pool/task zone per index.
+  EXPECT_EQ(fan_out_calls, 1u);
+  EXPECT_EQ(pool_task_calls, kTasks);
   EXPECT_EQ(task_calls, kTasks);
   EXPECT_EQ(even_calls, kTasks / 2);
   EXPECT_EQ(odd_calls, kTasks / 2);

@@ -188,7 +188,7 @@ TEST(CaUniverse, WorkerBuildMatchesParallelBuild) {
   bool ran_in_worker = false;
   common::parallel_for(2, 2, [&](std::size_t i) {
     if (i != 0) return;
-    ran_in_worker = common::ThreadPool::in_worker();
+    ran_in_worker = common::in_worker();
     in_worker.emplace(tiny_options(7));
   });
   ASSERT_TRUE(in_worker.has_value());
