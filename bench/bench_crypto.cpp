@@ -68,13 +68,29 @@ double reduced_study_wall_ms(const iotls::pki::CaUniverse& universe) {
   return elapsed.count();
 }
 
-/// probe/alert_probe calls anywhere in `node`'s subtree.
-std::uint64_t alert_probe_calls(const iotls::obs::ProfileNode& node) {
-  std::uint64_t calls = node.name == "probe/alert_probe" ? node.calls : 0;
+/// Calls of the zone `zone` anywhere in `node`'s subtree.
+std::uint64_t zone_calls(const iotls::obs::ProfileNode& node,
+                         const std::string& zone) {
+  std::uint64_t calls = node.name == zone ? node.calls : 0;
   for (const auto& [name, child] : node.children) {
-    calls += alert_probe_calls(child);
+    calls += zone_calls(child, zone);
   }
   return calls;
+}
+
+/// Calls of `zone` that `fn` adds to the profile. A difference of
+/// snapshots, so an IOTLS_PROFILE run keeps its whole tree.
+template <typename Fn>
+double calls_during(const std::string& zone, Fn&& fn) {
+  const bool profiling = iotls::obs::profile_enabled();
+  iotls::obs::set_profile_enabled(true);
+  const std::uint64_t before =
+      zone_calls(iotls::obs::profile_snapshot().root, zone);
+  fn();
+  const std::uint64_t after =
+      zone_calls(iotls::obs::profile_snapshot().root, zone);
+  iotls::obs::set_profile_enabled(profiling);
+  return static_cast<double>(after - before);
 }
 
 }  // namespace
@@ -302,20 +318,33 @@ int main(int argc, char** argv) {
 
   // The exact work behind one reduced Table 9: the alert probes its
   // root-store exploration runs, in iotls-bench-track's gated work-count
-  // unit. A difference of snapshots, so an IOTLS_PROFILE run keeps its
-  // whole tree.
+  // unit.
   {
     iotls::core::IotlsStudy study(reduced_study(universe));
-    iotls::obs::set_profile_enabled(true);
-    const std::uint64_t probes_before =
-        alert_probe_calls(iotls::obs::profile_snapshot().root);
-    (void)study.render_table9();
     record("root_store_alert_probes",
-           static_cast<double>(
-               alert_probe_calls(iotls::obs::profile_snapshot().root) -
-               probes_before),
+           calls_during("probe/alert_probe",
+                        [&] { (void)study.render_table9(); }),
            "calls");
-    iotls::obs::set_profile_enabled(profiling);
+  }
+
+  // A warm repeat of the reduced study: issuance is a pure function of
+  // the request, so the repeat re-signs no certificate (its private ops
+  // are the handshakes' own signatures and RSA key-exchange decryptions)
+  // and adds no verify-memo entry.
+  {
+    iotls::crypto::crypto_caches_clear();
+    (void)reduced_study_wall_ms(universe);
+    const auto verify_entries = [] {
+      return iotls::crypto::sig_verify_cache().size() +
+             iotls::crypto::chain_verify_cache().size();
+    };
+    const std::size_t entries_before = verify_entries();
+    record("repeat_study_private_ops",
+           calls_during("crypto/rsa_private_op",
+                        [&] { (void)reduced_study_wall_ms(universe); }),
+           "calls");
+    record("repeat_study_verify_entries",
+           static_cast<double>(verify_entries() - entries_before), "count");
   }
 
   // --- Emit JSON + observability artifacts. ---

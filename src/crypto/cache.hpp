@@ -1,9 +1,10 @@
 // Process-wide, seed-deterministic crypto memoisation.
 //
 // The study re-verifies the same certificate chains, re-signs the same
-// forged certificates and re-generates the same deterministic keypairs
-// thousands of times (per-device sandboxes each rebuild the cloud farm; the
-// passive generator walks 24 monthly snapshots over the same PKI; every
+// certificates and re-generates the same deterministic keypairs thousands
+// of times (per-device sandboxes each rebuild the cloud farm, whose keys
+// and certificates are pure functions of the hostname; the passive
+// generator walks 24 monthly snapshots over the same PKI; every
 // intercepted connection and root-store probe forges a chain). These caches
 // amortise that work WITHOUT changing any output: every cached value equals
 // the value the uncached computation would produce, so tables/figures/
@@ -18,10 +19,13 @@
 //   - certificate-signing cache (x509/certificate.cpp): keyed by a SHA-256
 //     over (issuer modulus, issuer private exponent, TBS digest); the value
 //     is the signature. PKCS#1 v1.5 signing is deterministic, so a hit
-//     returns the bytes a fresh signature would. It holds at most 16 x 256
-//     signatures: a bound sized like the verify caches would carry every
-//     earlier study's forgeries along and grow peak RSS. rsa_sign itself
-//     stays unmemoised (ServerKeyExchange signatures cover fresh randoms).
+//     returns the bytes a fresh signature would, and pki issuance derives
+//     each serial from the certificate's content, so a re-issued endpoint
+//     certificate hits too. It holds at most 16 x 256 signatures (a cold
+//     seed-42 study fills 2,007, universe roots included): a bound sized
+//     like the verify caches would carry every earlier study's forgeries
+//     along and grow peak RSS. rsa_sign itself stays unmemoised
+//     (ServerKeyExchange signatures cover fresh randoms).
 //   - keypair cache (rsa.cpp): keyed by the generator state + modulus bits;
 //     a hit replays the generator's consumption exactly via Rng snapshots.
 //

@@ -1,5 +1,6 @@
 #include "pki/ca.hpp"
 
+#include "crypto/sha256.hpp"
 #include "obs/profile.hpp"
 
 namespace iotls::pki {
@@ -21,11 +22,13 @@ CertificateAuthority::CertificateAuthority(x509::DistinguishedName subject,
                                       validity);
 }
 
-common::Bytes CertificateAuthority::next_serial() const {
-  common::ByteWriter w;
-  w.u64(serial_prefix_);
-  w.u64(serial_counter_++);
-  return w.take();
+x509::Certificate CertificateAuthority::sign(x509::TbsCertificate tbs) const {
+  const auto digest = crypto::Sha256::digest(tbs.serialize());
+  common::ByteWriter serial;
+  serial.u64(serial_prefix_);
+  serial.raw(common::BytesView(digest.data(), 8));
+  tbs.serial = serial.take();
+  return x509::issue_certificate(tbs, keypair_.priv);
 }
 
 x509::Certificate CertificateAuthority::issue_server_cert(
@@ -33,7 +36,6 @@ x509::Certificate CertificateAuthority::issue_server_cert(
     x509::Validity validity, const x509::CertExtensions* extra) const {
   const obs::ProfileZone zone("pki/issue");
   x509::TbsCertificate tbs;
-  tbs.serial = next_serial();
   tbs.issuer = root_.tbs.subject;
   tbs.subject = x509::DistinguishedName::cn(hostname);
   tbs.validity = validity;
@@ -49,7 +51,7 @@ x509::Certificate CertificateAuthority::issue_server_cert(
       .key_cert_sign = false,
       .crl_sign = false,
   };
-  return x509::issue_certificate(tbs, keypair_.priv);
+  return sign(std::move(tbs));
 }
 
 x509::Certificate CertificateAuthority::issue_intermediate(
@@ -58,7 +60,6 @@ x509::Certificate CertificateAuthority::issue_intermediate(
     x509::Validity validity) const {
   const obs::ProfileZone zone("pki/issue");
   x509::TbsCertificate tbs;
-  tbs.serial = next_serial();
   tbs.issuer = root_.tbs.subject;
   tbs.subject = subject;
   tbs.validity = validity;
@@ -70,7 +71,7 @@ x509::Certificate CertificateAuthority::issue_intermediate(
       .key_cert_sign = true,
       .crl_sign = true,
   };
-  return x509::issue_certificate(tbs, keypair_.priv);
+  return sign(std::move(tbs));
 }
 
 }  // namespace iotls::pki

@@ -1,8 +1,16 @@
 // A certificate authority: a root keypair, its self-signed root
 // certificate, and issuance of server/intermediate certificates.
+//
+// Issuance is a pure function of the request: an issued certificate's
+// serial is the CA's 8-byte prefix followed by the first 8 bytes of a
+// SHA-256 over the rest of its TBS. A CA holds no mutable state, so the
+// per-device sandboxes that rebuild the same cloud endpoints reuse one
+// certificate per endpoint, as they reuse its keypair: the re-issue hits
+// the cert_sign memo and the client's chain_verify memo
+// (crypto/cache.hpp).
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "common/rng.hpp"
@@ -26,26 +34,26 @@ class CertificateAuthority {
   }
 
   /// Issue a server (leaf) certificate for `hostname`.
-  /// The SAN list is {hostname}; CN is also set to hostname.
+  /// The SAN list is {hostname}; CN is also set to hostname. The same
+  /// arguments always give the same certificate bytes.
   [[nodiscard]] x509::Certificate issue_server_cert(
       const std::string& hostname, const crypto::RsaPublicKey& server_key,
       x509::Validity validity = x509::Validity{},
       const x509::CertExtensions* extra = nullptr) const;
 
-  /// Issue an intermediate CA certificate.
+  /// Issue an intermediate CA certificate (content-derived serial, as for
+  /// issue_server_cert).
   [[nodiscard]] x509::Certificate issue_intermediate(
       const x509::DistinguishedName& subject,
       const crypto::RsaPublicKey& intermediate_key,
       x509::Validity validity = x509::Validity{}) const;
 
  private:
-  common::Bytes next_serial() const;
+  /// Stamp `tbs` (serial empty) with its content-derived serial and sign it.
+  [[nodiscard]] x509::Certificate sign(x509::TbsCertificate tbs) const;
 
   crypto::RsaKeyPair keypair_;
   x509::Certificate root_;
-  // Atomic: shared CAs issue leaf certificates concurrently when the
-  // experiment engine fans out per-device sandboxes.
-  mutable std::atomic<std::uint64_t> serial_counter_{1};
   std::uint64_t serial_prefix_ = 0;
 };
 

@@ -98,6 +98,9 @@ void CloudFarm::add_destination(const std::string& hostname,
   common::Rng key_rng =
       common::Rng::derive(0xC10DDCAFE, "srv-key:" + hostname);
   ep.keys = crypto::rsa_generate(key_rng);
+  // The certificate is reused the same way: issuance derives its serial
+  // from its content (pki/ca.hpp), so every sandbox gets the same bytes,
+  // a cert_sign memo hit, and a chain the client's verify memo has seen.
   // Long validity covering the passive study and the 2021 active runs.
   ep.certificate = universe_.authority(ca_name_).issue_server_cert(
       hostname, ep.keys.pub,

@@ -18,4 +18,16 @@ inline std::uint64_t zone_calls(const ProfileNode& node,
   return calls;
 }
 
+/// Calls of the zone `op` inside every `zone` subtree of `node`.
+inline std::uint64_t calls_within(const ProfileNode& node,
+                                  const std::string& zone,
+                                  const std::string& op) {
+  if (node.name == zone) return zone_calls(node, op);
+  std::uint64_t calls = 0;
+  for (const auto& [child_name, child] : node.children) {
+    calls += calls_within(child, zone, op);
+  }
+  return calls;
+}
+
 }  // namespace iotls::obs

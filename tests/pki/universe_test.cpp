@@ -215,17 +215,6 @@ TEST(CaUniverse, StandardRootsDigest) {
             "a90f46ea0bc0aef27ea0f6a520def1617e272306f7996d9b3a20899048042ea8");
 }
 
-/// Calls of the zone `op` inside every `zone` subtree of `node`.
-std::uint64_t calls_within(const obs::ProfileNode& node,
-                           const std::string& zone, const std::string& op) {
-  if (node.name == zone) return obs::zone_calls(node, op);
-  std::uint64_t calls = 0;
-  for (const auto& [child_name, child] : node.children) {
-    calls += calls_within(child, zone, op);
-  }
-  return calls;
-}
-
 /// A profiled build of the tiny seed-11 universe.
 obs::ProfileSnapshot profiled_tiny_build() {
   obs::profile_reset();
@@ -264,13 +253,15 @@ TEST(CaUniverse, BuildIsCreditedToPki) {
   // once, so the totals are the same at any thread count.
   EXPECT_EQ(obs::zone_calls(snap.root, "crypto/modexp"), 683u);
   EXPECT_EQ(obs::zone_calls(snap.root, "crypto/rsa_private_op"), 14u);
-  EXPECT_EQ(calls_within(snap.root, "pki/ca_keygen", "crypto/modexp"), 683u);
+  EXPECT_EQ(obs::calls_within(snap.root, "pki/ca_keygen", "crypto/modexp"),
+            683u);
 
   // An immediate warm rebuild finds every key in the memo: key generation
   // runs no exponentiation at all.
   const obs::ProfileSnapshot warm = profiled_tiny_build();
   EXPECT_EQ(obs::zone_calls(warm.root, "pki/ca_keygen"), ca_count);
-  EXPECT_EQ(calls_within(warm.root, "pki/ca_keygen", "crypto/modexp"), 0u);
+  EXPECT_EQ(obs::calls_within(warm.root, "pki/ca_keygen", "crypto/modexp"),
+            0u);
   crypto::set_crypto_cache_enabled(cache_was_enabled);
 }
 
