@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  bench::print_profile();
-  bench::maybe_write_run_report(
+  obs::emit_run_telemetry(
       "bench_ablation_serialization",
-      {{"IOTLS_PROFILE", profiling ? "1" : "0"}, {"output", out_path}});
+      {{"IOTLS_PROFILE", profiling ? "1" : "0"}, {"output", out_path}},
+      stdout);
   return 0;
 }

@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
   const BigUint msg2048 =
       BigUint::random_bits(rng, 2040).mod(key2048.priv.n);
 
-  const double plain_ms = time_ms(std::max<std::size_t>(iters / 4, 2), [&](std::size_t) {
+  const std::size_t plain_iters = std::max<std::size_t>(iters / 4, 2);
+  const double plain_ms = time_ms(plain_iters, [&](std::size_t) {
     volatile std::size_t sink =
         msg2048.modexp_plain(key2048.priv.d, key2048.priv.n).bit_length();
     (void)sink;
@@ -249,7 +250,8 @@ int main(int argc, char** argv) {
 
   // --- SHA-256 streaming throughput. ---
   const iotls::common::Bytes blob(1 << 20, 0xA5);
-  const double sha_ms = time_ms(std::max<std::size_t>(iters, 8), [&](std::size_t) {
+  const std::size_t sha_iters = std::max<std::size_t>(iters, 8);
+  const double sha_ms = time_ms(sha_iters, [&](std::size_t) {
     volatile std::uint8_t sink = iotls::crypto::Sha256::digest(blob)[0];
     (void)sink;
   });
@@ -353,13 +355,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  iotls::bench::print_profile();
-  iotls::bench::maybe_write_run_report(
+  iotls::obs::emit_run_telemetry(
       "bench_crypto",
       {{"IOTLS_BENCH_ITERS", std::to_string(iters)},
        {"IOTLS_BENCH_MIN_SPEEDUP", std::to_string(min_speedup)},
        {"IOTLS_PROFILE", profiling ? "1" : "0"},
-       {"output", out_path}});
+       {"output", out_path}},
+      stdout);
 
   if (min_speedup > 0 && crt_speedup < static_cast<double>(min_speedup)) {
     std::fprintf(stderr,

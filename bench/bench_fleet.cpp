@@ -186,13 +186,13 @@ int main(int argc, char** argv) {
       {{"instances", std::to_string(instances)},
        {"models", std::to_string(devices.empty() ? 40 : devices.size())}});
   if (wrote) std::printf("\nwrote %s\n", out_path.c_str());
-  iotls::bench::print_profile();
-  iotls::bench::maybe_write_run_report(
+  iotls::obs::emit_run_telemetry(
       "bench_fleet",
       {{"IOTLS_BENCH_FLEET_INSTANCES", std::to_string(instances)},
        {"IOTLS_BENCH_FLEET_SAMPLE", std::to_string(sample_fraction)},
        {"IOTLS_THREADS", std::to_string(threads)},
-       {"output", out_path}});
+       {"output", out_path}},
+      stdout);
 
   fs::remove_all(dir);
   fs::remove_all(parity1);

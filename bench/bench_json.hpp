@@ -1,6 +1,7 @@
-// Shared BENCH_*.json emission and run-report plumbing for every bench
-// lane. Split from bench_util.hpp so the lint lane (which links only
-// iotls_lint_core + iotls_common) can use it without pulling in the study.
+// Shared BENCH_*.json emission for every bench lane; each lane then closes
+// with obs::emit_run_telemetry (profile tree + run report). Split from
+// bench_util.hpp so the lint lane (which links only iotls_lint_core +
+// iotls_common) can use it without pulling in the study.
 //
 // Every lane emits the same envelope — bench, iters, wall_ms, results —
 // so iotls-bench-track can ingest any lane without per-lane knowledge.
@@ -58,13 +59,6 @@ inline bool profile_from_env() {
   return enabled;
 }
 
-/// Print the merged profile call tree when the profiler actually ran.
-inline void print_profile() {
-  if (!obs::profile_enabled() || obs::profile_thread_count() == 0) return;
-  std::fputs("\n==== profile (IOTLS_PROFILE) ====\n", stdout);
-  std::fputs(obs::render_profile(obs::profile_snapshot()).c_str(), stdout);
-}
-
 /// Write the canonical BENCH_*.json document. `iters` and `wall_ms` are
 /// required fields of the envelope (the trajectory tracker rejects lanes
 /// without them); `extra` adds lane-specific string fields.
@@ -96,21 +90,6 @@ inline bool write_bench_json(
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   return true;
-}
-
-/// Emit a run report when IOTLS_RUN_REPORT names an output path. Call at
-/// the end of the run so the profile tree and metrics are complete.
-inline void maybe_write_run_report(
-    const std::string& tool,
-    std::vector<std::pair<std::string, std::string>> knobs) {
-  const char* path = common::env_string("IOTLS_RUN_REPORT", "");
-  if (*path == '\0') return;
-  obs::RunReport report;
-  report.tool = tool;
-  report.knobs = std::move(knobs);
-  if (obs::write_run_report(report, path)) {
-    std::printf("wrote run report %s\n", path);
-  }
 }
 
 }  // namespace iotls::bench

@@ -111,10 +111,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  iotls::bench::print_profile();
-  iotls::bench::maybe_write_run_report(
-      "bench_lint", {{"IOTLS_BENCH_ITERS", std::to_string(iters)},
-                     {"IOTLS_PROFILE", profiling ? "1" : "0"},
-                     {"output", out_path}});
+  iotls::obs::emit_run_telemetry(
+      "bench_lint",
+      {{"IOTLS_BENCH_ITERS", std::to_string(iters)},
+       {"IOTLS_PROFILE", profiling ? "1" : "0"},
+       {"output", out_path}},
+      stdout);
   return 0;
 }

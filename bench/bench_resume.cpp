@@ -148,13 +148,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  iotls::bench::print_profile();
-  iotls::bench::maybe_write_run_report(
+  iotls::obs::emit_run_telemetry(
       "bench_resume",
       {{"IOTLS_BENCH_CONNS", std::to_string(conns)},
        {"IOTLS_BENCH_MIN_RESUMED_RATIO", std::to_string(min_resumed_ratio)},
        {"IOTLS_PROFILE", profiling ? "1" : "0"},
-       {"output", out_path}});
+       {"output", out_path}},
+      stdout);
 
   if (min_resumed_ratio > 0 &&
       resumed_ratio < static_cast<double>(min_resumed_ratio)) {

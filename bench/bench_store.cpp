@@ -151,10 +151,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  iotls::bench::print_profile();
   auto knobs = iotls::bench::reproduction_knobs(options);
   knobs.emplace_back("output", out_path);
-  iotls::bench::maybe_write_run_report("bench_store", std::move(knobs));
+  iotls::obs::emit_run_telemetry("bench_store", std::move(knobs), stdout);
 
   fs::remove_all(dir);
   return parity ? 0 : 1;

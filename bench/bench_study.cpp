@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   }
   iotls::bench::print_timings(study);
   iotls::bench::print_observability(study);
-  iotls::bench::maybe_write_run_report(
-      "bench_study", iotls::bench::reproduction_knobs(options));
+  iotls::obs::emit_run_telemetry(
+      "bench_study", iotls::bench::reproduction_knobs(options), stdout);
   return 0;
 }

@@ -57,8 +57,8 @@ inline void print_timings(const core::IotlsStudy& study) {
 }
 
 /// Print whatever observability surfaces the run enabled: the trace
-/// summary (IOTLS_TRACE), the Prometheus exposition (IOTLS_METRICS), and
-/// the profiler call tree (IOTLS_PROFILE).
+/// summary (IOTLS_TRACE) and the Prometheus exposition (IOTLS_METRICS).
+/// The profiler call tree follows from obs::emit_run_telemetry.
 inline void print_observability(const core::IotlsStudy& study) {
   if (study.traces().enabled()) {
     std::printf("\n==== handshake traces (IOTLS_TRACE=%s) ====\n",
@@ -69,7 +69,6 @@ inline void print_observability(const core::IotlsStudy& study) {
     std::fputs("\n==== metrics (IOTLS_METRICS) ====\n", stdout);
     std::fputs(study.metrics().render_prometheus().c_str(), stdout);
   }
-  print_profile();
 }
 
 /// Mean wall time, in ms, of a fixed 64-bit multiply chain: xorshift steps

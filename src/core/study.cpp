@@ -29,47 +29,25 @@ auto IotlsStudy::timed(std::string name, std::size_t tasks, Fn&& fn) {
 
 void IotlsStudy::record_timing(const std::string& name, double wall_ms,
                                double cpu_ms, std::size_t tasks) {
-  // Timings live in the metrics registry (one gauge family per column,
-  // labelled by experiment). Unconditional — render_timings() must work
-  // even when the hot-path metric counters are switched off.
+  const ExperimentTiming& t = timings_.emplace_back(ExperimentTiming{
+      name, wall_ms, cpu_ms, tasks,
+      common::resolve_threads(options_.threads)});
+  // Also published for scrapes and run reports, one gauge family per
+  // column labelled by experiment. The gauges are process-wide: a later
+  // study's run of the same experiment overwrites them.
   auto& reg = obs::MetricsRegistry::global();
   reg.gauge("iotls_experiment_wall_ms", "Experiment wall-clock time",
             "experiment", name)
-      .set(wall_ms);
+      .set(t.wall_ms);
   reg.gauge("iotls_experiment_cpu_ms", "Experiment CPU time (all threads)",
             "experiment", name)
-      .set(cpu_ms);
+      .set(t.cpu_ms);
   reg.gauge("iotls_experiment_tasks", "Per-device tasks fanned out",
             "experiment", name)
-      .set(static_cast<double>(tasks));
+      .set(static_cast<double>(t.tasks));
   reg.gauge("iotls_experiment_threads", "Worker threads used", "experiment",
             name)
-      .set(static_cast<double>(common::resolve_threads(options_.threads)));
-  experiment_order_.push_back(name);
-}
-
-std::vector<ExperimentTiming> IotlsStudy::timings() const {
-  const auto& reg = obs::MetricsRegistry::global();
-  std::vector<ExperimentTiming> out;
-  out.reserve(experiment_order_.size());
-  for (const auto& name : experiment_order_) {
-    ExperimentTiming t;
-    t.name = name;
-    if (const auto* g = reg.find_gauge("iotls_experiment_wall_ms", name)) {
-      t.wall_ms = g->value();
-    }
-    if (const auto* g = reg.find_gauge("iotls_experiment_cpu_ms", name)) {
-      t.cpu_ms = g->value();
-    }
-    if (const auto* g = reg.find_gauge("iotls_experiment_tasks", name)) {
-      t.tasks = static_cast<std::size_t>(g->value());
-    }
-    if (const auto* g = reg.find_gauge("iotls_experiment_threads", name)) {
-      t.threads = static_cast<std::size_t>(g->value());
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
+      .set(static_cast<double>(t.threads));
 }
 
 IotlsStudy::IotlsStudy(Options options)

@@ -125,10 +125,10 @@ class IotlsStudy {
   /// by the experiment drivers — byte-identical at any thread count).
   [[nodiscard]] const obs::TraceLog& traces() const { return trace_log_; }
 
-  /// Timings of the experiments run so far, in execution order. The data
-  /// lives in the metrics registry (iotls_experiment_* gauges); this view
-  /// reconstructs the familiar struct form.
-  [[nodiscard]] std::vector<ExperimentTiming> timings() const;
+  /// Timings of this study's experiments run so far, in execution order.
+  [[nodiscard]] const std::vector<ExperimentTiming>& timings() const {
+    return timings_;
+  }
   /// The per-experiment timing report the bench binaries print after their
   /// renderings. Non-deterministic by nature — never part of a table,
   /// figure or the §5.1 summary.
@@ -138,15 +138,13 @@ class IotlsStudy {
   /// Run one experiment under the wall/CPU stopwatch.
   template <typename Fn>
   auto timed(std::string name, std::size_t tasks, Fn&& fn);
-  /// Publish one experiment's timing into the registry gauges.
+  /// Record one experiment's timing and publish it as registry gauges.
   void record_timing(const std::string& name, double wall_ms, double cpu_ms,
                      std::size_t tasks);
 
   Options options_;
   obs::TraceLog trace_log_;
-  /// Names of experiments run, in order — the keys timings() reads back
-  /// from the iotls_experiment_* gauge families.
-  std::vector<std::string> experiment_order_;
+  std::vector<ExperimentTiming> timings_;
   /// What every experiment's sandboxes are built from: the study seed,
   /// the resolved CA universe and the study trace log.
   testbed::Testbed::Options recipe_;

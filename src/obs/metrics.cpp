@@ -1,9 +1,7 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
 #include "obs/report.hpp"
 
@@ -12,12 +10,6 @@ namespace iotls::obs {
 namespace {
 
 std::atomic<bool> g_metrics_enabled{true};
-
-/// Per-thread shard cache: metric id -> that thread's private cell. Ids are
-/// never reused, so a stale entry (metric long destroyed) is dead weight,
-/// never a dangling dereference — it can only be found via the owning
-/// metric's own accessor.
-thread_local std::unordered_map<std::uint64_t, void*> tl_cells;
 
 std::string format_value(double v) {
   // Integral values print without a fraction (stable, diff-friendly
@@ -31,13 +23,6 @@ std::string format_value(double v) {
   return std::string(buf);
 }
 
-void atomic_add_double(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 bool metrics_enabled() {
@@ -48,73 +33,12 @@ void set_metrics_enabled(bool enabled) {
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-namespace detail {
-std::uint64_t next_metric_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
-
-// ---------------- Counter ----------------
-
-Counter::Counter() : id_(detail::next_metric_id()) {}
-
-Counter::Cell* Counter::local_cell() {
-  auto& slot = tl_cells[id_];
-  if (slot == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cells_.push_back(std::make_unique<Cell>());
-    slot = cells_.back().get();
-  }
-  return static_cast<Cell*>(slot);
-}
-
-void Counter::inc(std::uint64_t delta) {
-  local_cell()->v.fetch_add(delta, std::memory_order_relaxed);
-}
-
-std::uint64_t Counter::value() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& cell : cells_) cell->v.store(0, std::memory_order_relaxed);
-}
-
-// ---------------- Gauge ----------------
-
-void Gauge::add(double delta) { atomic_add_double(value_, delta); }
-
-void Gauge::set_max(double v) {
-  double cur = value_.load(std::memory_order_relaxed);
-  while (cur < v && !value_.compare_exchange_weak(
-                        cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 // ---------------- Histogram ----------------
 
 Histogram::Histogram(std::vector<double> bounds)
-    : id_(detail::next_metric_id()), bounds_(std::move(bounds)) {}
-
-Histogram::Cell* Histogram::local_cell() {
-  auto& slot = tl_cells[id_];
-  if (slot == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cells_.push_back(std::make_unique<Cell>(bounds_.size() + 1));
-    slot = cells_.back().get();
-  }
-  return static_cast<Cell*>(slot);
-}
+    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {}
 
 void Histogram::observe(double v) {
-  Cell* cell = local_cell();
   // Buckets are `value <= bound` (Prometheus `le` semantics); the final
   // slot is the implicit +Inf bucket.
   std::size_t bucket = bounds_.size();
@@ -124,42 +48,28 @@ void Histogram::observe(double v) {
       break;
     }
   }
-  cell->counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  atomic_add_double(cell->sum, v);
+  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
-  for (const auto& cell : cells_) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] += cell->counts[i].load(std::memory_order_relaxed);
-    }
+  std::vector<std::uint64_t> out;
+  out.reserve(counts_.size());
+  for (const auto& c : counts_) {
+    out.push_back(c.load(std::memory_order_relaxed));
   }
   return out;
 }
 
 std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
-  for (const auto c : bucket_counts()) total += c;
-  return total;
-}
-
-double Histogram::sum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double total = 0.0;
-  for (const auto& cell : cells_) {
-    total += cell->sum.load(std::memory_order_relaxed);
-  }
+  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
   return total;
 }
 
 void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& cell : cells_) {
-    for (auto& c : cell->counts) c.store(0, std::memory_order_relaxed);
-    cell->sum.store(0.0, std::memory_order_relaxed);
-  }
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 // ---------------- MetricsRegistry ----------------
@@ -245,19 +155,9 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
                                       std::vector<double> bounds) {
-  return histogram(name, help, "", "", std::move(bounds));
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& help,
-                                      const std::string& label_key,
-                                      const std::string& label_value,
-                                      std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return *child(
-              family(name, Kind::Histogram, help, label_key,
-                     std::move(bounds)),
-              label_value)
+  return *child(family(name, Kind::Histogram, help, "", std::move(bounds)),
+                "")
               .histogram;
 }
 
@@ -281,13 +181,6 @@ const Gauge* MetricsRegistry::find_gauge(
   std::lock_guard<std::mutex> lock(mutex_);
   const Child* c = find_child(name, label_value);
   return c != nullptr ? c->gauge.get() : nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name, const std::string& label_value) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Child* c = find_child(name, label_value);
-  return c != nullptr ? c->histogram.get() : nullptr;
 }
 
 std::size_t MetricsRegistry::family_count() const {
@@ -344,15 +237,9 @@ std::string MetricsRegistry::render_prometheus() const {
             out += labelled("le", le) + " " + std::to_string(cumulative) +
                    "\n";
           }
-          std::string base = name;
-          std::string suffix;
-          if (!fam.label_key.empty()) {
-            suffix = "{" + fam.label_key + "=\"" + label_value + "\"}";
-          }
-          out += base + "_sum" + suffix + " " +
-                 format_value(ch.histogram->sum()) + "\n";
-          out += base + "_count" + suffix + " " +
-                 std::to_string(cumulative) + "\n";
+          // Histogram families are unlabelled.
+          out += name + "_sum " + format_value(ch.histogram->sum()) + "\n";
+          out += name + "_count " + std::to_string(cumulative) + "\n";
           break;
         }
       }

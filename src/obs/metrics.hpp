@@ -5,12 +5,10 @@
 // iotls_pool_tasks_total). A family may declare one label key; children
 // are addressed by label value (iotls_tls_alerts_total{description="..."}).
 //
-// Hot-path writes use cheap thread-local sharding: each (thread, metric)
-// pair gets its own cache-line-private cell, allocated lazily on first use
-// and aggregated only on scrape. Cells are owned by the metric and outlive
-// the threads that wrote them (pool workers are ephemeral — one fan-out's
-// worker dies, the next fan-out's worker allocates a fresh cell), so
-// aggregation never races with a dying thread.
+// Every metric is plain atomics: a counter is one relaxed atomic, a
+// histogram one atomic count per bucket plus an atomic sum. Writers on any
+// thread update them in place, and a scrape reads them; nothing is owned
+// per thread, so workers that live for one fan-out leave nothing behind.
 //
 // Determinism contract: metrics are wall-clock- and scheduling-dependent by
 // nature (e.g. fan-out widths). They are an operator surface — NEVER an input
@@ -33,32 +31,22 @@ namespace iotls::obs {
 bool metrics_enabled();
 void set_metrics_enabled(bool enabled);
 
-namespace detail {
-/// Monotonic id shared by all metric kinds; thread-local shard caches key
-/// on it (never reused, so a stale cache entry can never alias a new
-/// metric).
-std::uint64_t next_metric_id();
-}  // namespace detail
-
 class Counter {
  public:
-  Counter();
+  Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void inc(std::uint64_t delta = 1);
-  [[nodiscard]] std::uint64_t value() const;
-  void reset();
+  void inc(std::uint64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Cell* local_cell();
-
-  std::uint64_t id_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Cell>> cells_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 class Gauge {
@@ -68,10 +56,6 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta);
-  /// Raise to `v` if it exceeds the current value (peak tracking, e.g.
-  /// pool queue depth).
-  void set_max(double v);
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
@@ -94,21 +78,15 @@ class Histogram {
   /// Per-bucket (non-cumulative) counts; size = bounds.size() + 1.
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
   [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
+  [[nodiscard]] double sum() const {
+    return sum_.load(std::memory_order_relaxed);
+  }
   void reset();
 
  private:
-  struct Cell {
-    explicit Cell(std::size_t buckets) : counts(buckets) {}
-    std::vector<std::atomic<std::uint64_t>> counts;
-    std::atomic<double> sum{0.0};
-  };
-  Cell* local_cell();
-
-  std::uint64_t id_;
   std::vector<double> bounds_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Cell>> cells_;
+  std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
+  std::atomic<double> sum_{0.0};
 };
 
 /// The registry: families keyed by name, children keyed by label value.
@@ -136,18 +114,11 @@ class MetricsRegistry {
                    const std::string& label_value);
   Gauge& gauge(const std::string& name, const std::string& help,
                const std::string& label_key, const std::string& label_value);
-  Histogram& histogram(const std::string& name, const std::string& help,
-                       const std::string& label_key,
-                       const std::string& label_value,
-                       std::vector<double> bounds);
 
-  // Read-only lookups (nullptr when absent) — for views like
-  // IotlsStudy::render_timings().
+  // Read-only lookups (nullptr when absent).
   [[nodiscard]] const Counter* find_counter(
       const std::string& name, const std::string& label_value = "") const;
   [[nodiscard]] const Gauge* find_gauge(
-      const std::string& name, const std::string& label_value = "") const;
-  [[nodiscard]] const Histogram* find_histogram(
       const std::string& name, const std::string& label_value = "") const;
 
   [[nodiscard]] std::size_t family_count() const;

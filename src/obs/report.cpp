@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
@@ -93,19 +94,13 @@ std::string render_run_report_json(const RunReport& report) {
            quoted(report.knobs[i].second);
   }
   out += "},\n";
-  if (report.include_profile) {
-    const ProfileSnapshot snapshot = profile_snapshot();
-    out += "  \"profile\": {\"enabled\": ";
-    out += profile_enabled() ? "true" : "false";
-    out += ", \"threads\": " + std::to_string(snapshot.threads);
-    out += ", \"events_dropped\": " +
-           std::to_string(snapshot.events_dropped);
-    out += ", \"tree\": " + profile_tree_to_json(snapshot.root) + "},\n";
-  }
-  if (report.include_metrics) {
-    out += "  \"metrics\": " + MetricsRegistry::global().render_json() +
-           ",\n";
-  }
+  const ProfileSnapshot snapshot = profile_snapshot();
+  out += "  \"profile\": {\"enabled\": ";
+  out += profile_enabled() ? "true" : "false";
+  out += ", \"threads\": " + std::to_string(snapshot.threads);
+  out += ", \"events_dropped\": " + std::to_string(snapshot.events_dropped);
+  out += ", \"tree\": " + profile_tree_to_json(snapshot.root) + "},\n";
+  out += "  \"metrics\": " + MetricsRegistry::global().render_json() + ",\n";
   out += "  \"peak_rss_bytes\": " + std::to_string(peak_rss_bytes()) + "\n";
   out += "}\n";
   return out;
@@ -127,6 +122,23 @@ bool write_run_report(const RunReport& report, const std::string& path) {
                  path.c_str());
   }
   return ok;
+}
+
+void emit_run_telemetry(
+    const std::string& tool,
+    std::vector<std::pair<std::string, std::string>> knobs, std::FILE* out) {
+  if (profile_enabled() && profile_thread_count() > 0) {
+    std::fputs("\n==== profile (IOTLS_PROFILE) ====\n", out);
+    std::fputs(render_profile(profile_snapshot()).c_str(), out);
+  }
+  const char* path = common::env_string("IOTLS_RUN_REPORT", "");
+  if (*path == '\0') return;
+  RunReport report;
+  report.tool = tool;
+  report.knobs = std::move(knobs);
+  if (write_run_report(report, path)) {
+    std::fprintf(out, "wrote run report %s\n", path);
+  }
 }
 
 }  // namespace iotls::obs

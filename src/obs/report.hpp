@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,14 +43,6 @@ struct RunReport {
   /// Knobs as launched: (name, value) in insertion order. Callers record
   /// what they parsed (IOTLS_THREADS, IOTLS_PROFILE, CLI flags, ...).
   std::vector<std::pair<std::string, std::string>> knobs;
-  /// Embed the merged profile tree (skipped when the profiler never ran).
-  bool include_profile = true;
-  /// Embed every metric family as JSON.
-  bool include_metrics = true;
-
-  void add_knob(std::string name, std::string value) {
-    knobs.emplace_back(std::move(name), std::move(value));
-  }
 };
 
 /// The full report document (schema documented in DESIGN.md §13):
@@ -60,5 +53,13 @@ std::string render_run_report_json(const RunReport& report);
 /// Render and write to `path`. Returns false (with a message on stderr)
 /// when the file cannot be written.
 bool write_run_report(const RunReport& report, const std::string& path);
+
+/// The closing telemetry of every CLI tool and bench lane: print the merged
+/// profile tree to `out` when the profiler ran, then, when IOTLS_RUN_REPORT
+/// names a path, write the run report of `tool` with `knobs` there and say
+/// so on `out`. Tools whose stdout carries data pass stderr.
+void emit_run_telemetry(
+    const std::string& tool,
+    std::vector<std::pair<std::string, std::string>> knobs, std::FILE* out);
 
 }  // namespace iotls::obs

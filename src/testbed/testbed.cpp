@@ -14,8 +14,6 @@ Testbed::Testbed(Options options)
                                              : &pki::CaUniverse::standard()) {
   network_.set_trace(options_.trace);
   cloud_ = std::make_unique<CloudFarm>(*universe_, options_.seed);
-  const pki::RevocationList* revocations =
-      options_.revocations != nullptr ? options_.revocations : &revocations_;
 
   const auto wanted = [&](const devices::DeviceProfile& profile) {
     return options_.devices.empty() ||
@@ -29,7 +27,7 @@ Testbed::Testbed(Options options)
     }
     if (!profile.active) continue;
     auto runtime = std::make_unique<DeviceRuntime>(profile, *universe_,
-                                                   network_, revocations);
+                                                   network_, &revocations_);
     plugs_.emplace(profile.name, std::make_unique<SmartPlug>(*runtime));
     runtimes_.emplace(profile.name, std::move(runtime));
   }

@@ -29,10 +29,6 @@ class Testbed {
     /// runtimes are built — this is what makes per-device experiment
     /// sandboxes cheap.
     std::vector<std::string> devices;
-    /// Revocation list the runtimes consult (nullptr = the testbed's own).
-    /// Sandboxes share the recipe's list so CRL/OCSP behaviour carries
-    /// over; the list must be const while sandboxes are live.
-    const pki::RevocationList* revocations = nullptr;
     /// Trace log per-connection spans are committed to (non-owning, may be
     /// null). sandbox_map never hands it to a sandbox: each sandbox traces
     /// into its own local log, merged in input order by the coordinator,
@@ -60,7 +56,8 @@ class Testbed {
     return cloud_->current_date();
   }
 
-  /// The ecosystem CRL consulted by the Table 8 CRL/OCSP devices.
+  /// The ecosystem CRL consulted by this testbed's Table 8 CRL/OCSP
+  /// devices. Every testbed, and so every sandbox, owns its own list.
   [[nodiscard]] pki::RevocationList& revocations() { return revocations_; }
 
   /// Re-point connection tracing (forwards to the network).

@@ -1,5 +1,5 @@
-// MetricsRegistry: bucket edges, thread-local shard aggregation, and the
-// Prometheus exposition format.
+// MetricsRegistry: bucket edges, concurrent writes from pool workers, and
+// the Prometheus exposition format.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,19 +24,15 @@ TEST(Counter, IncrementAndReset) {
 TEST(Counter, AggregatesAcrossPoolWorkers) {
   Counter c;
   common::parallel_for(8, 100, [&c](std::size_t) { c.inc(); });
-  // Each worker wrote its own thread-local cell; value() sums them all.
   EXPECT_EQ(c.value(), 100u);
 }
 
-TEST(Gauge, SetAddAndPeak) {
+TEST(Gauge, SetAndReset) {
   Gauge g;
-  g.set(3.0);
-  g.add(2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.set_max(4.0);  // below current: no-op
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.set_max(9.0);
-  EXPECT_DOUBLE_EQ(g.value(), 9.0);
+  g.set(3.5);
+  EXPECT_DOUBLE_EQ(g.value(), 3.5);
+  g.reset();
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(Histogram, BucketBoundsAreInclusiveUpperEdges) {
@@ -66,6 +62,10 @@ TEST(Histogram, AggregatesAcrossPoolWorkers) {
   EXPECT_EQ(counts[0], 32u);
   EXPECT_EQ(counts[1], 32u);
   EXPECT_EQ(h.count(), 64u);
+  EXPECT_DOUBLE_EQ(h.sum(), 32.0 * 1.0 + 32.0 * 100.0);
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
 }
 
 TEST(MetricsRegistry, CreateOrGetReturnsStableReferences) {

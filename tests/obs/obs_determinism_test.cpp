@@ -139,17 +139,39 @@ TEST(ObsDeterminism, ActiveExperimentTraceDigest) {
             "cc7646c9f815f94f02347533f3b638f5343724ebc5f0fbbfb7d674b799125800");
 }
 
-TEST(ObsDeterminism, TimingsAreServedFromTheRegistry) {
-  auto study = make_study(2, obs::TraceLevel::Off, false);
-  (void)study.render_table7();
-  const auto timings = study.timings();
-  ASSERT_EQ(timings.size(), 1u);
-  EXPECT_EQ(timings[0].name, "interception");
-  EXPECT_EQ(timings[0].threads, 2u);
-  const auto* wall = study.metrics().find_gauge("iotls_experiment_wall_ms",
-                                                "interception");
+TEST(ObsDeterminism, TimingsBelongToTheirStudy) {
+  // A study's timings are its own: a second study running the same
+  // experiment overwrites the process-wide iotls_experiment_* gauges, but
+  // not the first study's timings().
+  auto first = make_study(2, obs::TraceLevel::Off, false);
+  (void)first.render_table7();
+  const auto before = first.timings();
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_EQ(before[0].name, "interception");
+  EXPECT_EQ(before[0].threads, 2u);
+
+  auto second = make_study(3, obs::TraceLevel::Off, false);
+  (void)second.render_table7();
+  ASSERT_EQ(second.timings().size(), 1u);
+  const ExperimentTiming theirs = second.timings()[0];
+  EXPECT_EQ(theirs.threads, 3u);
+
+  const auto after = first.timings();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].name, before[0].name);
+  EXPECT_EQ(after[0].threads, 2u);
+  EXPECT_EQ(after[0].tasks, before[0].tasks);
+  EXPECT_DOUBLE_EQ(after[0].wall_ms, before[0].wall_ms);
+  EXPECT_DOUBLE_EQ(after[0].cpu_ms, before[0].cpu_ms);
+
+  const auto& reg = obs::MetricsRegistry::global();
+  const auto* wall = reg.find_gauge("iotls_experiment_wall_ms", "interception");
+  const auto* threads =
+      reg.find_gauge("iotls_experiment_threads", "interception");
   ASSERT_NE(wall, nullptr);
-  EXPECT_DOUBLE_EQ(wall->value(), timings[0].wall_ms);
+  ASSERT_NE(threads, nullptr);
+  EXPECT_DOUBLE_EQ(wall->value(), theirs.wall_ms);
+  EXPECT_DOUBLE_EQ(threads->value(), 3.0);
 }
 
 }  // namespace

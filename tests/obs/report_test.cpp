@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,8 +27,7 @@ TEST(RunReport, SchemaRoundTripsThroughTheJsonParser) {
 
   RunReport report;
   report.tool = "report_test";
-  report.add_knob("IOTLS_THREADS", "4");
-  report.add_knob("quote\"me", "line\nbreak");
+  report.knobs = {{"IOTLS_THREADS", "4"}, {"quote\"me", "line\nbreak"}};
   const Json doc =
       Json::parse(iotls::obs::render_run_report_json(report));
   iotls::obs::set_profile_enabled(false);
@@ -58,24 +58,10 @@ TEST(RunReport, SchemaRoundTripsThroughTheJsonParser) {
   EXPECT_GT(doc.at("peak_rss_bytes").as_number(), 0.0);
 }
 
-TEST(RunReport, SectionsCanBeOmitted) {
-  RunReport report;
-  report.tool = "lean";
-  report.include_profile = false;
-  report.include_metrics = false;
-  const Json doc =
-      Json::parse(iotls::obs::render_run_report_json(report));
-  EXPECT_EQ(doc.find("profile"), nullptr);
-  EXPECT_EQ(doc.find("metrics"), nullptr);
-  EXPECT_NE(doc.find("peak_rss_bytes"), nullptr);
-}
-
 TEST(RunReport, WriteRunReportProducesAReadableFile) {
   const std::string path = "report_test_artifact.json";
   RunReport report;
   report.tool = "writer";
-  report.include_profile = false;
-  report.include_metrics = false;
   ASSERT_TRUE(iotls::obs::write_run_report(report, path));
 
   std::ifstream in(path);
@@ -83,6 +69,42 @@ TEST(RunReport, WriteRunReportProducesAReadableFile) {
   buf << in.rdbuf();
   const Json doc = Json::parse(buf.str());
   EXPECT_EQ(doc.at("tool").as_string(), "writer");
+  EXPECT_FALSE(doc.at("profile").at("enabled").as_bool());
+  EXPECT_TRUE(doc.at("metrics").is_object());
+  std::remove(path.c_str());
+}
+
+std::string read_back(std::FILE* f) {
+  std::rewind(f);
+  std::string text;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    text += static_cast<char>(c);
+  }
+  return text;
+}
+
+TEST(RunReport, EmitRunTelemetryWritesOnlyWhenAPathIsNamed) {
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ::unsetenv("IOTLS_RUN_REPORT");
+  iotls::obs::emit_run_telemetry("quiet", {}, out);
+  EXPECT_EQ(read_back(out), "");
+
+  const std::string path = "report_test_telemetry.json";
+  ::setenv("IOTLS_RUN_REPORT", path.c_str(), 1);
+  iotls::obs::emit_run_telemetry("telemetry", {{"exit_code", "3"}}, out);
+  ::unsetenv("IOTLS_RUN_REPORT");
+  std::string expected = "wrote run report ";
+  expected.append(path).append("\n");
+  EXPECT_EQ(read_back(out), expected);
+  std::fclose(out);
+
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const Json doc = Json::parse(buf.str());
+  EXPECT_EQ(doc.at("tool").as_string(), "telemetry");
+  EXPECT_EQ(doc.at("knobs").at("exit_code").as_string(), "3");
   std::remove(path.c_str());
 }
 

@@ -155,30 +155,6 @@ int run_command(const std::string& command,
   return usage("unknown command: " + command);
 }
 
-/// Operator telemetry (IOTLS_PROFILE text tree + the IOTLS_RUN_REPORT
-/// artifact), emitted after the command so the profile tree is complete.
-void emit_telemetry(const std::string& command,
-                    const std::vector<std::string>& args, int exit_code) {
-  if (iotls::obs::profile_enabled() &&
-      iotls::obs::profile_thread_count() > 0) {
-    std::printf(
-        "\n==== profile (IOTLS_PROFILE) ====\n%s",
-        iotls::obs::render_profile(iotls::obs::profile_snapshot()).c_str());
-  }
-  const char* path = iotls::common::env_string("IOTLS_RUN_REPORT", "");
-  if (*path == '\0') return;
-  iotls::obs::RunReport report;
-  report.tool = "iotls-fleet";
-  report.add_knob("command", command);
-  for (const auto& arg : args) report.add_knob("arg", arg);
-  report.add_knob("IOTLS_PROFILE",
-                  iotls::obs::profile_enabled() ? "1" : "0");
-  report.add_knob("exit_code", std::to_string(exit_code));
-  if (iotls::obs::write_run_report(report, path)) {
-    std::printf("wrote run report %s\n", path);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,13 +166,18 @@ int main(int argc, char** argv) {
   int exit_code = 1;
   try {
     exit_code = run_command(command, args);
-    emit_telemetry(command, args, exit_code);
-    return exit_code;
   } catch (const iotls::store::StoreError& e) {
     std::cerr << "iotls-fleet: StoreError: " << e.what() << "\n";
   } catch (const std::invalid_argument& e) {
     std::cerr << "iotls-fleet: invalid_argument: " << e.what() << "\n";
   }
-  emit_telemetry(command, args, exit_code);
-  return 1;
+  // Emitted after the command so the profile tree is complete.
+  std::vector<std::pair<std::string, std::string>> knobs = {
+      {"command", command}};
+  for (const auto& arg : args) knobs.emplace_back("arg", arg);
+  knobs.emplace_back("IOTLS_PROFILE",
+                     iotls::obs::profile_enabled() ? "1" : "0");
+  knobs.emplace_back("exit_code", std::to_string(exit_code));
+  iotls::obs::emit_run_telemetry("iotls-fleet", std::move(knobs), stdout);
+  return exit_code;
 }

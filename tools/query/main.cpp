@@ -39,27 +39,6 @@ int usage(const std::string& error) {
   return 2;
 }
 
-/// Operator telemetry after the query ran. The profile tree goes to
-/// stderr — stdout carries the query rows and stays pipeline-clean.
-void emit_telemetry(const std::vector<std::string>& args, int exit_code) {
-  if (iotls::obs::profile_enabled() &&
-      iotls::obs::profile_thread_count() > 0) {
-    std::cerr << "\n==== profile (IOTLS_PROFILE) ====\n"
-              << iotls::obs::render_profile(iotls::obs::profile_snapshot());
-  }
-  const char* path = iotls::common::env_string("IOTLS_RUN_REPORT", "");
-  if (*path == '\0') return;
-  iotls::obs::RunReport report;
-  report.tool = "iotls-query";
-  for (const auto& arg : args) report.add_knob("arg", arg);
-  report.add_knob("IOTLS_PROFILE",
-                  iotls::obs::profile_enabled() ? "1" : "0");
-  report.add_knob("exit_code", std::to_string(exit_code));
-  if (iotls::obs::write_run_report(report, path)) {
-    std::cerr << "wrote run report " << path << "\n";
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -115,19 +94,18 @@ int main(int argc, char** argv) {
   }
   if (dir.empty()) return usage("missing store dir");
 
+  int exit_code = 1;
   try {
     if (explain) {
       std::cout << iotls::query::explain_query(dir, options);
-      emit_telemetry(args, 0);
-      return 0;
+    } else {
+      const iotls::query::QueryResult result =
+          oracle ? iotls::query::run_query_naive(dir, options)
+                 : iotls::query::run_query(dir, options);
+      std::cout << (format == "table" ? iotls::query::render_table(result)
+                                      : iotls::query::render_tsv(result));
     }
-    const iotls::query::QueryResult result =
-        oracle ? iotls::query::run_query_naive(dir, options)
-               : iotls::query::run_query(dir, options);
-    std::cout << (format == "table" ? iotls::query::render_table(result)
-                                    : iotls::query::render_tsv(result));
-    emit_telemetry(args, 0);
-    return 0;
+    exit_code = 0;
   } catch (const iotls::common::ParseError& e) {
     std::cerr << "iotls-query: ParseError: " << e.what() << "\n";
   } catch (const iotls::store::StoreIoError& e) {
@@ -139,6 +117,13 @@ int main(int argc, char** argv) {
   } catch (const iotls::store::StoreError& e) {
     std::cerr << "iotls-query: StoreError: " << e.what() << "\n";
   }
-  emit_telemetry(args, 1);
-  return 1;
+  // Telemetry goes to stderr: stdout carries the query rows and stays
+  // pipeline-clean.
+  std::vector<std::pair<std::string, std::string>> knobs;
+  for (const auto& arg : args) knobs.emplace_back("arg", arg);
+  knobs.emplace_back("IOTLS_PROFILE",
+                     iotls::obs::profile_enabled() ? "1" : "0");
+  knobs.emplace_back("exit_code", std::to_string(exit_code));
+  iotls::obs::emit_run_telemetry("iotls-query", std::move(knobs), stderr);
+  return exit_code;
 }
