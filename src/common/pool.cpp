@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -60,6 +62,9 @@ void parallel_for(std::size_t threads, std::size_t count,
     for (std::size_t i = 0; i < count; ++i) run(i);
   } else {
     const obs::ProfileZone zone("pool/fan_out");
+    // Each worker merges its zones under the caller's open path, so the
+    // fan-out's work is credited to the zone that issued it.
+    const std::vector<std::string> anchor = obs::open_zone_path();
     if (obs::metrics_enabled()) {
       auto& metrics = PoolMetrics::get();
       metrics.tasks.inc(count);
@@ -71,6 +76,7 @@ void parallel_for(std::size_t threads, std::size_t count,
     for (std::size_t w = 0; w < width; ++w) {
       workers.emplace_back([&] {
         tl_in_worker = true;
+        if (!anchor.empty()) obs::anchor_thread_zones(anchor);
         for (std::size_t i = next.fetch_add(1); i < count;
              i = next.fetch_add(1)) {
           const obs::ProfileZone task("pool/task");

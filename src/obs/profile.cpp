@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 
 namespace iotls::obs {
@@ -13,9 +12,49 @@ namespace {
 
 std::atomic<bool> g_profile_enabled{false};
 
-/// Per-thread timeline buffers are capped so a full study with record-level
-/// zones cannot grow without bound; the merged snapshot reports the drops.
-constexpr std::size_t kMaxEventsPerThread = 1u << 18;  // 262144
+/// The process tree. Threads merge into it only when their outermost zone
+/// closes, so the mutex is taken once per top-level zone or pool task, not
+/// on every zone enter and exit.
+struct ProcessTree {
+  std::mutex mutex;
+  ProfileNode root;
+
+  static ProcessTree& get() {
+    static ProcessTree* tree = new ProcessTree();
+    return *tree;
+  }
+};
+
+/// The calling thread's private tree: its open zones, outermost first, and
+/// where the tree merges into the process tree. Only the owning thread
+/// touches it, so zone enter and exit take no lock. The map nodes are
+/// stable, so `open` can point into `root`.
+struct ThreadTree {
+  std::vector<std::string> anchor;
+  ProfileNode root;
+  std::vector<ProfileNode*> open;
+};
+
+thread_local ThreadTree tl_tree;
+
+/// The child `name` of `parent`, created on first visit.
+ProfileNode& child_slot(ProfileNode* parent, std::string_view name) {
+  auto it = parent->children.find(name);
+  if (it == parent->children.end()) {
+    ProfileNode node;
+    node.name = std::string(name);
+    it = parent->children.emplace(node.name, std::move(node)).first;
+  }
+  return it->second;
+}
+
+void merge_node(const ProfileNode& from, ProfileNode* into) {
+  into->calls += from.calls;
+  into->inclusive_ns += from.inclusive_ns;
+  for (const auto& [name, child] : from.children) {
+    merge_node(child, &child_slot(into, name));
+  }
+}
 
 }  // namespace
 
@@ -36,87 +75,44 @@ std::uint64_t profile_now_ns() {
 
 namespace detail {
 
-/// Mutable per-thread call tree. The owning thread mutates it on zone
-/// enter/exit; profile_snapshot() reads it from another thread. Both sides
-/// take the per-thread mutex — uncontended in steady state, so the
-/// enabled-path cost stays in the tens of nanoseconds.
-struct ThreadProfile {
-  struct Node {
-    std::string name;
-    Node* parent = nullptr;
-    std::uint64_t calls = 0;
-    std::uint64_t inclusive_ns = 0;
-    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
-  };
-
-  std::mutex mutex;
-  Node root;
-  Node* current = &root;
-  std::uint32_t index = 0;  // registration order (Chrome export tid)
-  std::vector<ProfileEvent> events;
-  std::uint64_t events_dropped = 0;
-};
-
-namespace {
-
-/// Registry of every thread's profile state. Entries outlive their threads
-/// (pool workers are ephemeral); thread_local holds a raw pointer that is
-/// only ever valid for the thread that registered it.
-struct ProfileRegistry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<ThreadProfile>> threads;
-
-  static ProfileRegistry& get() {
-    static ProfileRegistry* registry = new ProfileRegistry();
-    return *registry;
-  }
-};
-
-thread_local ThreadProfile* tl_profile = nullptr;
-
-}  // namespace
-
-ThreadProfile* thread_profile() {
-  if (tl_profile == nullptr) {
-    auto& registry = ProfileRegistry::get();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.threads.push_back(std::make_unique<ThreadProfile>());
-    registry.threads.back()->index =
-        static_cast<std::uint32_t>(registry.threads.size() - 1);
-    tl_profile = registry.threads.back().get();
-  }
-  return tl_profile;
+void zone_enter(std::string_view name) {
+  ThreadTree& tree = tl_tree;
+  ProfileNode* parent = tree.open.empty() ? &tree.root : tree.open.back();
+  tree.open.push_back(&child_slot(parent, name));
 }
 
-void zone_enter(ThreadProfile* tp, std::string_view name) {
-  std::lock_guard<std::mutex> lock(tp->mutex);
-  auto it = tp->current->children.find(name);
-  if (it == tp->current->children.end()) {
-    auto node = std::make_unique<ThreadProfile::Node>();
-    node->name = std::string(name);
-    node->parent = tp->current;
-    it = tp->current->children.emplace(node->name, std::move(node)).first;
-  }
-  tp->current = it->second.get();
-}
-
-void zone_exit(ThreadProfile* tp, std::uint64_t start_ns) {
+void zone_exit(std::uint64_t start_ns) {
   const std::uint64_t now = profile_now_ns();
-  const std::uint64_t duration = now > start_ns ? now - start_ns : 0;
-  std::lock_guard<std::mutex> lock(tp->mutex);
-  ThreadProfile::Node* node = tp->current;
+  ThreadTree& tree = tl_tree;
+  ProfileNode* node = tree.open.back();
+  tree.open.pop_back();
   node->calls += 1;
-  node->inclusive_ns += duration;
-  if (node->parent != nullptr) tp->current = node->parent;
-  if (tp->events.size() < kMaxEventsPerThread) {
-    tp->events.push_back(
-        ProfileEvent{node->name, start_ns, duration, tp->index});
-  } else {
-    tp->events_dropped += 1;
+  node->inclusive_ns += now > start_ns ? now - start_ns : 0;
+  if (!tree.open.empty()) return;
+  {
+    ProcessTree& process = ProcessTree::get();
+    std::lock_guard<std::mutex> lock(process.mutex);
+    ProfileNode* into = &process.root;
+    for (const std::string& name : tree.anchor) {
+      into = &child_slot(into, name);
+    }
+    merge_node(tree.root, into);  // the private root itself holds nothing
   }
+  tree.root.children.clear();
 }
 
 }  // namespace detail
+
+std::vector<std::string> open_zone_path() {
+  const ThreadTree& tree = tl_tree;
+  std::vector<std::string> path = tree.anchor;
+  for (const ProfileNode* node : tree.open) path.push_back(node->name);
+  return path;
+}
+
+void anchor_thread_zones(std::vector<std::string> path) {
+  tl_tree.anchor = std::move(path);
+}
 
 std::uint64_t ProfileNode::exclusive_ns() const {
   std::uint64_t children_ns = 0;
@@ -126,88 +122,28 @@ std::uint64_t ProfileNode::exclusive_ns() const {
   return inclusive_ns > children_ns ? inclusive_ns - children_ns : 0;
 }
 
-namespace {
-
-/// True when the subtree recorded at least one completed call. Resets keep
-/// the node structure alive (owning threads may hold pointers into it), so
-/// the merge skips zeroed subtrees to keep snapshots clean after a reset.
-bool subtree_has_calls(const detail::ThreadProfile::Node& node) {
-  if (node.calls > 0) return true;
-  for (const auto& [name, child] : node.children) {
-    if (subtree_has_calls(*child)) return true;
-  }
-  return false;
-}
-
-void merge_node(const detail::ThreadProfile::Node& from, ProfileNode* into) {
-  into->calls += from.calls;
-  into->inclusive_ns += from.inclusive_ns;
-  for (const auto& [name, child] : from.children) {
-    if (!subtree_has_calls(*child)) continue;
-    ProfileNode& slot = into->children[name];
-    slot.name = name;
-    merge_node(*child, &slot);
-  }
-}
-
-}  // namespace
-
-ProfileSnapshot profile_snapshot(bool include_events) {
+ProfileSnapshot profile_snapshot() {
   ProfileSnapshot snapshot;
-  snapshot.root.name = "<root>";
-  auto& registry = detail::ProfileRegistry::get();
-  std::lock_guard<std::mutex> registry_lock(registry.mutex);
-  snapshot.threads = registry.threads.size();
-  for (const auto& tp : registry.threads) {
-    std::lock_guard<std::mutex> lock(tp->mutex);
-    merge_node(tp->root, &snapshot.root);
-    snapshot.events_dropped += tp->events_dropped;
-    if (include_events) {
-      snapshot.events.insert(snapshot.events.end(), tp->events.begin(),
-                             tp->events.end());
-    }
+  {
+    ProcessTree& process = ProcessTree::get();
+    std::lock_guard<std::mutex> lock(process.mutex);
+    snapshot.root = process.root;
   }
   // The sentinel accumulates nothing itself; make its inclusive time the
   // sum of the top-level zones so percentages have a denominator.
+  snapshot.root.name = "<root>";
   snapshot.root.calls = 1;
   snapshot.root.inclusive_ns = 0;
   for (const auto& [name, child] : snapshot.root.children) {
     snapshot.root.inclusive_ns += child.inclusive_ns;
   }
-  std::sort(snapshot.events.begin(), snapshot.events.end(),
-            [](const ProfileEvent& a, const ProfileEvent& b) {
-              return a.start_ns != b.start_ns
-                         ? a.start_ns < b.start_ns
-                         : a.thread_index < b.thread_index;
-            });
   return snapshot;
 }
 
-std::size_t profile_thread_count() {
-  auto& registry = detail::ProfileRegistry::get();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.threads.size();
-}
-
 void profile_reset() {
-  auto& registry = detail::ProfileRegistry::get();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  for (auto& tp : registry.threads) {
-    std::lock_guard<std::mutex> tp_lock(tp->mutex);
-    // The owning thread may still hold `current` pointers into the tree;
-    // zero the counters instead of deleting nodes (same lifetime rule as
-    // MetricsRegistry::reset()).
-    tp->events.clear();
-    tp->events_dropped = 0;
-    struct Zero {
-      static void apply(detail::ThreadProfile::Node* node) {
-        node->calls = 0;
-        node->inclusive_ns = 0;
-        for (auto& [name, child] : node->children) apply(child.get());
-      }
-    };
-    Zero::apply(&tp->root);
-  }
+  ProcessTree& process = ProcessTree::get();
+  std::lock_guard<std::mutex> lock(process.mutex);
+  process.root.children.clear();
 }
 
 namespace {
@@ -270,41 +206,13 @@ std::string json_escape(const std::string& s) {
 }  // namespace
 
 std::string render_profile(const ProfileSnapshot& snapshot) {
-  std::string out = "Profile (" + std::to_string(snapshot.threads) +
-                    " thread trees merged, total " +
-                    format_ms(snapshot.root.inclusive_ns) + " ms";
-  if (snapshot.events_dropped > 0) {
-    out += ", " + std::to_string(snapshot.events_dropped) +
-           " timeline events dropped";
-  }
-  out += ")\n";
+  std::string out = "Profile (total ";
+  out.append(format_ms(snapshot.root.inclusive_ns)).append(" ms)\n");
   if (snapshot.root.children.empty()) {
     out += "  (no zones recorded — set IOTLS_PROFILE=1)\n";
     return out;
   }
   render_node(snapshot.root, snapshot.root.inclusive_ns, 0, &out);
-  return out;
-}
-
-std::string profile_to_chrome_json(const ProfileSnapshot& snapshot) {
-  // Complete ("X") events, microsecond timestamps, one pid, tid = the
-  // profile thread index. Loads directly in chrome://tracing and Perfetto.
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const auto& e : snapshot.events) {
-    if (!first) out += ",";
-    first = false;
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "\n{\"name\":\"%s\",\"cat\":\"iotls\",\"ph\":\"X\","
-                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u}",
-                  json_escape(e.name).c_str(),
-                  static_cast<double>(e.start_ns) / 1e3,
-                  static_cast<double>(e.duration_ns) / 1e3,
-                  static_cast<unsigned>(e.thread_index));
-    out += buf;
-  }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
   return out;
 }
 

@@ -1,18 +1,20 @@
 // Hierarchical wall-clock profiler: the third observability pillar next to
 // the flight recorder (trace.hpp) and the metrics registry (metrics.hpp).
 //
-// Instrumented code opens a scoped ProfileZone; nested zones build a
-// per-thread call tree (zone name -> inclusive ns, call count, children).
-// Each thread owns its tree: zone enter/exit touch only thread-local state
-// under that thread's private mutex, so pool workers profile concurrently
-// without contending. profile_snapshot() merges every thread's tree by
-// zone-name path after a fan-out drains (worker threads are ephemeral —
-// their trees outlive them in the registry, exactly like metric cells).
+// Instrumented code opens a scoped ProfileZone; nested zones build a call
+// tree (zone name -> inclusive ns, call count, children). The process keeps
+// one tree. Each thread builds a private call tree without a lock and, when
+// its outermost zone closes, merges it into the process tree under one
+// mutex at the thread's anchor path, then frees it. An ordinary thread's
+// anchor is the root; a parallel_for worker's is the caller's open zone
+// path, ending in pool/fan_out, so a fan-out's work is credited to the zone
+// that issued it. A fan-out's children sum CPU time over its workers, so
+// they can exceed the wall time of their pool/fan_out parent.
 //
 // Cost model: with profiling disabled (the default) a zone is one relaxed
-// atomic load and a branch — no allocation, no thread registration, no
-// clock read. The IOTLS_PROFILE knob (strict env parsing at the CLI
-// surface) flips the global switch.
+// atomic load and a branch — no allocation, no lock, no clock read. The
+// IOTLS_PROFILE knob (strict env parsing at the CLI surface) flips the
+// global switch.
 //
 // Determinism contract: the profiler is wall-clock-dependent by nature and
 // is an OPERATOR surface only, like metrics — never an input to any table,
@@ -23,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -53,86 +56,70 @@ class WallTimer {
 };
 
 namespace detail {
-struct ThreadProfile;
-/// The calling thread's profile state, registered on first use (the
-/// registry owns it; the thread holds a raw pointer for its lifetime).
-ThreadProfile* thread_profile();
-void zone_enter(ThreadProfile* tp, std::string_view name);
-void zone_exit(ThreadProfile* tp, std::uint64_t start_ns);
+void zone_enter(std::string_view name);
+void zone_exit(std::uint64_t start_ns);
 }  // namespace detail
 
 /// Scoped zone timer. Construction with profiling disabled is a no-op
 /// (no allocation, no clock read). The name is copied only on the first
-/// visit of a (parent, name) tree edge per thread.
+/// visit of a (parent, name) edge of the thread's private tree.
 class ProfileZone {
  public:
   explicit ProfileZone(std::string_view name) {
     if (!profile_enabled()) return;
-    tp_ = detail::thread_profile();
-    detail::zone_enter(tp_, name);
+    open_ = true;
+    detail::zone_enter(name);
     start_ns_ = profile_now_ns();
   }
   ~ProfileZone() {
-    if (tp_ != nullptr) detail::zone_exit(tp_, start_ns_);
+    if (open_) detail::zone_exit(start_ns_);
   }
   ProfileZone(const ProfileZone&) = delete;
   ProfileZone& operator=(const ProfileZone&) = delete;
 
  private:
-  detail::ThreadProfile* tp_ = nullptr;
+  bool open_ = false;
   std::uint64_t start_ns_ = 0;
 };
 
-/// One node of the merged call tree. `inclusive_ns` counts the whole zone;
-/// `exclusive_ns()` subtracts the children (clamped at zero — a child
-/// recorded on another thread can overlap its parent's frame boundary).
+/// The calling thread's open zone path from the root: its anchor, then its
+/// open zones, outermost first.
+std::vector<std::string> open_zone_path();
+
+/// Merge the calling thread's zones at `path` instead of the root, for the
+/// rest of the thread's life. parallel_for gives each worker its caller's
+/// open_zone_path().
+void anchor_thread_zones(std::vector<std::string> path);
+
+/// One node of the call tree. `inclusive_ns` counts the whole zone;
+/// `exclusive_ns()` subtracts the children, clamped at zero: the children
+/// of a fan-out sum CPU time across its workers, which can exceed the
+/// parent's wall time.
 struct ProfileNode {
   std::string name;
   std::uint64_t calls = 0;
   std::uint64_t inclusive_ns = 0;
-  std::map<std::string, ProfileNode> children;
+  std::map<std::string, ProfileNode, std::less<>> children;
 
   [[nodiscard]] std::uint64_t exclusive_ns() const;
 };
 
-/// One completed zone instance (for the Chrome/Perfetto timeline export).
-struct ProfileEvent {
-  std::string name;
-  std::uint64_t start_ns = 0;
-  std::uint64_t duration_ns = 0;
-  std::uint32_t thread_index = 0;  // registration order, stable per thread
-};
-
 struct ProfileSnapshot {
   ProfileNode root;  // name "<root>"; top-level zones are its children
-  std::size_t threads = 0;        // thread trees merged
-  std::uint64_t events_dropped = 0;  // timeline events past the buffer cap
-  std::vector<ProfileEvent> events;  // sorted by start_ns (if requested)
 };
 
-/// Merge every registered thread tree. `include_events` copies the
-/// timeline buffers too (they can be large — the text report and the run
-/// report don't need them). Safe to call while zones are still running on
-/// other threads; in-flight zones are simply not counted yet.
-ProfileSnapshot profile_snapshot(bool include_events = false);
+/// Copy the process tree. Safe to call while zones are still running on
+/// other threads; a thread's zones count once its outermost zone closes.
+ProfileSnapshot profile_snapshot();
 
-/// Number of threads that have registered profile state (0 until the
-/// first enabled zone runs — the disabled path never registers).
-std::size_t profile_thread_count();
-
-/// Drop every thread tree and timeline buffer (bench lanes isolate runs).
+/// Clear the process tree (bench lanes isolate runs).
 void profile_reset();
 
 /// Sorted text tree: children by descending inclusive time, one line per
 /// zone with inclusive/exclusive ms, call count, and per-call cost.
 std::string render_profile(const ProfileSnapshot& snapshot);
 
-/// Chrome trace-event JSON (chrome://tracing / Perfetto "traceEvents"
-/// array of complete "X" events). Open the file directly in a timeline
-/// viewer. Requires a snapshot taken with include_events = true.
-std::string profile_to_chrome_json(const ProfileSnapshot& snapshot);
-
-/// The merged tree as a JSON object (the run report embeds this).
+/// The tree as a JSON object (the run report embeds this).
 std::string profile_tree_to_json(const ProfileNode& node);
 
 }  // namespace iotls::obs

@@ -1,6 +1,8 @@
 #include "obs/report.hpp"
 
 #include <cstdio>
+#include <set>
+#include <stdexcept>
 
 #include "common/env.hpp"
 #include "obs/metrics.hpp"
@@ -88,17 +90,18 @@ std::string render_run_report_json(const RunReport& report) {
          ", \"build_type\": " + quoted(info.build_type) +
          ", \"sanitizers\": " + quoted(info.sanitizers) + "},\n";
   out += "  \"knobs\": {";
-  for (std::size_t i = 0; i < report.knobs.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += quoted(report.knobs[i].first) + ": " +
-           quoted(report.knobs[i].second);
+  std::set<std::string> names;
+  for (const auto& [name, value] : report.knobs) {
+    if (!names.insert(name).second) {
+      throw std::invalid_argument("duplicate run-report knob: " + name);
+    }
+    if (names.size() > 1) out += ", ";
+    out += quoted(name) + ": " + quoted(value);
   }
   out += "},\n";
   const ProfileSnapshot snapshot = profile_snapshot();
   out += "  \"profile\": {\"enabled\": ";
   out += profile_enabled() ? "true" : "false";
-  out += ", \"threads\": " + std::to_string(snapshot.threads);
-  out += ", \"events_dropped\": " + std::to_string(snapshot.events_dropped);
   out += ", \"tree\": " + profile_tree_to_json(snapshot.root) + "},\n";
   out += "  \"metrics\": " + MetricsRegistry::global().render_json() + ",\n";
   out += "  \"peak_rss_bytes\": " + std::to_string(peak_rss_bytes()) + "\n";
@@ -127,9 +130,12 @@ bool write_run_report(const RunReport& report, const std::string& path) {
 void emit_run_telemetry(
     const std::string& tool,
     std::vector<std::pair<std::string, std::string>> knobs, std::FILE* out) {
-  if (profile_enabled() && profile_thread_count() > 0) {
-    std::fputs("\n==== profile (IOTLS_PROFILE) ====\n", out);
-    std::fputs(render_profile(profile_snapshot()).c_str(), out);
+  if (profile_enabled()) {
+    const ProfileSnapshot snapshot = profile_snapshot();
+    if (!snapshot.root.children.empty()) {
+      std::fputs("\n==== profile (IOTLS_PROFILE) ====\n", out);
+      std::fputs(render_profile(snapshot).c_str(), out);
+    }
   }
   const char* path = common::env_string("IOTLS_RUN_REPORT", "");
   if (*path == '\0') return;

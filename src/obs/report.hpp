@@ -40,14 +40,17 @@ std::uint64_t peak_rss_bytes();
 struct RunReport {
   /// Which binary produced the report ("bench_crypto", "iotls-query", ...).
   std::string tool;
-  /// Knobs as launched: (name, value) in insertion order. Callers record
-  /// what they parsed (IOTLS_THREADS, IOTLS_PROFILE, CLI flags, ...).
+  /// Knobs as launched: (name, value) in insertion order, each name once.
+  /// Callers record what they parsed (IOTLS_THREADS, IOTLS_PROFILE, CLI
+  /// arguments by position as arg1, arg2, ...).
   std::vector<std::pair<std::string, std::string>> knobs;
 };
 
 /// The full report document (schema documented in DESIGN.md §13):
 /// { "schema": "iotls-run-report/1", "tool", "build": {...}, "knobs",
-///   "profile": {...}, "metrics": {...}, "peak_rss_bytes" }
+///   "profile": {"enabled", "tree"}, "metrics": {...}, "peak_rss_bytes" }
+/// Throws std::invalid_argument when two knobs share a name, since a JSON
+/// reader would keep only one of them.
 std::string render_run_report_json(const RunReport& report);
 
 /// Render and write to `path`. Returns false (with a message on stderr)

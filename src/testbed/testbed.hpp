@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/pool.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "pki/universe.hpp"
 #include "testbed/cloud.hpp"
@@ -100,7 +101,10 @@ auto sandbox_map(const Testbed::Options& recipe,
         options.devices = {device};
         obs::TraceLog local(level);
         if (local.enabled()) options.trace = &local;
-        Testbed sandbox(std::move(options));
+        Testbed sandbox = [&] {
+          const obs::ProfileZone zone("testbed/sandbox");
+          return Testbed(std::move(options));
+        }();
         auto result = fn(sandbox, device);
         return std::make_pair(std::move(result), std::move(local));
       });

@@ -1,7 +1,8 @@
 // Hierarchical profiler: tree shape, exclusive-time accounting, the
-// disabled-mode cost contract (no registration at all), exporter output,
-// and concurrent zones across pool workers (the TSan target — per-thread
-// state merged by snapshot while a fan-out may still be running).
+// disabled-mode cost contract (nothing recorded), the tree exporters, and
+// concurrent zones across pool workers (the TSan target — worker trees
+// merge into the process tree at the caller's zone path while the main
+// thread snapshots it).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include "common/json.hpp"
 #include "common/pool.hpp"
 #include "obs/profile.hpp"
+#include "obs/zone_calls.hpp"
 
 namespace {
 
@@ -52,7 +54,6 @@ TEST_F(ProfileTest, NestedZonesBuildACallTree) {
   { const ProfileZone outer("outer"); }
 
   const ProfileSnapshot snap = iotls::obs::profile_snapshot();
-  EXPECT_GE(snap.threads, 1u);
   const ProfileNode* outer = child(snap.root, "outer");
   ASSERT_NE(outer, nullptr);
   EXPECT_EQ(outer->calls, 2u);
@@ -90,20 +91,15 @@ TEST_F(ProfileTest, ExclusiveTimeSubtractsChildren) {
   EXPECT_EQ(node.exclusive_ns(), 0u);
 }
 
-TEST_F(ProfileTest, DisabledZonesNeverRegisterOrRecord) {
+TEST_F(ProfileTest, DisabledZonesRecordNothing) {
   iotls::obs::set_profile_enabled(false);
-  iotls::obs::profile_reset();
-  // Registration is per thread lifetime (earlier tests in this binary may
-  // have registered this thread already); disabled zones must not add to
-  // it or record anything.
-  const std::size_t registered = iotls::obs::profile_thread_count();
   {
     const ProfileZone zone("never");
     const ProfileZone nested("nested");
   }
-  EXPECT_EQ(iotls::obs::profile_thread_count(), registered);
   const ProfileSnapshot snap = iotls::obs::profile_snapshot();
   EXPECT_TRUE(snap.root.children.empty());
+  EXPECT_TRUE(iotls::obs::open_zone_path().empty());
 }
 
 TEST_F(ProfileTest, RendersSortedTextTree) {
@@ -120,24 +116,12 @@ TEST_F(ProfileTest, RendersSortedTextTree) {
   EXPECT_LT(outer_pos, inner_pos);  // child renders under its parent
 }
 
-TEST_F(ProfileTest, ChromeExportAndTreeJsonAreValidJson) {
+TEST_F(ProfileTest, TreeJsonIsValidJson) {
   {
     const ProfileZone outer("outer \"quoted\"");
     const ProfileZone inner("inner");
   }
-  const ProfileSnapshot snap =
-      iotls::obs::profile_snapshot(/*include_events=*/true);
-  ASSERT_GE(snap.events.size(), 2u);
-
-  const auto chrome =
-      iotls::common::Json::parse(iotls::obs::profile_to_chrome_json(snap));
-  const auto& events = chrome.at("traceEvents").as_array();
-  ASSERT_GE(events.size(), 2u);
-  for (const auto& event : events) {
-    EXPECT_EQ(event.at("ph").as_string(), "X");
-    EXPECT_GE(event.at("dur").as_number(), 0.0);
-  }
-
+  const ProfileSnapshot snap = iotls::obs::profile_snapshot();
   const auto tree = iotls::common::Json::parse(
       iotls::obs::profile_tree_to_json(snap.root));
   EXPECT_EQ(tree.at("name").as_string(), "<root>");
@@ -150,7 +134,7 @@ TEST_F(ProfileTest, ChromeExportAndTreeJsonAreValidJson) {
 }
 
 // The TSan target: pool workers open zones concurrently while the main
-// thread snapshots mid-flight. Per-thread trees are merged by name path,
+// thread snapshots mid-flight. Each worker merges its tree by name path,
 // so worker counts must add up once the fan-out drains.
 TEST_F(ProfileTest, ConcurrentZonesAcrossPoolWorkersMergeByPath) {
   constexpr std::size_t kTasks = 64;
@@ -198,6 +182,30 @@ TEST_F(ProfileTest, ConcurrentZonesAcrossPoolWorkersMergeByPath) {
   EXPECT_EQ(task_calls, kTasks);
   EXPECT_EQ(even_calls, kTasks / 2);
   EXPECT_EQ(odd_calls, kTasks / 2);
+  // Every worker anchors at the caller's open path, so the task zones sit
+  // under pool/fan_out > pool/task.
+  const ProfileNode* fan_out = child(snap.root, "pool/fan_out");
+  ASSERT_NE(fan_out, nullptr);
+  const ProfileNode* pool_task = child(*fan_out, "pool/task");
+  ASSERT_NE(pool_task, nullptr);
+  const ProfileNode* task = child(*pool_task, "task");
+  ASSERT_NE(task, nullptr);
+  EXPECT_EQ(task->calls, kTasks);
+}
+
+// A fan-out issued inside a zone credits its workers' zones to that zone:
+// the tree has the one-thread shape with pool/fan_out > pool/task between.
+TEST_F(ProfileTest, FanOutWorkNestsUnderTheCallersZone) {
+  constexpr std::size_t kTasks = 64;
+  {
+    const ProfileZone caller("caller");
+    iotls::common::parallel_for(4, kTasks, [](std::size_t) {
+      const ProfileZone work("work");
+    });
+  }
+  const ProfileSnapshot snap = iotls::obs::profile_snapshot();
+  EXPECT_EQ(snap.root.children.size(), 1u);
+  EXPECT_EQ(iotls::obs::calls_within(snap.root, "caller", "work"), kTasks);
 }
 
 }  // namespace

@@ -174,7 +174,10 @@ int main(int argc, char** argv) {
   // Emitted after the command so the profile tree is complete.
   std::vector<std::pair<std::string, std::string>> knobs = {
       {"command", command}};
-  for (const auto& arg : args) knobs.emplace_back("arg", arg);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    std::string name = "arg";
+    knobs.emplace_back(name.append(std::to_string(i + 1)), args[i]);
+  }
   knobs.emplace_back("IOTLS_PROFILE",
                      iotls::obs::profile_enabled() ? "1" : "0");
   knobs.emplace_back("exit_code", std::to_string(exit_code));
