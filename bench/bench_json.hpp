@@ -15,11 +15,13 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/json.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 
 namespace iotls::bench {
 
+using common::json_quote;
 using common::strict_env_long;
 
 /// One benchmark result row. The unit doubles as the regression-direction
@@ -42,15 +44,6 @@ double time_ms(std::size_t iters, Fn&& fn) {
   return elapsed.count() / static_cast<double>(iters);
 }
 
-inline std::string bench_json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Parse IOTLS_PROFILE (strict: unset/0 = off, any other integer = on)
 /// and flip the global profiler switch. Returns the resulting state.
 inline bool profile_from_env() {
@@ -71,20 +64,19 @@ inline bool write_bench_json(
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return false;
   }
-  std::fprintf(out, "{\n  \"bench\": \"%s\",\n",
-               bench_json_escape(bench).c_str());
+  std::fprintf(out, "{\n  \"bench\": %s,\n", json_quote(bench).c_str());
   for (const auto& [key, value] : extra) {
-    std::fprintf(out, "  \"%s\": \"%s\",\n", bench_json_escape(key).c_str(),
-                 bench_json_escape(value).c_str());
+    std::fprintf(out, "  %s: %s,\n", json_quote(key).c_str(),
+                 json_quote(value).c_str());
   }
   std::fprintf(out, "  \"iters\": %zu,\n  \"wall_ms\": %.3f,\n",
                iters, wall_ms);
   std::fprintf(out, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::fprintf(
-        out, "    {\"name\": \"%s\", \"value\": %.6f, \"unit\": \"%s\"}%s\n",
-        bench_json_escape(results[i].name).c_str(), results[i].value,
-        bench_json_escape(results[i].unit).c_str(),
+        out, "    {\"name\": %s, \"value\": %.6f, \"unit\": %s}%s\n",
+        json_quote(results[i].name).c_str(), results[i].value,
+        json_quote(results[i].unit).c_str(),
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -191,7 +191,10 @@ class Parser {
     std::string out;
     for (;;) {
       if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
+      const char c = text_[pos_];
+      // RFC 8259 section 7: control bytes must be escaped in a string.
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control byte");
+      ++pos_;
       if (c == '"') return out;
       if (c != '\\') {
         out += c;

@@ -1,9 +1,16 @@
-// Minimal JSON value model + strict recursive-descent parser.
+// Minimal JSON value model, strict recursive-descent parser, and the one
+// JSON string writer.
 //
-// Consumers: iotls-bench-track (ingesting BENCH_*.json and run reports)
-// and the run-report schema tests. Writing stays with the emitters — this
-// module only reads. The parser is strict (complete document, no trailing
-// garbage) and throws JsonError with a byte offset on malformed input.
+// Readers: iotls-bench-track (ingesting BENCH_*.json and run reports) and
+// the emitter round-trip tests. The parser is strict (complete document,
+// no trailing garbage, no raw control byte in a string) and throws
+// JsonError with a byte offset on malformed input.
+//
+// Writers: every JSON artifact (trace JSONL, run reports, the profile
+// tree, metrics, lint findings, BENCH_*.json, the bench trajectory) lays
+// out its own document but quotes each string with json_quote. It is
+// header-only so obs and the lint tool use it without linking
+// iotls_common.
 #pragma once
 
 #include <cstdint>
@@ -11,9 +18,39 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iotls::common {
+
+/// `s` as a quoted JSON string: `"` and `\` are backslash-escaped, \n,
+/// \r and \t use their short escapes, any other byte below 0x20 becomes
+/// \u00xx, and every other byte (UTF-8 included) is copied unchanged.
+inline std::string json_quote(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 class JsonError : public std::runtime_error {
  public:

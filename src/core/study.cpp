@@ -62,21 +62,15 @@ IotlsStudy::IotlsStudy(Options options)
 
 const testbed::PassiveDataset& IotlsStudy::passive_dataset() {
   if (!passive_) {
-    if (!options_.passive_store.empty()) {
-      passive_ = timed("passive-dataset", 0, [&] {
-        return store::read_store(options_.passive_store);
-      });
-    } else {
-      testbed::GeneratorOptions gen;
-      gen.seed = options_.seed ^ 0x9A55;
-      gen.universe = options_.universe;
-      gen.count_scale = options_.passive_scale;
-      gen.first = options_.passive_first;
-      gen.last = options_.passive_last;
-      gen.threads = options_.threads;
-      passive_ = timed("passive-dataset", devices::device_catalog().size(),
-                       [&] { return testbed::generate_passive_dataset(gen); });
-    }
+    testbed::GeneratorOptions gen;
+    gen.seed = options_.seed ^ 0x9A55;
+    gen.universe = options_.universe;
+    gen.count_scale = options_.passive_scale;
+    gen.first = options_.passive_first;
+    gen.last = options_.passive_last;
+    gen.threads = options_.threads;
+    passive_ = timed("passive-dataset", devices::device_catalog().size(),
+                     [&] { return testbed::generate_passive_dataset(gen); });
   }
   return *passive_;
 }

@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "probe/prober.hpp"
-#include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "testbed/testbed.hpp"
 
@@ -64,10 +63,6 @@ class IotlsStudy {
     /// Metrics are an operator surface — wall-clock/scheduling dependent,
     /// never an input to any table, figure, or trace.
     bool metrics_enabled = false;
-    /// Load the passive dataset from this capture-store directory instead
-    /// of generating it (the seed/scale/window knobs above then describe
-    /// the run that *wrote* the store, not a fresh generation).
-    std::string passive_store;
   };
 
   IotlsStudy() : IotlsStudy(Options{}) {}

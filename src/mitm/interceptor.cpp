@@ -157,45 +157,31 @@ std::shared_ptr<tls::ServerSession> Interceptor::intercept(
   cfg.cipher_suites = permissive_suites();
   cfg.seed = common::fnv1a64("mitm:" + hostname);
 
+  std::optional<ForgedIdentity> identity;
   switch (mode_.kind) {
-    case InterceptMode::Kind::Attack: {
-      const ForgedIdentity identity = forge_.forge(mode_.attack, hostname);
-      cfg.chain = identity.chain;
-      cfg.keys = identity.keys;
+    case InterceptMode::Kind::Attack:
+      identity = forge_.forge(mode_.attack, hostname);
       break;
-    }
-    case InterceptMode::Kind::Failure: {
-      if (mode_.failure == FailureKind::IncompleteHandshake) {
-        const ForgedIdentity identity = forge_.self_signed(hostname);
-        cfg.chain = identity.chain;
-        cfg.keys = identity.keys;
-        cfg.silent_after_client_hello = true;
-      } else {
-        const ForgedIdentity identity = forge_.self_signed(hostname);
-        cfg.chain = identity.chain;
-        cfg.keys = identity.keys;
-      }
+    case InterceptMode::Kind::Failure:
+      identity = forge_.self_signed(hostname);
+      cfg.silent_after_client_hello =
+          mode_.failure == FailureKind::IncompleteHandshake;
       break;
-    }
-    case InterceptMode::Kind::SpoofedCaProbe: {
-      const ForgedIdentity identity =
-          forge_.spoofed_ca_chain(*mode_.probe_root, hostname);
-      cfg.chain = identity.chain;
-      cfg.keys = identity.keys;
+    case InterceptMode::Kind::SpoofedCaProbe:
+      identity = forge_.spoofed_ca_chain(*mode_.probe_root, hostname);
       break;
-    }
-    case InterceptMode::Kind::UnknownCaProbe: {
-      const ForgedIdentity identity = forge_.unknown_ca_chain(hostname);
-      cfg.chain = identity.chain;
-      cfg.keys = identity.keys;
+    case InterceptMode::Kind::UnknownCaProbe:
+      identity = forge_.unknown_ca_chain(hostname);
       break;
-    }
-    case InterceptMode::Kind::OldVersionProbe: {
+    case InterceptMode::Kind::OldVersionProbe:
       // Keep the *genuine* server identity; only pin the version.
       cfg = cloud_->server_config(hostname);
       cfg.force_version = mode_.old_version;
       break;
-    }
+  }
+  if (identity) {
+    cfg.chain = std::move(identity->chain);
+    cfg.keys = std::move(identity->keys);
   }
 
   auto session = std::make_shared<tls::TlsServer>(cfg);

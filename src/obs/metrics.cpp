@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.hpp"
 #include "obs/report.hpp"
 
 namespace iotls::obs {
@@ -250,33 +251,25 @@ std::string MetricsRegistry::render_prometheus() const {
 
 std::string MetricsRegistry::render_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-    return out;
-  };
   std::string out = "{\"families\": [";
   bool first_family = true;
   for (const auto& [name, fam] : families_) {
     if (!first_family) out += ",";
     first_family = false;
-    out += "\n    {\"name\": \"" + escape(name) + "\", \"type\": \"";
+    out += "\n    {\"name\": " + common::json_quote(name) + ", \"type\": \"";
     switch (fam.kind) {
       case Kind::Counter: out += "counter"; break;
       case Kind::Gauge: out += "gauge"; break;
       case Kind::Histogram: out += "histogram"; break;
     }
-    out += "\", \"help\": \"" + escape(fam.help) + "\", \"label_key\": \"" +
-           escape(fam.label_key) + "\", \"values\": [";
+    out += "\", \"help\": " + common::json_quote(fam.help) +
+           ", \"label_key\": " + common::json_quote(fam.label_key) +
+           ", \"values\": [";
     bool first_child = true;
     for (const auto& [label_value, ch] : fam.children) {
       if (!first_child) out += ",";
       first_child = false;
-      out += "{\"label\": \"" + escape(label_value) + "\", ";
+      out += "{\"label\": " + common::json_quote(label_value) + ", ";
       switch (fam.kind) {
         case Kind::Counter:
           out += "\"value\": " + std::to_string(ch.counter->value());

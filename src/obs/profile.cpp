@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <mutex>
 
+#include "common/json.hpp"
+
 namespace iotls::obs {
 
 namespace {
@@ -191,18 +193,6 @@ void render_node(const ProfileNode& node, std::uint64_t total_ns, int depth,
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string render_profile(const ProfileSnapshot& snapshot) {
@@ -217,7 +207,7 @@ std::string render_profile(const ProfileSnapshot& snapshot) {
 }
 
 std::string profile_tree_to_json(const ProfileNode& node) {
-  std::string out = "{\"name\":\"" + json_escape(node.name) + "\"";
+  std::string out = "{\"name\":" + common::json_quote(node.name);
   out += ",\"calls\":" + std::to_string(node.calls);
   out += ",\"inclusive_ns\":" + std::to_string(node.inclusive_ns);
   out += ",\"exclusive_ns\":" + std::to_string(node.exclusive_ns());

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/env.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
@@ -26,33 +27,7 @@
 
 namespace iotls::obs {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-std::string quoted(const std::string& s) {
-  const std::string escaped = json_escape(s);
-  std::string out;
-  out.reserve(escaped.size() + 2);
-  out.append(1, '"').append(escaped).append(1, '"');
-  return out;
-}
-
-}  // namespace
+using common::json_quote;
 
 const BuildInfo& build_info() {
   static const BuildInfo info{IOTLS_VERSION_STRING, __VERSION__,
@@ -84,11 +59,11 @@ std::string render_run_report_json(const RunReport& report) {
   const BuildInfo& info = build_info();
   std::string out = "{\n";
   out += "  \"schema\": \"iotls-run-report/1\",\n";
-  out += "  \"tool\": " + quoted(report.tool) + ",\n";
-  out += "  \"build\": {\"version\": " + quoted(info.version) +
-         ", \"compiler\": " + quoted(info.compiler) +
-         ", \"build_type\": " + quoted(info.build_type) +
-         ", \"sanitizers\": " + quoted(info.sanitizers) + "},\n";
+  out += "  \"tool\": " + json_quote(report.tool) + ",\n";
+  out += "  \"build\": {\"version\": " + json_quote(info.version) +
+         ", \"compiler\": " + json_quote(info.compiler) +
+         ", \"build_type\": " + json_quote(info.build_type) +
+         ", \"sanitizers\": " + json_quote(info.sanitizers) + "},\n";
   out += "  \"knobs\": {";
   std::set<std::string> names;
   for (const auto& [name, value] : report.knobs) {
@@ -96,7 +71,7 @@ std::string render_run_report_json(const RunReport& report) {
       throw std::invalid_argument("duplicate run-report knob: " + name);
     }
     if (names.size() > 1) out += ", ";
-    out += quoted(name) + ": " + quoted(value);
+    out += json_quote(name) + ": " + json_quote(value);
   }
   out += "},\n";
   const ProfileSnapshot snapshot = profile_snapshot();
@@ -125,6 +100,20 @@ bool write_run_report(const RunReport& report, const std::string& path) {
                  path.c_str());
   }
   return ok;
+}
+
+std::vector<std::pair<std::string, std::string>> cli_knobs(
+    const std::string& command, const std::vector<std::string>& args,
+    int exit_code) {
+  std::vector<std::pair<std::string, std::string>> knobs;
+  if (!command.empty()) knobs.emplace_back("command", command);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    std::string name = "arg";
+    knobs.emplace_back(name.append(std::to_string(i + 1)), args[i]);
+  }
+  knobs.emplace_back("IOTLS_PROFILE", profile_enabled() ? "1" : "0");
+  knobs.emplace_back("exit_code", std::to_string(exit_code));
+  return knobs;
 }
 
 void emit_run_telemetry(

@@ -57,6 +57,12 @@ std::string render_run_report_json(const RunReport& report);
 /// when the file cannot be written.
 bool write_run_report(const RunReport& report, const std::string& path);
 
+/// The knobs of a CLI run: `command` (omitted when empty), each argument
+/// by position as arg1, arg2, ..., then IOTLS_PROFILE and exit_code.
+std::vector<std::pair<std::string, std::string>> cli_knobs(
+    const std::string& command, const std::vector<std::string>& args,
+    int exit_code);
+
 /// The closing telemetry of every CLI tool and bench lane: print the merged
 /// profile tree to `out` when the profiler ran, then, when IOTLS_RUN_REPORT
 /// names a path, write the run report of `tool` with `knobs` there and say

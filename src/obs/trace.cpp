@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include "common/json.hpp"
+
 namespace iotls::obs {
 
 std::string trace_level_name(TraceLevel level) {
@@ -57,38 +59,15 @@ const TraceEvent* Span::find(const std::string& type) const {
 
 namespace {
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_attrs_json(std::string& out, const std::vector<Attr>& attrs) {
   out += '{';
   bool first = true;
   for (const auto& [k, v] : attrs) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, k);
+    out += common::json_quote(k);
     out += ':';
-    append_json_string(out, v);
+    out += common::json_quote(v);
   }
   out += '}';
 }
@@ -97,7 +76,7 @@ void append_attrs_json(std::string& out, const std::vector<Attr>& attrs) {
 
 std::string span_to_json(const Span& span) {
   std::string out = "{\"span\":";
-  append_json_string(out, span.name());
+  out += common::json_quote(span.name());
   out += ",\"attrs\":";
   append_attrs_json(out, span.attrs());
   out += ",\"events\":[";
@@ -106,7 +85,7 @@ std::string span_to_json(const Span& span) {
     if (!first) out += ',';
     first = false;
     out += "{\"seq\":" + std::to_string(ev.seq) + ",\"type\":";
-    append_json_string(out, ev.type);
+    out += common::json_quote(ev.type);
     out += ",\"attrs\":";
     append_attrs_json(out, ev.attrs);
     out += '}';

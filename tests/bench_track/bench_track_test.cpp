@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/json_probe.hpp"
 #include "track.hpp"
 
 namespace {
@@ -87,6 +88,24 @@ TEST(BenchTrack, TrajectoryLineRoundTrips) {
   ASSERT_EQ(back.reports.size(), 1u);
   EXPECT_EQ(back.reports[0].tool, "bench_store");
   EXPECT_EQ(back.reports[0].peak_rss_bytes, 1024u);
+
+  // Control bytes in any string keep the line one line and round-trip.
+  const std::string probe = iotls::common::kJsonProbe;
+  entry.label = probe;
+  entry.lanes[0].bench = probe;
+  entry.lanes[0].results[0].name = probe;
+  entry.lanes[0].results[0].unit = probe;
+  entry.reports[0].tool = probe;
+  const std::string hostile =
+      iotls::bench_track::render_trajectory_line(entry);
+  EXPECT_EQ(hostile.find('\n'), std::string::npos);
+  const TrajectoryEntry hostile_back =
+      iotls::bench_track::parse_trajectory_line(hostile);
+  EXPECT_EQ(hostile_back.label, probe);
+  EXPECT_EQ(hostile_back.lanes.at(0).bench, probe);
+  EXPECT_EQ(hostile_back.lanes[0].results.at(0).name, probe);
+  EXPECT_EQ(hostile_back.lanes[0].results[0].unit, probe);
+  EXPECT_EQ(hostile_back.reports.at(0).tool, probe);
 }
 
 TrajectoryEntry entry_with(const std::string& label, double ms,
@@ -225,7 +244,9 @@ class BenchTrackCli : public ::testing::Test {
 
 TEST_F(BenchTrackCli, AppendsEntriesAndFailsOnInjectedRegression) {
   write_lane(3.0);
-  EXPECT_EQ(run("--label first"), 0);  // first entry: nothing to compare
+  // First entry: nothing to compare. Its label carries a raw newline (quoted
+  // for sh), which must not split the line the next run reads back.
+  EXPECT_EQ(run("--label 'first\nentry'"), 0);
 
   write_lane(2.9);
   EXPECT_EQ(run("--label second --max-regress 10"), 0);  // ~3% drift

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "common/json_probe.hpp"
 
 namespace {
 
@@ -66,6 +67,31 @@ TEST(Json, RejectsMalformedInput) {
   } catch (const JsonError& e) {
     EXPECT_GT(e.offset(), 0u);
   }
+}
+
+TEST(Json, RejectsRawControlBytesInStrings) {
+  // RFC 8259 section 7: U+0000-U+001F must be escaped inside a string.
+  for (const char c : {'\0', '\n', '\t', '\x1f'}) {
+    const std::string text = std::string("[\"ab") + c + "\"]";
+    try {
+      Json::parse(text);
+      FAIL() << "expected JsonError for byte " << static_cast<int>(c);
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.offset(), 4u);
+    }
+  }
+  // The same bytes escaped, DEL and UTF-8 are fine.
+  EXPECT_EQ(Json::parse("\"\\n\\u001f\x7f\xc3\xa9\"").as_string(),
+            "\n\x1f\x7f\xc3\xa9");
+}
+
+TEST(Json, QuoteRoundTripsThroughTheParser) {
+  EXPECT_EQ(iotls::common::json_quote(iotls::common::kJsonProbe),
+            "\"a\\\"b\\\\c\\u0008\\n\\r\\t\\u0001\\u001f\x7f\xc3\xa9\"");
+  EXPECT_EQ(Json::parse(iotls::common::json_quote(iotls::common::kJsonProbe))
+                .as_string(),
+            iotls::common::kJsonProbe);
+  EXPECT_EQ(iotls::common::json_quote(std::string(1, '\0')), "\"\\u0000\"");
 }
 
 TEST(Json, WhitespacePaddingIsAccepted) {

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "cfg.hpp"
+#include "common/json.hpp"
+#include "common/json_probe.hpp"
 #include "dataflow.hpp"
 #include "lint.hpp"
 #include "parse.hpp"
@@ -290,6 +292,16 @@ TEST(LintJson, EscapesAndSerializesFindings) {
             "\"message\": \"say \\\"no\\\" to\\nnewlines\\tand tabs\"}\n"
             "]\n");
   EXPECT_EQ(iotls::lint::findings_to_json({}), "[]\n");
+
+  // Every string field keeps every byte through the JSON parser.
+  f.file = f.rule = f.severity = f.message = iotls::common::kJsonProbe;
+  const iotls::common::Json doc =
+      iotls::common::Json::parse(iotls::lint::findings_to_json({f}));
+  for (const char* key : {"file", "rule", "severity", "message"}) {
+    EXPECT_EQ(doc.as_array().at(0).at(key).as_string(),
+              iotls::common::kJsonProbe)
+        << key;
+  }
 }
 
 // ---------------------------------------------------------------------------

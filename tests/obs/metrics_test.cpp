@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+#include "common/json_probe.hpp"
 #include "common/pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -117,6 +119,21 @@ TEST(MetricsRegistry, PrometheusExpositionFormat) {
   EXPECT_NE(text.find("iotls_test_latency_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("iotls_test_latency_count 1"), std::string::npos);
+}
+
+TEST(MetricsRegistry, JsonKeepsEveryByteOfHelpAndLabels) {
+  MetricsRegistry reg;
+  reg.counter("iotls_test_total", common::kJsonProbe, common::kJsonProbe,
+              common::kJsonProbe)
+      .inc();
+  const common::Json doc = common::Json::parse(reg.render_json());
+  const common::Json& family = doc.at("families").as_array().at(0);
+  EXPECT_EQ(family.at("name").as_string(), "iotls_test_total");
+  EXPECT_EQ(family.at("help").as_string(), common::kJsonProbe);
+  EXPECT_EQ(family.at("label_key").as_string(), common::kJsonProbe);
+  const common::Json& child = family.at("values").as_array().at(0);
+  EXPECT_EQ(child.at("label").as_string(), common::kJsonProbe);
+  EXPECT_DOUBLE_EQ(child.at("value").as_number(), 1.0);
 }
 
 TEST(MetricsEnabled, GlobalSwitchRoundTrips) {

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/json.hpp"
+#include "common/json_probe.hpp"
 #include "common/pool.hpp"
 #include "obs/profile.hpp"
 #include "obs/zone_calls.hpp"
@@ -120,6 +121,7 @@ TEST_F(ProfileTest, TreeJsonIsValidJson) {
   {
     const ProfileZone outer("outer \"quoted\"");
     const ProfileZone inner("inner");
+    const ProfileZone probe(iotls::common::kJsonProbe);
   }
   const ProfileSnapshot snap = iotls::obs::profile_snapshot();
   const auto tree = iotls::common::Json::parse(
@@ -131,6 +133,9 @@ TEST_F(ProfileTest, TreeJsonIsValidJson) {
   const auto& grandchildren = children[0].at("children").as_array();
   ASSERT_EQ(grandchildren.size(), 1u);
   EXPECT_EQ(grandchildren[0].at("name").as_string(), "inner");
+  EXPECT_EQ(grandchildren[0].at("children").as_array().at(0).at("name")
+                .as_string(),
+            iotls::common::kJsonProbe);
 }
 
 // The TSan target: pool workers open zones concurrently while the main

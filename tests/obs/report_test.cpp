@@ -9,8 +9,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
+#include "common/json_probe.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 
@@ -28,7 +31,9 @@ TEST(RunReport, SchemaRoundTripsThroughTheJsonParser) {
 
   RunReport report;
   report.tool = "report_test";
-  report.knobs = {{"IOTLS_THREADS", "4"}, {"quote\"me", "line\nbreak"}};
+  report.knobs = {{"IOTLS_THREADS", "4"},
+                  {"quote\"me", "line\nbreak"},
+                  {iotls::common::kJsonProbe, iotls::common::kJsonProbe}};
   const Json doc =
       Json::parse(iotls::obs::render_run_report_json(report));
   iotls::obs::set_profile_enabled(false);
@@ -46,6 +51,8 @@ TEST(RunReport, SchemaRoundTripsThroughTheJsonParser) {
   const Json& knobs = doc.at("knobs");
   EXPECT_EQ(knobs.at("IOTLS_THREADS").as_string(), "4");
   EXPECT_EQ(knobs.at("quote\"me").as_string(), "line\nbreak");
+  EXPECT_EQ(knobs.at(iotls::common::kJsonProbe).as_string(),
+            iotls::common::kJsonProbe);
 
   const Json& profile = doc.at("profile");
   EXPECT_TRUE(profile.at("enabled").as_bool());
@@ -122,6 +129,22 @@ TEST(RunReport, EmitRunTelemetryWritesOnlyWhenAPathIsNamed) {
   EXPECT_EQ(doc.at("tool").as_string(), "telemetry");
   EXPECT_EQ(doc.at("knobs").at("exit_code").as_string(), "3");
   std::remove(path.c_str());
+}
+
+TEST(RunReport, CliKnobsKeyArgumentsByPosition) {
+  using Knobs = std::vector<std::pair<std::string, std::string>>;
+  iotls::obs::set_profile_enabled(true);
+  EXPECT_EQ(iotls::obs::cli_knobs("synth", {"--instances", "9"}, 0),
+            (Knobs{{"command", "synth"},
+                   {"arg1", "--instances"},
+                   {"arg2", "9"},
+                   {"IOTLS_PROFILE", "1"},
+                   {"exit_code", "0"}}));
+  iotls::obs::set_profile_enabled(false);
+  // A tool without subcommands passes an empty command and gets no key.
+  EXPECT_EQ(iotls::obs::cli_knobs("", {"dir"}, 2),
+            (Knobs{{"arg1", "dir"}, {"IOTLS_PROFILE", "0"},
+                   {"exit_code", "2"}}));
 }
 
 TEST(RunReport, BuildInfoLabelNamesEveryField) {

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "common/json.hpp"
+#include "common/json_probe.hpp"
 #include "obs/trace.hpp"
 
 namespace iotls::obs {
@@ -101,14 +103,31 @@ TEST(TraceLog, JsonlOneObjectPerSpan) {
   log.add(std::move(s));
   Span t = log.start_span("probe:x");
   log.add(std::move(t));
+  // Every string field carries control bytes; the line must stay one line.
+  const std::string probe = common::kJsonProbe;
+  Span u = log.start_span(probe);
+  u.set_attr(probe, probe);
+  u.event(probe, {{probe, probe}});
+  log.add(std::move(u));
 
   const std::string jsonl = log.to_jsonl();
-  // Two lines, each a JSON object naming its span.
+  // Three lines, each a JSON object naming its span.
   const auto newline = jsonl.find('\n');
   ASSERT_NE(newline, std::string::npos);
   EXPECT_NE(jsonl.find("\"span\":\"conn:dev:host\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"span\":\"probe:x\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"outcome\""), std::string::npos);
+
+  const auto second = jsonl.find('\n', newline + 1);
+  ASSERT_NE(second, std::string::npos);
+  const std::string last = jsonl.substr(second + 1);
+  ASSERT_EQ(last.find('\n'), last.size() - 1);
+  const common::Json doc = common::Json::parse(last);
+  EXPECT_EQ(doc.at("span").as_string(), probe);
+  EXPECT_EQ(doc.at("attrs").at(probe).as_string(), probe);
+  const common::Json& event = doc.at("events").as_array().at(0);
+  EXPECT_EQ(event.at("type").as_string(), probe);
+  EXPECT_EQ(event.at("attrs").at(probe).as_string(), probe);
 }
 
 TEST(TraceLog, RenderAndSummaryNameSpansAndCounts) {

@@ -11,16 +11,7 @@ namespace {
 
 using common::Json;
 using common::JsonError;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
+using common::json_quote;
 
 /// Doubles round-trip through the trajectory as %.6g — enough for bench
 /// numbers, and stable under parse/render cycles.
@@ -46,13 +37,13 @@ Lane lane_from_json(const Json& doc) {
 }
 
 void render_lane(const Lane& lane, std::string* out) {
-  *out += "{\"bench\": \"" + json_escape(lane.bench) + "\", \"iters\": " +
+  *out += "{\"bench\": " + json_quote(lane.bench) + ", \"iters\": " +
           std::to_string(lane.iters) + ", \"wall_ms\": " +
           number(lane.wall_ms) + ", \"results\": [";
   for (const auto& m : lane.results) {
     if (&m != &lane.results.front()) *out += ", ";
-    *out += "{\"name\": \"" + json_escape(m.name) + "\", \"value\": " +
-            number(m.value) + ", \"unit\": \"" + json_escape(m.unit) + "\"}";
+    *out += "{\"name\": " + json_quote(m.name) + ", \"value\": " +
+            number(m.value) + ", \"unit\": " + json_quote(m.unit) + "}";
   }
   *out += "]}";
 }
@@ -115,8 +106,8 @@ TrajectoryEntry parse_trajectory_line(const std::string& line) {
 
 std::string render_trajectory_line(const TrajectoryEntry& entry) {
   std::string out = "{\"schema\": \"iotls-bench-trajectory/1\", "
-                    "\"label\": \"" + json_escape(entry.label) +
-                    "\", \"lanes\": [";
+                    "\"label\": " + json_quote(entry.label) +
+                    ", \"lanes\": [";
   for (const auto& lane : entry.lanes) {
     if (&lane != &entry.lanes.front()) out += ", ";
     render_lane(lane, &out);
@@ -124,8 +115,8 @@ std::string render_trajectory_line(const TrajectoryEntry& entry) {
   out += "], \"reports\": [";
   for (const auto& report : entry.reports) {
     if (&report != &entry.reports.front()) out += ", ";
-    out += "{\"tool\": \"" + json_escape(report.tool) +
-           "\", \"peak_rss_bytes\": " +
+    out += "{\"tool\": " + json_quote(report.tool) +
+           ", \"peak_rss_bytes\": " +
            std::to_string(report.peak_rss_bytes) + "}";
   }
   out += "]}";

@@ -172,15 +172,7 @@ int main(int argc, char** argv) {
     std::cerr << "iotls-fleet: invalid_argument: " << e.what() << "\n";
   }
   // Emitted after the command so the profile tree is complete.
-  std::vector<std::pair<std::string, std::string>> knobs = {
-      {"command", command}};
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string name = "arg";
-    knobs.emplace_back(name.append(std::to_string(i + 1)), args[i]);
-  }
-  knobs.emplace_back("IOTLS_PROFILE",
-                     iotls::obs::profile_enabled() ? "1" : "0");
-  knobs.emplace_back("exit_code", std::to_string(exit_code));
-  iotls::obs::emit_run_telemetry("iotls-fleet", std::move(knobs), stdout);
+  iotls::obs::emit_run_telemetry(
+      "iotls-fleet", iotls::obs::cli_knobs(command, args, exit_code), stdout);
   return exit_code;
 }

@@ -1,11 +1,12 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
+
+#include "common/json.hpp"
 
 namespace iotls::lint {
 
@@ -86,46 +87,16 @@ std::string format_finding(const Finding& finding) {
          finding.rule + "] " + finding.message;
 }
 
-namespace {
-
-/// Minimal JSON string escaping. The lint tool does not link the src/
-/// libraries, so it carries its own copy rather than reaching into
-/// obs/ or store/ serialization helpers.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string findings_to_json(const std::vector<Finding>& findings) {
   std::string out = "[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "  {\"file\": \"" + json_escape(f.file) +
-           "\", \"line\": " + std::to_string(f.line) + ", \"rule\": \"" +
-           json_escape(f.rule) + "\", \"severity\": \"" +
-           json_escape(f.severity) + "\", \"message\": \"" +
-           json_escape(f.message) + "\"}";
+    out += "  {\"file\": " + common::json_quote(f.file) +
+           ", \"line\": " + std::to_string(f.line) +
+           ", \"rule\": " + common::json_quote(f.rule) +
+           ", \"severity\": " + common::json_quote(f.severity) +
+           ", \"message\": " + common::json_quote(f.message) + "}";
   }
   out += findings.empty() ? "]\n" : "\n]\n";
   return out;

@@ -119,14 +119,7 @@ int main(int argc, char** argv) {
   }
   // Telemetry goes to stderr: stdout carries the query rows and stays
   // pipeline-clean.
-  std::vector<std::pair<std::string, std::string>> knobs;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string name = "arg";
-    knobs.emplace_back(name.append(std::to_string(i + 1)), args[i]);
-  }
-  knobs.emplace_back("IOTLS_PROFILE",
-                     iotls::obs::profile_enabled() ? "1" : "0");
-  knobs.emplace_back("exit_code", std::to_string(exit_code));
-  iotls::obs::emit_run_telemetry("iotls-query", std::move(knobs), stderr);
+  iotls::obs::emit_run_telemetry(
+      "iotls-query", iotls::obs::cli_knobs("", args, exit_code), stderr);
   return exit_code;
 }
