@@ -6,8 +6,9 @@
 // the run report (IOTLS_RUN_REPORT) follow once, after the last id.
 //
 // Usage: bench_study [id...]
-//   ids: table1 ... table9, summary, fig1 ... fig5; with none, all 15 are
-//   rendered in that order. An unknown id exits 2 and lists the valid ids.
+//   ids: table1 ... table9, summary, fig1 ... fig5, passthrough; with none,
+//   all 16 are rendered in that order. An unknown id exits 2 and lists the
+//   valid ids.
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -56,6 +57,8 @@ constexpr Reproduction kReproductions[] = {
      [](IotlsStudy& s) { return s.render_fig4(); }},
     {"fig5", "Fig 5 (fingerprint sharing)",
      [](IotlsStudy& s) { return s.render_fig5(); }},
+    {"passthrough", "TrafficPassthrough (§4.2)",
+     [](IotlsStudy& s) { return s.render_passthrough(); }},
 };
 
 const Reproduction* find_reproduction(std::string_view id) {

@@ -1,7 +1,6 @@
 #include "analysis/advisor.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace iotls::analysis {
 
@@ -99,14 +98,6 @@ int DeviceAuditReport::advisory_count() const {
     total += static_cast<int>(advisories.size());
   }
   return total;
-}
-
-std::vector<AdvisoryKind> DeviceAuditReport::distinct_kinds() const {
-  std::set<AdvisoryKind> kinds;
-  for (const auto& [dest, advisories] : per_destination) {
-    for (const auto& advisory : advisories) kinds.insert(advisory.kind);
-  }
-  return {kinds.begin(), kinds.end()};
 }
 
 DeviceAuditReport audit_device(testbed::Testbed& testbed,

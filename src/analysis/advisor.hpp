@@ -43,7 +43,6 @@ struct DeviceAuditReport {
 
   [[nodiscard]] int advisory_count() const;
   [[nodiscard]] bool clean() const { return advisory_count() == 0; }
-  [[nodiscard]] std::vector<AdvisoryKind> distinct_kinds() const;
 };
 
 /// Boot the device through its smart plug and audit every connection —

@@ -25,11 +25,6 @@ const std::vector<Json>& Json::as_array() const {
   return array_;
 }
 
-const std::map<std::string, Json>& Json::as_object() const {
-  if (kind_ != Kind::Object) throw JsonError("not an object", 0);
-  return object_;
-}
-
 const Json* Json::find(const std::string& key) const {
   if (kind_ != Kind::Object) return nullptr;
   const auto it = object_.find(key);

@@ -79,7 +79,6 @@ class Json {
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<Json>& as_array() const;
-  [[nodiscard]] const std::map<std::string, Json>& as_object() const;
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* find(const std::string& key) const;

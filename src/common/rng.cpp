@@ -37,10 +37,6 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-std::uint32_t Rng::next_u32() {
-  return static_cast<std::uint32_t>(next_u64() >> 32);
-}
-
 std::uint64_t Rng::uniform(std::uint64_t bound) {
   if (bound == 0) throw std::invalid_argument("uniform(0)");
   // Rejection sampling to remove modulo bias.

@@ -46,7 +46,6 @@ class Rng {
   void set_state(const State& state) { s_ = state; }
 
   std::uint64_t next_u64();
-  std::uint32_t next_u32();
 
   /// Uniform in [0, bound) via rejection sampling; bound must be > 0.
   std::uint64_t uniform(std::uint64_t bound);

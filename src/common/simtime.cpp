@@ -19,12 +19,6 @@ std::string Month::str() const {
   return buf;
 }
 
-std::string Month::short_label() const {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d/%02d", month, year % 100);
-  return buf;
-}
-
 std::vector<Month> month_range(Month first, Month last) {
   std::vector<Month> out;
   for (int i = first.index(); i <= last.index(); ++i) {
@@ -44,12 +38,6 @@ SimDate SimDate::from_serial(std::int64_t serial) {
   d.month = static_cast<int>(months % 12) + 1;
   d.year = static_cast<int>(months / 12);
   return d;
-}
-
-std::string SimDate::str() const {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, day);
-  return buf;
 }
 
 }  // namespace iotls::common

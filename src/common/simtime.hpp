@@ -31,8 +31,6 @@ struct Month {
 
   /// "2018-01"
   [[nodiscard]] std::string str() const;
-  /// "1/18" (paper-style axis label)
-  [[nodiscard]] std::string short_label() const;
 
   static Month from_index(int idx);
 };
@@ -65,7 +63,6 @@ struct SimDate {
   }
 
   [[nodiscard]] Month to_month() const { return Month{year, month}; }
-  [[nodiscard]] std::string str() const;
 
   static SimDate from_serial(std::int64_t serial);
   static SimDate start_of(Month m) { return SimDate{m.year, m.month, 1}; }

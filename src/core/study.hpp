@@ -86,6 +86,7 @@ class IotlsStudy {
   const mitm::DowngradeReport& downgrade_report();                // Table 5
   const mitm::OldVersionReport& old_version_report();             // Table 6
   const mitm::InterceptionReport& interception_report();          // Table 7
+  const mitm::PassthroughReport& passthrough_report();            // §4.2
   const analysis::RevocationSummary& revocation_summary();        // Table 8
   /// device → (common-set result, deprecated-set result).
   const std::map<std::string, probe::RootStoreExploration>&
@@ -110,6 +111,9 @@ class IotlsStudy {
   std::string render_fig4();
   std::string render_fig5();
   std::string render_summary();
+  /// §4.2 TrafficPassthrough. Kept out of render_summary(), whose bytes
+  /// perfbench/golden.txt pins.
+  std::string render_passthrough();
 
   // ---- observability ----
   /// The process-wide metrics registry (scrape with render_prometheus()).
@@ -150,6 +154,7 @@ class IotlsStudy {
   std::optional<mitm::DowngradeReport> downgrade_;
   std::optional<mitm::OldVersionReport> old_versions_;
   std::optional<mitm::InterceptionReport> interception_;
+  std::optional<mitm::PassthroughReport> passthrough_;
   std::optional<analysis::RevocationSummary> revocation_;
   std::optional<std::map<std::string, probe::RootStoreExploration>>
       root_stores_;

@@ -4,16 +4,6 @@
 
 namespace iotls::crypto {
 
-std::string dh_group_name(DhGroup group) {
-  switch (group) {
-    case DhGroup::Secp256r1: return "secp256r1";
-    case DhGroup::Secp384r1: return "secp384r1";
-    case DhGroup::X25519: return "x25519";
-    case DhGroup::Ffdhe2048: return "ffdhe2048";
-  }
-  return "unknown-group";
-}
-
 namespace {
 
 // Fixed 256-bit odd moduli, one distinct value per code point so that

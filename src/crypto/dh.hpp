@@ -23,9 +23,6 @@ enum class DhGroup : std::uint16_t {
   Ffdhe2048 = 0x0100,
 };
 
-/// Human-readable group name.
-std::string dh_group_name(DhGroup group);
-
 /// The group's prime and generator (fixed safe primes per group).
 struct DhParams {
   BigUint p;

@@ -39,38 +39,6 @@ RsaPublicKey RsaPublicKey::parse(common::BytesView data) {
   return key;
 }
 
-common::Bytes RsaPrivateKey::serialize() const {
-  common::ByteWriter w;
-  w.vec(n.to_bytes(), 2);
-  w.vec(e.to_bytes(), 2);
-  w.vec(d.to_bytes(), 2);
-  if (has_crt()) {
-    w.vec(p.to_bytes(), 2);
-    w.vec(q.to_bytes(), 2);
-    w.vec(dp.to_bytes(), 2);
-    w.vec(dq.to_bytes(), 2);
-    w.vec(qinv.to_bytes(), 2);
-  }
-  return w.take();
-}
-
-RsaPrivateKey RsaPrivateKey::parse(common::BytesView data) {
-  common::ByteReader r(data);
-  RsaPrivateKey key;
-  key.n = BigUint::from_bytes(r.vec(2));
-  key.e = BigUint::from_bytes(r.vec(2));
-  key.d = BigUint::from_bytes(r.vec(2));
-  if (!r.empty()) {  // CRT extension; absent in legacy fixtures
-    key.p = BigUint::from_bytes(r.vec(2));
-    key.q = BigUint::from_bytes(r.vec(2));
-    key.dp = BigUint::from_bytes(r.vec(2));
-    key.dq = BigUint::from_bytes(r.vec(2));
-    key.qinv = BigUint::from_bytes(r.vec(2));
-  }
-  r.expect_end("RsaPrivateKey");
-  return key;
-}
-
 namespace {
 
 RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {

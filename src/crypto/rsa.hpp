@@ -38,8 +38,8 @@ struct RsaPrivateKey {
   BigUint e;
   BigUint d;
 
-  // CRT components (populated by rsa_generate; empty on keys parsed from a
-  // legacy n||e||d serialization). With them, private-key operations run as
+  // CRT components (populated by rsa_generate; a key without them takes
+  // the plain d-exponent path). With them, private-key operations run as
   // two half-size Montgomery exponentiations recombined by Garner's formula
   // — ~4x fewer limb multiplies than a full-width exponentiation.
   BigUint p;     // first prime factor
@@ -50,13 +50,6 @@ struct RsaPrivateKey {
 
   [[nodiscard]] bool has_crt() const { return !p.is_zero() && !q.is_zero(); }
   [[nodiscard]] RsaPublicKey public_key() const { return {n, e}; }
-
-  /// n||e||d (each 2-byte length prefixed) followed, when present, by the
-  /// five CRT components. parse() accepts both forms, so fixtures written
-  /// before the CRT extension still load (has_crt() is then false and
-  /// private ops fall back to the plain d-exponent path).
-  [[nodiscard]] common::Bytes serialize() const;
-  static RsaPrivateKey parse(common::BytesView data);
   bool operator==(const RsaPrivateKey& other) const = default;
 };
 

@@ -138,12 +138,6 @@ std::vector<std::string> active_device_names() {
   return out;
 }
 
-std::vector<const DeviceProfile*> passive_devices() {
-  std::vector<const DeviceProfile*> out;
-  for (const auto& d : device_catalog()) out.push_back(&d);
-  return out;
-}
-
 const DeviceProfile* find_device(const std::string& name) {
   const auto& catalog = device_catalog();
   const auto it = std::find_if(

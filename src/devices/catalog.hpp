@@ -25,9 +25,6 @@ std::vector<const DeviceProfile*> active_devices();
 /// Their names, in catalog order.
 std::vector<std::string> active_device_names();
 
-/// The passive-experiment devices (all 40).
-std::vector<const DeviceProfile*> passive_devices();
-
 /// nullptr if unknown.
 const DeviceProfile* find_device(const std::string& name);
 

@@ -10,17 +10,6 @@ void FingerprintDb::add(const std::string& application,
   by_app_[application].push_back(fp);
 }
 
-std::vector<std::string> FingerprintDb::applications_for(
-    const Fingerprint& fp) const {
-  const auto it = by_hash_.find(fp.hash);
-  if (it == by_hash_.end()) return {};
-  return {it->second.begin(), it->second.end()};
-}
-
-bool FingerprintDb::contains(const Fingerprint& fp) const {
-  return by_hash_.count(fp.hash) > 0;
-}
-
 std::vector<std::string> FingerprintDb::applications() const {
   std::vector<std::string> out;
   out.reserve(by_app_.size());

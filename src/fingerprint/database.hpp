@@ -20,11 +20,6 @@ class FingerprintDb {
  public:
   void add(const std::string& application, const Fingerprint& fp);
 
-  /// Applications known to produce this fingerprint.
-  [[nodiscard]] std::vector<std::string> applications_for(
-      const Fingerprint& fp) const;
-  [[nodiscard]] bool contains(const Fingerprint& fp) const;
-
   [[nodiscard]] std::size_t fingerprint_count() const { return by_hash_.size(); }
   [[nodiscard]] std::vector<std::string> applications() const;
 

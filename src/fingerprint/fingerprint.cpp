@@ -65,21 +65,6 @@ Fingerprint fingerprint_of(const tls::ClientHello& hello) {
       ext_types, groups, sigalgs);
 }
 
-Fingerprint fingerprint_of(const net::HandshakeRecord& record) {
-  // The gateway stored the raw legacy version only via advertised_versions;
-  // reconstruct it the way the hello emitted it (max pre-1.3 version).
-  tls::ProtocolVersion legacy = tls::ProtocolVersion::Tls1_2;
-  if (!record.advertised_versions.empty()) {
-    legacy = std::min(record.max_advertised_version(),
-                      tls::ProtocolVersion::Tls1_2);
-  }
-  return fingerprint_from_parts(static_cast<std::uint16_t>(legacy),
-                                record.advertised_suites,
-                                record.extension_types,
-                                record.advertised_groups,
-                                record.advertised_sigalgs);
-}
-
 Fingerprint fingerprint_of_config(const tls::ClientConfig& config) {
   common::Rng rng(0);  // randomness does not affect the fingerprint
   const auto hello =

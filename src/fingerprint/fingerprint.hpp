@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "net/capture.hpp"
 #include "tls/client.hpp"
 #include "tls/messages.hpp"
 
@@ -37,9 +36,6 @@ Fingerprint fingerprint_from_parts(
 
 /// Fingerprint a parsed ClientHello.
 Fingerprint fingerprint_of(const tls::ClientHello& hello);
-
-/// Fingerprint a captured connection (the gateway stores the same fields).
-Fingerprint fingerprint_of(const net::HandshakeRecord& record);
 
 /// Fingerprint the ClientHello a given client configuration would emit —
 /// fingerprints are independent of the per-connection randomness.

@@ -43,18 +43,6 @@ std::vector<std::string> SharingGraph::clients_of(
   return {it->second.begin(), it->second.end()};
 }
 
-std::vector<std::string> SharingGraph::clients() const {
-  std::vector<std::string> out;
-  out.reserve(clients_.size());
-  for (const auto& [name, info] : clients_) out.push_back(name);
-  return out;
-}
-
-std::size_t SharingGraph::fingerprint_count(const std::string& client) const {
-  const auto it = clients_.find(client);
-  return it == clients_.end() ? 0 : it->second.hashes.size();
-}
-
 NodeKind SharingGraph::kind_of(const std::string& client) const {
   const auto it = clients_.find(client);
   if (it == clients_.end()) throw std::out_of_range("unknown client");

@@ -35,8 +35,6 @@ class SharingGraph {
   [[nodiscard]] std::vector<std::string> clients_of(
       const Fingerprint& fp) const;
 
-  [[nodiscard]] std::vector<std::string> clients() const;
-  [[nodiscard]] std::size_t fingerprint_count(const std::string& client) const;
   [[nodiscard]] NodeKind kind_of(const std::string& client) const;
   [[nodiscard]] bool is_dominant(const std::string& client,
                                  const Fingerprint& fp) const;

@@ -21,11 +21,6 @@ std::string region_name(Region region) {
   return kRegionNames[static_cast<std::size_t>(region)];
 }
 
-std::array<Region, kRegionCount> all_regions() {
-  return {Region::NorthAmerica, Region::Europe, Region::AsiaPacific,
-          Region::LatinAmerica, Region::MiddleEastAfrica};
-}
-
 std::string age_bucket_name(int skew_months) {
   if (skew_months <= 0) return "cur";
   if (skew_months <= 6) return "6mo";

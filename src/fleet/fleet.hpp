@@ -39,9 +39,6 @@ inline constexpr std::size_t kRegionCount = 5;
 /// Short stable token used in instance labels and table rows.
 std::string region_name(Region region);
 
-/// All regions, in enum order (iteration helper).
-std::array<Region, kRegionCount> all_regions();
-
 /// Clock-drift buckets, in days the device clock runs ahead of true time.
 /// Bucket 0 (no drift) dominates; the +400d tail models the years-stale
 /// clocks that make otherwise-valid certificates look expired.

@@ -1,7 +1,6 @@
 #include "net/capture.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace iotls::net {
 
@@ -136,30 +135,6 @@ void ConnectionObserver::observe(bool client_to_server,
 
 void CaptureLog::add(HandshakeRecord record) {
   records_.push_back(std::move(record));
-}
-
-std::vector<const HandshakeRecord*> CaptureLog::for_device(
-    const std::string& device) const {
-  std::vector<const HandshakeRecord*> out;
-  for (const auto& r : records_) {
-    if (r.device == device) out.push_back(&r);
-  }
-  return out;
-}
-
-std::vector<std::string> CaptureLog::devices() const {
-  std::set<std::string> names;
-  for (const auto& r : records_) names.insert(r.device);
-  return {names.begin(), names.end()};
-}
-
-std::vector<std::string> CaptureLog::destinations_of(
-    const std::string& device) const {
-  std::set<std::string> names;
-  for (const auto& r : records_) {
-    if (r.device == device) names.insert(r.destination);
-  }
-  return {names.begin(), names.end()};
 }
 
 }  // namespace iotls::net

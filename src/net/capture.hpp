@@ -85,8 +85,7 @@ class ConnectionObserver {
 
 std::string alert_direction_name(HandshakeRecord::AlertDirection d);
 
-/// Append-only store of captured connections with the filters the
-/// analyses need.
+/// Append-only store of captured connections.
 class CaptureLog {
  public:
   void add(HandshakeRecord record);
@@ -95,12 +94,6 @@ class CaptureLog {
     return records_;
   }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  [[nodiscard]] std::vector<const HandshakeRecord*> for_device(
-      const std::string& device) const;
-  [[nodiscard]] std::vector<std::string> devices() const;
-  [[nodiscard]] std::vector<std::string> destinations_of(
-      const std::string& device) const;
 
   void clear() { records_.clear(); }
 

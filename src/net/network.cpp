@@ -7,10 +7,6 @@ void Network::register_server(const std::string& hostname,
   servers_[hostname] = std::move(factory);
 }
 
-bool Network::has_server(const std::string& hostname) const {
-  return servers_.count(hostname) > 0;
-}
-
 void Network::set_interceptor(Interceptor interceptor) {
   interceptor_ = std::move(interceptor);
 }

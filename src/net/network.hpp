@@ -30,7 +30,6 @@ class Network {
 
   /// Register (or replace) the authoritative server for a hostname.
   void register_server(const std::string& hostname, SessionFactory factory);
-  [[nodiscard]] bool has_server(const std::string& hostname) const;
 
   void set_interceptor(Interceptor interceptor);
   void clear_interceptor();

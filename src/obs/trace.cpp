@@ -126,11 +126,6 @@ std::size_t TraceLog::size() const {
   return spans_.size();
 }
 
-void TraceLog::clear() {
-  std::lock_guard<std::mutex> lock(*mutex_);
-  spans_.clear();
-}
-
 std::string TraceLog::to_jsonl() const {
   std::lock_guard<std::mutex> lock(*mutex_);
   std::string out;

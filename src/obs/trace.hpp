@@ -125,9 +125,9 @@ class TraceLog {
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
   [[nodiscard]] std::size_t size() const;
-  void clear();
 
-  /// All spans, one JSON object per line (the JSONL trace dump).
+  /// All spans, one JSON object per line. This is the format the Table 7/5
+  /// trace digest hashes (test_obs_determinism); no run writes it out.
   [[nodiscard]] std::string to_jsonl() const;
   /// All spans through render_trace(), separated by blank lines.
   [[nodiscard]] std::string render() const;

@@ -10,12 +10,7 @@ std::string RevocationList::key(const x509::DistinguishedName& issuer,
 }
 
 void RevocationList::revoke(const x509::Certificate& cert) {
-  revoke(cert.tbs.issuer, cert.tbs.serial);
-}
-
-void RevocationList::revoke(const x509::DistinguishedName& issuer,
-                            const common::Bytes& serial) {
-  entries_.insert(key(issuer, serial));
+  entries_.insert(key(cert.tbs.issuer, cert.tbs.serial));
 }
 
 bool RevocationList::is_revoked(const x509::Certificate& cert) const {

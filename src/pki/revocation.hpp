@@ -15,8 +15,6 @@ namespace iotls::pki {
 class RevocationList {
  public:
   void revoke(const x509::Certificate& cert);
-  void revoke(const x509::DistinguishedName& issuer,
-              const common::Bytes& serial);
 
   [[nodiscard]] bool is_revoked(const x509::Certificate& cert) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

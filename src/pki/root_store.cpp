@@ -8,15 +8,6 @@ void RootStore::add(x509::Certificate root) {
   if (!contains(root.tbs.subject)) roots_.push_back(std::move(root));
 }
 
-bool RootStore::remove(const x509::DistinguishedName& subject) {
-  const auto it = std::remove_if(
-      roots_.begin(), roots_.end(),
-      [&](const x509::Certificate& c) { return c.tbs.subject == subject; });
-  const bool removed = it != roots_.end();
-  roots_.erase(it, roots_.end());
-  return removed;
-}
-
 bool RootStore::contains(const x509::DistinguishedName& subject) const {
   return find(subject) != nullptr;
 }

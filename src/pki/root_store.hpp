@@ -18,8 +18,6 @@ class RootStore {
       : roots_(std::move(roots)) {}
 
   void add(x509::Certificate root);
-  /// Remove by subject DN; returns true if a certificate was removed.
-  bool remove(const x509::DistinguishedName& subject);
 
   [[nodiscard]] bool contains(const x509::DistinguishedName& subject) const;
   [[nodiscard]] const x509::Certificate* find(

@@ -261,16 +261,4 @@ std::optional<int> CaUniverse::removal_year(const std::string& ca_name) const {
   return it->second;
 }
 
-RootStore CaUniverse::platform_latest_store(const std::string& platform) const {
-  for (const auto& h : histories_) {
-    if (h.platform != platform) continue;
-    RootStore store;
-    for (const auto& name : h.latest().ca_names) {
-      store.add(authority(name).root());
-    }
-    return store;
-  }
-  throw std::out_of_range("unknown platform: " + platform);
-}
-
 }  // namespace iotls::pki

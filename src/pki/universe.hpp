@@ -78,10 +78,6 @@ class CaUniverse {
   [[nodiscard]] std::optional<int> removal_year(
       const std::string& ca_name) const;
 
-  /// Materialize the latest root store of a platform as certificates.
-  [[nodiscard]] RootStore platform_latest_store(
-      const std::string& platform) const;
-
   /// Reference "now" for expiry decisions (the paper's active experiments
   /// ran in March 2021).
   [[nodiscard]] common::SimDate reference_date() const {

@@ -28,25 +28,6 @@ void count_bytes(const char* name, std::size_t n) {
 CheckedFile::CheckedFile(std::FILE* file, std::string path)
     : file_(file), path_(std::move(path)) {}
 
-CheckedFile::CheckedFile(CheckedFile&& other) noexcept
-    : file_(std::exchange(other.file_, nullptr)),
-      path_(std::move(other.path_)),
-      written_(other.written_),
-      read_count_(other.read_count_),
-      eof_(other.eof_) {}
-
-CheckedFile& CheckedFile::operator=(CheckedFile&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = std::exchange(other.file_, nullptr);
-    path_ = std::move(other.path_);
-    written_ = other.written_;
-    read_count_ = other.read_count_;
-    eof_ = other.eof_;
-  }
-  return *this;
-}
-
 CheckedFile::~CheckedFile() {
   if (file_ != nullptr) std::fclose(file_);
 }
@@ -129,13 +110,6 @@ std::uint64_t CheckedFile::tell() const {
                        errno_text());
   }
   return static_cast<std::uint64_t>(pos);
-}
-
-void CheckedFile::flush() {
-  if (file_ == nullptr) return;
-  if (std::fflush(file_) != 0) {
-    throw StoreIoError("flush failed on " + path_ + ": " + errno_text());
-  }
 }
 
 void CheckedFile::close() {

@@ -27,8 +27,8 @@ class CheckedFile {
   /// Create (truncate) a file for writing; StoreIoError on failure.
   static CheckedFile create(const std::string& path);
 
-  CheckedFile(CheckedFile&& other) noexcept;
-  CheckedFile& operator=(CheckedFile&& other) noexcept;
+  /// Not movable: both factories return a prvalue, and the owner of an
+  /// open file keeps it where it was made.
   CheckedFile(const CheckedFile&) = delete;
   CheckedFile& operator=(const CheckedFile&) = delete;
   ~CheckedFile();
@@ -55,9 +55,6 @@ class CheckedFile {
 
   /// Current byte offset; StoreIoError on failure.
   [[nodiscard]] std::uint64_t tell() const;
-
-  /// Flush buffered writes to the OS; StoreIoError on failure.
-  void flush();
 
   /// Flush and close. Idempotent; the destructor closes without throwing.
   void close();

@@ -175,14 +175,6 @@ tls::ServerConfig CloudFarm::server_config(const std::string& hostname) const {
   return cfg;
 }
 
-const ServerPolicy& CloudFarm::policy(const std::string& hostname) const {
-  const auto it = endpoints_.find(hostname);
-  if (it == endpoints_.end()) {
-    throw common::ProtocolError("cloud farm has no endpoint " + hostname);
-  }
-  return it->second.policy;
-}
-
 void CloudFarm::install(net::Network& network) const {
   for (const auto& [hostname, ep] : endpoints_) {
     network.register_server(

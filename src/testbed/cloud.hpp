@@ -67,7 +67,6 @@ class CloudFarm {
   [[nodiscard]] tls::ServerConfig server_config(
       const std::string& hostname) const;
 
-  [[nodiscard]] const ServerPolicy& policy(const std::string& hostname) const;
   [[nodiscard]] const std::string& ca_name() const { return ca_name_; }
 
   /// The built-in per-domain policy table (Fig 1-3 server-side events).

@@ -8,23 +8,15 @@
 namespace iotls::testbed {
 
 void PassiveDataset::add(PassiveConnectionGroup group) {
-  DeviceEntry& entry = by_device_[group.record.device];
-  entry.group_indices.push_back(groups_.size());
-  entry.connections += group.count;
+  by_device_[group.record.device].push_back(groups_.size());
   total_ += group.count;
   groups_.push_back(std::move(group));
-}
-
-std::uint64_t PassiveDataset::device_connections(
-    const std::string& device) const {
-  const auto it = by_device_.find(device);
-  return it == by_device_.end() ? 0 : it->second.connections;
 }
 
 std::vector<std::string> PassiveDataset::devices() const {
   std::vector<std::string> names;
   names.reserve(by_device_.size());
-  for (const auto& [name, entry] : by_device_) names.push_back(name);
+  for (const auto& [name, indices] : by_device_) names.push_back(name);
   return names;
 }
 
@@ -33,8 +25,8 @@ std::vector<const PassiveConnectionGroup*> PassiveDataset::for_device(
   std::vector<const PassiveConnectionGroup*> out;
   const auto it = by_device_.find(device);
   if (it == by_device_.end()) return out;
-  out.reserve(it->second.group_indices.size());
-  for (const std::size_t i : it->second.group_indices) {
+  out.reserve(it->second.size());
+  for (const std::size_t i : it->second) {
     out.push_back(&groups_[i]);
   }
   return out;

@@ -30,22 +30,15 @@ class PassiveDataset {
     return groups_;
   }
   [[nodiscard]] std::uint64_t total_connections() const { return total_; }
-  [[nodiscard]] std::uint64_t device_connections(
-      const std::string& device) const;
   [[nodiscard]] std::vector<std::string> devices() const;
   [[nodiscard]] std::vector<const PassiveConnectionGroup*> for_device(
       const std::string& device) const;
 
  private:
-  struct DeviceEntry {
-    std::vector<std::size_t> group_indices;  // dataset order
-    std::uint64_t connections = 0;
-  };
-
   std::vector<PassiveConnectionGroup> groups_;
-  // Maintained by add(): device → its groups + totals, so the per-device
-  // accessors are index lookups, not O(groups) scans.
-  std::map<std::string, DeviceEntry> by_device_;
+  // Maintained by add(): device → the indices of its groups in dataset
+  // order, so the per-device accessors are index lookups, not scans.
+  std::map<std::string, std::vector<std::size_t>> by_device_;
   std::uint64_t total_ = 0;
 };
 

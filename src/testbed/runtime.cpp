@@ -36,10 +36,6 @@ int BootResult::successes() const {
       [](const ConnectionOutcome& c) { return c.final_result().success(); }));
 }
 
-int BootResult::failures() const {
-  return static_cast<int>(connections.size()) - successes();
-}
-
 DeviceRuntime::DeviceRuntime(const devices::DeviceProfile& profile,
                              const pki::CaUniverse& universe,
                              net::Network& network,

@@ -34,7 +34,6 @@ struct BootResult {
   std::vector<ConnectionOutcome> connections;
 
   [[nodiscard]] int successes() const;
-  [[nodiscard]] int failures() const;
 };
 
 class DeviceRuntime {

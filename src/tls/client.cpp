@@ -84,10 +84,6 @@ ClientHello build_client_hello(const ClientConfig& config,
   return hello;
 }
 
-ClientHello TlsClient::build_hello(const std::string& hostname) {
-  return build_client_hello(config_, hostname, rng_);
-}
-
 ClientResult TlsClient::handshake(Transport& transport,
                                   const std::string& hostname,
                                   common::BytesView app_payload,
@@ -173,6 +169,7 @@ ClientResult TlsClient::handshake(Transport& transport,
           result.staple_received = true;
           break;
         case HandshakeType::ServerHelloDone:
+          (void)ServerHelloDone::parse(msg.body);
           hello_done = true;
           break;
         case HandshakeType::NewSessionTicket:

@@ -149,7 +149,6 @@ class TlsClient {
   [[nodiscard]] const ClientConfig& config() const { return config_; }
 
  private:
-  ClientHello build_hello(const std::string& hostname);
   /// The handshake itself; connect() wraps it with tracing and metrics.
   ClientResult handshake(Transport& transport, const std::string& hostname,
                          common::BytesView app_payload,

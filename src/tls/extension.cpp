@@ -4,35 +4,6 @@
 
 namespace iotls::tls {
 
-std::string extension_name(ExtensionType t) {
-  switch (t) {
-    case ExtensionType::ServerName: return "server_name";
-    case ExtensionType::StatusRequest: return "status_request";
-    case ExtensionType::SupportedGroups: return "supported_groups";
-    case ExtensionType::EcPointFormats: return "ec_point_formats";
-    case ExtensionType::SignatureAlgorithms: return "signature_algorithms";
-    case ExtensionType::Alpn: return "alpn";
-    case ExtensionType::SignedCertTimestamp: return "signed_cert_timestamp";
-    case ExtensionType::SessionTicket: return "session_ticket";
-    case ExtensionType::SupportedVersions: return "supported_versions";
-    case ExtensionType::PskKeyExchangeModes: return "psk_key_exchange_modes";
-    case ExtensionType::KeyShare: return "key_share";
-    case ExtensionType::RenegotiationInfo: return "renegotiation_info";
-  }
-  return "unknown_extension";
-}
-
-std::string signature_scheme_name(SignatureScheme s) {
-  switch (s) {
-    case SignatureScheme::RsaPkcs1Sha1: return "RSA_PKCS1_SHA1";
-    case SignatureScheme::RsaPkcs1Sha256: return "RSA_PKCS1_SHA256";
-    case SignatureScheme::RsaPkcs1Sha384: return "RSA_PKCS1_SHA384";
-    case SignatureScheme::RsaPssSha256: return "RSA_PSS_SHA256";
-    case SignatureScheme::EcdsaSha256: return "ECDSA_SHA256";
-  }
-  return "UNKNOWN_SIGALG";
-}
-
 Extension make_sni(const std::string& hostname) {
   common::ByteWriter w;
   w.u8(0);  // name type: host_name
@@ -129,34 +100,11 @@ Extension make_alpn(const std::vector<std::string>& protocols) {
   return {static_cast<std::uint16_t>(ExtensionType::Alpn), w.take()};
 }
 
-Extension make_key_share(crypto::DhGroup group, common::BytesView pub) {
-  common::ByteWriter w;
-  w.u16(static_cast<std::uint16_t>(group));
-  w.vec(pub, 2);
-  return {static_cast<std::uint16_t>(ExtensionType::KeyShare), w.take()};
-}
-
-KeyShare parse_key_share(common::BytesView payload) {
-  common::ByteReader r(payload);
-  KeyShare ks;
-  ks.group = static_cast<crypto::DhGroup>(r.u16());
-  ks.public_value = r.vec(2);
-  r.expect_end("key_share");
-  return ks;
-}
-
 Extension make_ec_point_formats() {
   common::ByteWriter w;
   w.u8(1);  // list length
   w.u8(0);  // uncompressed
   return {static_cast<std::uint16_t>(ExtensionType::EcPointFormats), w.take()};
-}
-
-Extension make_renegotiation_info() {
-  common::ByteWriter w;
-  w.u8(0);  // empty renegotiated_connection
-  return {static_cast<std::uint16_t>(ExtensionType::RenegotiationInfo),
-          w.take()};
 }
 
 const Extension* find_extension(const std::vector<Extension>& extensions,

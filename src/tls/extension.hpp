@@ -32,8 +32,6 @@ enum class ExtensionType : std::uint16_t {
   RenegotiationInfo = 0xFF01,
 };
 
-std::string extension_name(ExtensionType t);
-
 /// A raw extension: type + opaque payload. Typed accessors below.
 struct Extension {
   std::uint16_t type = 0;
@@ -51,8 +49,6 @@ enum class SignatureScheme : std::uint16_t {
   EcdsaSha256 = 0x0403,
 };
 
-std::string signature_scheme_name(SignatureScheme s);
-
 // ---- Builders ----
 Extension make_sni(const std::string& hostname);
 Extension make_supported_versions(const std::vector<ProtocolVersion>& vs);
@@ -61,9 +57,7 @@ Extension make_signature_algorithms(const std::vector<SignatureScheme>& ss);
 Extension make_status_request();
 Extension make_session_ticket();
 Extension make_alpn(const std::vector<std::string>& protocols);
-Extension make_key_share(crypto::DhGroup group, common::BytesView pub);
 Extension make_ec_point_formats();
-Extension make_renegotiation_info();
 
 // ---- Parsers (given the matching extension's payload) ----
 std::string parse_sni(common::BytesView payload);
@@ -72,11 +66,6 @@ std::vector<ProtocolVersion> parse_supported_versions(
 std::vector<crypto::DhGroup> parse_supported_groups(common::BytesView payload);
 std::vector<SignatureScheme> parse_signature_algorithms(
     common::BytesView payload);
-struct KeyShare {
-  crypto::DhGroup group = crypto::DhGroup::X25519;
-  common::Bytes public_value;
-};
-KeyShare parse_key_share(common::BytesView payload);
 
 /// Find an extension by type in a list; nullptr if absent.
 const Extension* find_extension(const std::vector<Extension>& extensions,

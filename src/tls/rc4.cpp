@@ -27,8 +27,4 @@ common::Bytes Rc4::apply(common::BytesView data) {
   return out;
 }
 
-common::Bytes rc4_xor(common::BytesView key, common::BytesView data) {
-  return Rc4(key).apply(data);
-}
-
 }  // namespace iotls::tls

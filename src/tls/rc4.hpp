@@ -27,7 +27,4 @@ class Rc4 {
   std::uint8_t y_ = 0;
 };
 
-/// XOR data with the start of the key's RC4 keystream (encrypt == decrypt).
-common::Bytes rc4_xor(common::BytesView key, common::BytesView data);
-
 }  // namespace iotls::tls

@@ -28,7 +28,6 @@ TEST(Month, DiffIsInverseOfPlus) {
 
 TEST(Month, Labels) {
   EXPECT_EQ((Month{2018, 1}).str(), "2018-01");
-  EXPECT_EQ((Month{2019, 5}).short_label(), "5/19");
 }
 
 TEST(Month, StudyWindowIs27Months) {

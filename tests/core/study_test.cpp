@@ -279,6 +279,7 @@ obs::ProfileSnapshot profiled_study(std::size_t threads) {
     (void)fresh.render_table9();
     (void)fresh.render_fig5();
     (void)fresh.render_summary();
+    (void)fresh.render_passthrough();
   }
   auto snapshot = obs::profile_snapshot();
   obs::set_profile_enabled(false);
@@ -306,7 +307,7 @@ std::vector<std::uint64_t> budgeted_calls(const obs::ProfileNode& node) {
 /// fan-out. A change that lowers a count updates these numbers and says so
 /// in CHANGES.md; a change that raises one must justify the increase there.
 const std::map<std::string, std::vector<std::uint64_t>> kWorkBudget = {
-    {"<total>", {25946, 5843, 4679, 1114, 4113}},
+    {"<total>", {27050, 6139, 4988, 1299, 4318}},
     {"study/downgrade", {7222, 396, 361, 185, 393}},
     {"study/fingerprint", {719, 153, 153, 153, 0}},
     {"study/interception", {5774, 1905, 1932, 185, 1964}},
@@ -314,6 +315,7 @@ const std::map<std::string, std::vector<std::uint64_t>> kWorkBudget = {
     {"study/old-version", {958, 252, 296, 185, 32}},
     {"study/passive-dataset", {2614, 265, 236, 185, 0}},
     {"study/passive-fold", {0, 0, 0, 0, 0}},
+    {"study/passthrough", {1104, 296, 309, 185, 205}},
     {"study/root-store-exploration", {8417, 2855, 1689, 221, 1723}},
 };
 

@@ -124,30 +124,6 @@ TEST_F(RsaTest, ZeroLeadingSignatureIsAccepted) {
   EXPECT_TRUE(rsa_verify(keypair().pub, to_bytes(text), sig));
 }
 
-TEST_F(RsaTest, PrivateKeySerializationRoundTripsCrtFields) {
-  const RsaPrivateKey& priv = keypair().priv;
-  ASSERT_TRUE(priv.has_crt());
-  const RsaPrivateKey parsed = RsaPrivateKey::parse(priv.serialize());
-  EXPECT_EQ(parsed, priv);
-  EXPECT_TRUE(parsed.has_crt());
-}
-
-TEST_F(RsaTest, LegacyPrivateKeySerializationStillParses) {
-  // Pre-CRT fixtures carried only n || e || d; they must keep parsing and
-  // fall back to the non-CRT private op.
-  const RsaPrivateKey& priv = keypair().priv;
-  common::ByteWriter w;
-  w.vec(priv.n.to_bytes(), 2);
-  w.vec(priv.e.to_bytes(), 2);
-  w.vec(priv.d.to_bytes(), 2);
-  const RsaPrivateKey parsed = RsaPrivateKey::parse(w.take());
-  EXPECT_FALSE(parsed.has_crt());
-  EXPECT_EQ(parsed.n, priv.n);
-  EXPECT_EQ(parsed.d, priv.d);
-  const auto msg = to_bytes("legacy key, same signature");
-  EXPECT_EQ(rsa_sign(parsed, msg), rsa_sign(priv, msg));
-}
-
 TEST_F(RsaTest, CrtSignatureEqualsPlainSignature) {
   // Strip the CRT fields: rsa_private_op then runs the single full-width
   // modexp the seed implementation used. Signatures must match exactly.

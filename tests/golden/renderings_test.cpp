@@ -1,5 +1,6 @@
 // Absolute anchor on the product: the SHA-256 of every seed-42 rendering
-// of the full-scale study (Tables 1-9, Figs 1-5 and the §5.1 summary).
+// of the full-scale study (Tables 1-9, Figs 1-5, the §5.1 summary and
+// §4.2 TrafficPassthrough).
 // The relative checks elsewhere (threads 1 vs N, caches on vs off) pass
 // when both sides drift together; these digests do not. A change that
 // moves one must say why in CHANGES.md.
@@ -33,6 +34,7 @@ fig2 37fa6595ad730a9c965437c56616f024fc1e7b64d965072953afc7a7cf66abfd
 fig3 678e0e99b05ee137b20d916f354a46dfd9624305a7d82ff68952f7f7751b3c84
 fig4 47badbdf823c738e0cfb02863514c31bd99db46d37d1f32312206756e8b7f216
 fig5 26a23641b233f3ea9a242f6c0f8a84d2987eca9fdaa70c01708037f8244a0ed8
+passthrough 0b4a21411e0a2071c5ca7c4397b3a25bf63b9237ddc522ba4c11d34702ae7fa2
 )";
 
 std::string sha256_hex(const std::string& text) {
@@ -63,6 +65,7 @@ TEST(Golden, Seed42RenderingsMatchTheirDigests) {
   rendered["fig3"] = study.render_fig3();
   rendered["fig4"] = study.render_fig4();
   rendered["fig5"] = study.render_fig5();
+  rendered["passthrough"] = study.render_passthrough();
 
   std::istringstream lines(kDigests);
   std::string id;

@@ -48,8 +48,6 @@ class NetworkTest : public ::testing::Test {
 };
 
 TEST_F(NetworkTest, ConnectReachesRegisteredServer) {
-  EXPECT_TRUE(network_.has_server("api.example.com"));
-  EXPECT_FALSE(network_.has_server("other.example.com"));
   const auto result = connect("api.example.com");
   EXPECT_TRUE(result.success());
 }
@@ -120,15 +118,18 @@ TEST_F(NetworkTest, CaptureAlertObservation) {
   EXPECT_FALSE(rec.handshake_complete);
 }
 
-TEST_F(NetworkTest, CaptureFiltersByDevice) {
+TEST_F(NetworkTest, CaptureRecordsDeviceAndDestination) {
   (void)connect("api.example.com", "Device A");
   (void)connect("api.example.com", "Device A");
   (void)connect("api.example.com", "Device B");
-  EXPECT_EQ(network_.capture().for_device("Device A").size(), 2u);
-  EXPECT_EQ(network_.capture().for_device("Device B").size(), 1u);
-  EXPECT_EQ(network_.capture().devices().size(), 2u);
-  EXPECT_EQ(network_.capture().destinations_of("Device A").size(), 1u);
-  EXPECT_TRUE(network_.capture().for_device("Device C").empty());
+  const auto& records = network_.capture().records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].device, "Device A");
+  EXPECT_EQ(records[1].device, "Device A");
+  EXPECT_EQ(records[2].device, "Device B");
+  for (const auto& record : records) {
+    EXPECT_EQ(record.destination, "api.example.com");
+  }
 }
 
 TEST(Transport, ReceiveOnEmptyInboxReturnsNullopt) {

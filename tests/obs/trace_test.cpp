@@ -90,9 +90,6 @@ TEST(TraceLog, AddAndMergePreserveOrder) {
   EXPECT_EQ(parent.spans()[0].name(), "a");
   EXPECT_EQ(parent.spans()[1].name(), "b");
   EXPECT_EQ(parent.spans()[2].name(), "c");
-
-  parent.clear();
-  EXPECT_EQ(parent.size(), 0u);
 }
 
 TEST(TraceLog, JsonlOneObjectPerSpan) {

@@ -28,16 +28,6 @@ TEST(RootStore, AddDeduplicatesBySubject) {
   EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(RootStore, RemoveBySubject) {
-  RootStore store;
-  store.add(make_root("A", 1));
-  store.add(make_root("B", 2));
-  EXPECT_TRUE(store.remove(x509::DistinguishedName::cn("A")));
-  EXPECT_FALSE(store.remove(x509::DistinguishedName::cn("A")));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.contains(x509::DistinguishedName::cn("B")));
-}
-
 TEST(RootStore, FindReturnsCertificate) {
   RootStore store;
   const auto root = make_root("A", 1);

@@ -269,6 +269,39 @@ TEST_F(HandshakeTest, ClientHelloCarriesSniAndExtensions) {
             nullptr);
 }
 
+/// Relays a real server, but appends one byte to its ServerHelloDone body
+/// (and bumps the message's 3-byte length to match).
+class PaddedHelloDoneServer : public ServerSession {
+ public:
+  explicit PaddedHelloDoneServer(ServerConfig config)
+      : inner_(std::move(config)) {}
+
+  std::vector<TlsRecord> on_record(const TlsRecord& record) override {
+    auto out = inner_.on_record(record);
+    for (auto& rec : out) {
+      if (rec.type == ContentType::Handshake && rec.payload.size() == 4 &&
+          rec.payload[0] ==
+              static_cast<std::uint8_t>(HandshakeType::ServerHelloDone)) {
+        rec.payload.push_back(0);
+        rec.payload[3] = 1;
+      }
+    }
+    return out;
+  }
+
+ private:
+  TlsServer inner_;
+};
+
+TEST_F(HandshakeTest, NonEmptyServerHelloDoneIsADecodeError) {
+  Transport transport(std::make_shared<PaddedHelloDoneServer>(server_config()));
+  TlsClient client(ClientConfig{}, &roots_, common::Rng(777), kNow);
+  const auto result = client.connect(transport, "cloud.example.com");
+  EXPECT_EQ(result.outcome, HandshakeOutcome::ProtocolViolation);
+  ASSERT_TRUE(result.alert_sent.has_value());
+  EXPECT_EQ(result.alert_sent->description, AlertDescription::DecodeError);
+}
+
 TEST_F(HandshakeTest, EmptyConfigThrows) {
   ClientConfig bad;
   bad.versions.clear();

@@ -193,13 +193,6 @@ TEST(Extensions, FindExtension) {
   EXPECT_EQ(find_extension(ch.extensions, ExtensionType::Alpn), nullptr);
 }
 
-TEST(Extensions, KeyShareRoundTrip) {
-  const auto ext = make_key_share(crypto::DhGroup::X25519, {{1, 2, 3}});
-  const KeyShare ks = parse_key_share(ext.payload);
-  EXPECT_EQ(ks.group, crypto::DhGroup::X25519);
-  EXPECT_EQ(ks.public_value, (common::Bytes{1, 2, 3}));
-}
-
 TEST(Versions, NamesAndBuckets) {
   EXPECT_EQ(version_name(ProtocolVersion::Ssl3_0), "SSL 3.0");
   EXPECT_EQ(version_name(ProtocolVersion::Tls1_3), "TLS 1.3");

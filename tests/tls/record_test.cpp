@@ -106,8 +106,7 @@ TEST(TlsRecord, ContentTypeNames) {
 TEST(Rc4, MatchesKnownKeystreamVectors) {
   const auto check = [](const std::string& key, const std::string& plain,
                         const std::string& cipher_hex) {
-    const auto out =
-        rc4_xor(common::to_bytes(key), common::to_bytes(plain));
+    const auto out = Rc4(common::to_bytes(key)).apply(common::to_bytes(plain));
     EXPECT_EQ(common::hex_encode(out), cipher_hex) << "key=" << key;
   };
   check("Key", "Plaintext", "bbf316e8d940af0ad3");
@@ -118,9 +117,9 @@ TEST(Rc4, MatchesKnownKeystreamVectors) {
 TEST(Rc4, XorIsItsOwnInverse) {
   const auto key = common::to_bytes("session-key");
   const auto plain = common::to_bytes("telemetry payload 1234");
-  const auto cipher = rc4_xor(key, plain);
+  const auto cipher = Rc4(key).apply(plain);
   EXPECT_NE(cipher, plain);
-  EXPECT_EQ(rc4_xor(key, cipher), plain);
+  EXPECT_EQ(Rc4(key).apply(cipher), plain);
 }
 
 }  // namespace

@@ -14,23 +14,8 @@ Random32 filled_random(std::uint8_t v) {
   return r;
 }
 
-TEST(Rc4, KnownVector) {
-  // Wikipedia test vector: key "Key", plaintext "Plaintext".
-  const auto ct = rc4_xor(common::to_bytes("Key"),
-                          common::to_bytes("Plaintext"));
-  const common::Bytes expected = {0xBB, 0xF3, 0x16, 0xE8, 0xD9,
-                                  0x40, 0xAF, 0x0A, 0xD3};
-  EXPECT_EQ(ct, expected);
-}
-
-TEST(Rc4, RoundTrip) {
-  const auto key = common::to_bytes("sixteen-byte-key");
-  const auto msg = common::to_bytes("message");
-  EXPECT_EQ(rc4_xor(key, rc4_xor(key, msg)), msg);
-}
-
 TEST(Rc4, BadKeySizeThrows) {
-  EXPECT_THROW(rc4_xor({}, common::to_bytes("x")), common::CryptoError);
+  EXPECT_THROW(Rc4(common::BytesView{}), common::CryptoError);
 }
 
 TEST(SessionKeysTest, DeterministicDerivation) {
@@ -156,7 +141,7 @@ TEST(RecordProtectionTest, Rc4RecordsContinueOneKeystream) {
   // records never share keystream bytes.
   common::Bytes both = p1;
   both.insert(both.end(), p2.begin(), p2.end());
-  const common::Bytes stream_ct = rc4_xor(key, both);
+  const common::Bytes stream_ct = Rc4(key).apply(both);
   EXPECT_TRUE(std::equal(r1.begin(), r1.begin() + 48, stream_ct.begin()));
   EXPECT_TRUE(std::equal(r2.begin(), r2.begin() + 48, stream_ct.begin() + 48));
   std::size_t shared = 0;
