@@ -1,7 +1,7 @@
 // Query lane: columnar scan throughput with and without column projection,
-// a selective query's time and predicate-pushdown block skip ratio,
-// compaction throughput, and the scan-vs-oracle differential parity gate,
-// emitted as BENCH_query.json.
+// group-by scan throughput, a selective query's time and predicate-pushdown
+// block skip ratio, compaction throughput, and the scan-vs-oracle
+// differential parity gate, emitted as BENCH_query.json.
 //
 // Knobs:
 //   IOTLS_THREADS  scan/compact fan-out width (0 = hardware); results are
@@ -27,13 +27,8 @@ namespace fs = std::filesystem;
 
 /// Scan-vs-oracle differential check: identical header and identical rows
 /// in identical order, on the given store.
-bool parity_check(const std::string& dir, const std::string& filter,
-                  std::size_t threads) {
-  iotls::query::QueryOptions options;
-  options.filter = filter;
-  options.columns = {"device",  "dest",  "month",     "count",
-                     "version", "cipher", "adv_suite", "alert"};
-  options.threads = threads;
+bool parity_check(const std::string& dir,
+                  const iotls::query::QueryOptions& options) {
   const auto scan = iotls::query::run_query(dir, options);
   const auto oracle = iotls::query::run_query_naive(dir, options);
   return scan.columns == oracle.columns && scan.rows == oracle.rows;
@@ -102,6 +97,16 @@ int main(int argc, char** argv) {
     push_stats = result.stats;
     return std::make_pair(result.stats.rows_scanned, std::uint64_t{0});
   });
+  // Group-by lane: the Figs 1-3 aggregation, connections by established
+  // version and month, over every row.
+  iotls::query::QueryOptions group_by;
+  group_by.group_by = {"version", "month"};
+  group_by.threads = threads;
+  const auto group_by_tp = iotls::bench::timed_throughput([&] {
+    const auto result = iotls::query::run_query(dir, group_by);
+    return std::make_pair(result.stats.rows_scanned, std::uint64_t{0});
+  });
+
   const double skip_ratio =
       push_stats.blocks_total > 0
           ? 1.0 - static_cast<double>(push_stats.blocks_scanned) /
@@ -118,14 +123,29 @@ int main(int argc, char** argv) {
     return std::make_pair(compact_report.groups, compact_report.bytes_out);
   });
 
-  // Differential parity gate, on the original and the compacted store.
-  bool parity = true;
+  // Differential parity gate, on the original and the compacted store:
+  // projections under four filters, then two group-bys — one of them over
+  // a many-to-one rendering (vendor) and a list column.
+  std::vector<iotls::query::QueryOptions> gate;
   for (const std::string& filter :
        {std::string{}, selective,
         std::string("complete == false or alert != none"),
         std::string("version == tls1.2 and sni == true")}) {
-    parity = parity && parity_check(dir, filter, threads);
-    parity = parity && parity_check(compact_dir, filter, threads);
+    iotls::query::QueryOptions options;
+    options.filter = filter;
+    options.columns = {"device",  "dest",  "month",     "count",
+                       "version", "cipher", "adv_suite", "alert"};
+    gate.push_back(std::move(options));
+  }
+  gate.push_back(group_by);
+  iotls::query::QueryOptions vendor_suites;
+  vendor_suites.group_by = {"vendor", "adv_suite"};
+  gate.push_back(std::move(vendor_suites));
+  bool parity = true;
+  for (auto& options : gate) {
+    options.threads = threads;
+    parity = parity && parity_check(dir, options);
+    parity = parity && parity_check(compact_dir, options);
   }
 
   std::printf("==== bench_query (shards=%zu, blocks=%llu) ====\n",
@@ -133,6 +153,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.total_blocks()));
   iotls::bench::print_throughput("scan_full", full_tp);
   iotls::bench::print_throughput("scan_projected", projected_tp);
+  iotls::bench::print_throughput("scan_group_by", group_by_tp);
   iotls::bench::print_throughput("pushdown", push_tp);
   iotls::bench::print_throughput("compact", compact_tp);
   std::printf("%-24s %llu/%llu blocks scanned (skip ratio %.3f)\n",
@@ -152,6 +173,7 @@ int main(int argc, char** argv) {
        projected_tp.wall_ms > 0.0 ? full_tp.wall_ms / projected_tp.wall_ms
                                   : 0.0,
        "x"},
+      {"scan_group_by_rows", group_by_tp.records_per_sec(), "rows/s"},
       {"pushdown_ms", push_tp.wall_ms, "ms"},
       {"pushdown_skip_ratio", skip_ratio, "fraction"},
       {"compact_groups", compact_tp.records_per_sec(), "groups/s"},

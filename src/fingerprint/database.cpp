@@ -6,7 +6,6 @@ namespace iotls::fingerprint {
 
 void FingerprintDb::add(const std::string& application,
                         const Fingerprint& fp) {
-  by_hash_[fp.hash].insert(application);
   by_app_[application].push_back(fp);
 }
 

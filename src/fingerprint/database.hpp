@@ -8,7 +8,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@ class FingerprintDb {
  public:
   void add(const std::string& application, const Fingerprint& fp);
 
-  [[nodiscard]] std::size_t fingerprint_count() const { return by_hash_.size(); }
   [[nodiscard]] std::vector<std::string> applications() const;
 
   /// All fingerprints of an application.
@@ -28,7 +26,6 @@ class FingerprintDb {
       const std::string& application) const;
 
  private:
-  std::map<std::string, std::set<std::string>> by_hash_;  // hash → apps
   std::map<std::string, std::vector<Fingerprint>> by_app_;
 };
 

@@ -1,7 +1,9 @@
 #include "query/scan.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "common/pool.hpp"
@@ -155,19 +157,119 @@ Compiled compile(const QueryOptions& options) {
 }
 
 // ---------------------------------------------------------------------------
+// Group-by aggregation
+// ---------------------------------------------------------------------------
+
+/// Group totals keyed by rendered cells, sorted by key: the aggregate
+/// output order.
+using Groups =
+    std::map<std::vector<std::string>, std::pair<std::uint64_t, std::uint64_t>>;
+
+/// Emit `groups` as result rows: the key cells, then rows and connections.
+void emit_groups(const Groups& groups, QueryResult* result) {
+  for (const auto& [key, totals] : groups) {
+    std::vector<std::string> row = key;
+    row.push_back(std::to_string(totals.first));
+    row.push_back(std::to_string(totals.second));
+    result->rows.push_back(std::move(row));
+  }
+  result->columns.push_back("rows");
+  result->columns.push_back("connections");
+}
+
+/// A scan-side group key: the decoded value of each key column, one word
+/// per scalar (dictionary id, month index, version/suite code, bool) and
+/// the length then the entries for a list column. Ids are shard-local, so
+/// a key is only meaningful within one shard.
+using GroupKey = std::vector<std::uint64_t>;
+
+struct GroupKeyHash {
+  std::size_t operator()(const GroupKey& key) const {
+    std::uint64_t h = key.size();
+    for (const std::uint64_t word : key) {
+      h = (h ^ word) * 0x9E3779B97F4A7C15u;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+template <typename T>
+void append_list(const std::vector<T>& values, GroupKey* key) {
+  key->push_back(values.size());
+  for (const T value : values) {
+    key->push_back(static_cast<std::uint64_t>(value));
+  }
+}
+
+void append_key(Column c, const store::ProjectedRow& row, GroupKey* key) {
+  switch (c) {
+    case Column::Device:
+    case Column::Vendor: key->push_back(row.device_id); return;
+    case Column::Dest: key->push_back(row.dest_id); return;
+    case Column::Month:
+      key->push_back(static_cast<std::uint64_t>(row.month.index()));
+      return;
+    case Column::Count: key->push_back(row.count); return;
+    case Column::Version:
+      key->push_back(
+          row.established_version.has_value()
+              ? static_cast<std::uint64_t>(*row.established_version) + 1
+              : 0);
+      return;
+    case Column::Cipher:
+      key->push_back(row.established_suite.has_value()
+                         ? std::uint64_t{*row.established_suite} + 1
+                         : 0);
+      return;
+    case Column::Complete: key->push_back(row.handshake_complete); return;
+    case Column::AppData: key->push_back(row.application_data_seen); return;
+    case Column::Sni: key->push_back(row.sent_sni); return;
+    case Column::Staple: key->push_back(row.requested_ocsp_staple); return;
+    case Column::Alert:
+      key->push_back(static_cast<std::uint64_t>(row.alert_direction));
+      return;
+    case Column::AdvVersion: append_list(row.advertised_versions, key); return;
+    case Column::AdvSuite: append_list(row.advertised_suites, key); return;
+    case Column::Extension: append_list(row.extension_types, key); return;
+    case Column::Group: append_list(row.advertised_groups, key); return;
+    case Column::Sigalg: append_list(row.advertised_sigalgs, key); return;
+  }
+}
+
+/// One shard's partial aggregate: each distinct decoded key's rendered
+/// cells (rendered once, when the key is first seen) and its totals.
+struct GroupTotals {
+  std::vector<std::string> cells;
+  std::uint64_t rows = 0;
+  std::uint64_t connections = 0;
+};
+using ShardGroups = std::unordered_map<GroupKey, GroupTotals, GroupKeyHash>;
+
+// ---------------------------------------------------------------------------
 // Per-shard scan
 // ---------------------------------------------------------------------------
 
 struct ShardScan {
-  std::vector<std::vector<std::string>> rows;
+  std::vector<std::vector<std::string>> rows;  // projection mode
+  ShardGroups groups;                          // group-by mode
   ScanStats stats;
 };
+
+std::vector<std::string> render_cells(const std::vector<Column>& columns,
+                                      const store::ProjectedRow& row,
+                                      const store::StringDictionary& dict) {
+  std::vector<std::string> cells;
+  cells.reserve(columns.size());
+  for (const Column c : columns) cells.push_back(row_cell(c, row, dict));
+  return cells;
+}
 
 ShardScan scan_shard(const std::string& path, const Compiled& query) {
   const obs::ProfileZone zone("query/scan_shard");
   ShardScan out;
   out.stats.shards = 1;
-  std::vector<std::string> cells(query.output.size());
+  GroupKey key;
   out.stats.blocks_total = store::scan_shard_rows(
       path, query.fields,
       [&](const store::BlockStats& stats,
@@ -185,23 +287,30 @@ ShardScan scan_shard(const std::string& path, const Compiled& query) {
         if (!eval_row(query.expr, row, dict)) return;
         ++out.stats.rows_matched;
         out.stats.connections_matched += row.count;
-        for (std::size_t col = 0; col < query.output.size(); ++col) {
-          cells[col] = row_cell(query.output[col], row, dict);
+        if (!query.aggregate) {
+          out.rows.push_back(render_cells(query.output, row, dict));
+          return;
         }
-        out.rows.push_back(cells);
+        key.clear();
+        for (const Column c : query.output) append_key(c, row, &key);
+        auto it = out.groups.find(key);
+        if (it == out.groups.end()) {
+          it = out.groups
+                   .emplace(key, GroupTotals{render_cells(query.output, row,
+                                                          dict)})
+                   .first;
+        }
+        ++it->second.rows;
+        it->second.connections += row.count;
       });
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Aggregation (shared by scan and oracle so only the row source differs)
-// ---------------------------------------------------------------------------
-
+/// Oracle aggregation: key rows carry their connection count as a
+/// trailing hidden cell.
 void aggregate_rows(QueryResult* result) {
   const obs::ProfileZone zone("query/aggregate_rows");
-  // Key rows carry their connection count as a trailing hidden cell.
-  std::map<std::vector<std::string>, std::pair<std::uint64_t, std::uint64_t>>
-      groups;
+  Groups groups;
   for (auto& row : result->rows) {
     const std::uint64_t count = std::stoull(row.back());
     row.pop_back();
@@ -210,14 +319,7 @@ void aggregate_rows(QueryResult* result) {
     slot.second += count;
   }
   result->rows.clear();
-  for (auto& [key, totals] : groups) {
-    std::vector<std::string> row = key;
-    row.push_back(std::to_string(totals.first));
-    row.push_back(std::to_string(totals.second));
-    result->rows.push_back(std::move(row));
-  }
-  result->columns.push_back("rows");
-  result->columns.push_back("connections");
+  emit_groups(groups, result);
 }
 
 }  // namespace
@@ -228,28 +330,36 @@ std::vector<std::string> default_columns() {
 
 QueryResult run_query(const std::string& dir, const QueryOptions& options) {
   const obs::ProfileZone zone("query/run_query");
-  Compiled query = compile(options);
-  if (query.aggregate) {
-    query.output.push_back(Column::Count);  // hidden aggregation input
-  }
+  const Compiled query = compile(options);
   const std::vector<std::string> paths = store::list_shards(dir);
-  const auto scans = common::parallel_map(
+  auto scans = common::parallel_map(
       options.threads, paths, [&](const std::string& path) {
         return scan_shard(path, query);
       });
 
+  // Shards merge in sorted-path order. Rendering can be many-to-one
+  // (vendor), so partial groups from different keys or shards may share
+  // cells; they sum.
+  const obs::ProfileZone merge_zone("query/merge");
   QueryResult result;
   result.columns = query.headers;
-  for (const ShardScan& scan : scans) {
+  Groups groups;
+  for (ShardScan& scan : scans) {
     result.stats.shards += scan.stats.shards;
     result.stats.blocks_total += scan.stats.blocks_total;
     result.stats.blocks_scanned += scan.stats.blocks_scanned;
     result.stats.rows_scanned += scan.stats.rows_scanned;
     result.stats.rows_matched += scan.stats.rows_matched;
     result.stats.connections_matched += scan.stats.connections_matched;
-    for (const auto& row : scan.rows) result.rows.push_back(row);
+    std::move(scan.rows.begin(), scan.rows.end(),
+              std::back_inserter(result.rows));
+    for (auto& entry : scan.groups) {
+      auto& slot = groups[std::move(entry.second.cells)];
+      slot.first += entry.second.rows;
+      slot.second += entry.second.connections;
+    }
   }
-  if (query.aggregate) aggregate_rows(&result);
+  if (query.aggregate) emit_groups(groups, &result);
   return result;
 }
 

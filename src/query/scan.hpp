@@ -6,12 +6,15 @@
 // blocks through ProjectedBlockCursor — materializing only the list
 // columns the filter and projection touch. The block walk itself is
 // store::scan_shard_rows, the same one the analysis fold reads through.
-// Shards fan out over the thread pool and merge in sorted-path order, so
-// results are byte-identical at every thread count.
+// A group-by aggregates inside each shard scan, keyed on decoded values,
+// and renders each distinct key once per shard. Shards fan out over the
+// thread pool and merge in sorted-path order, so results are
+// byte-identical at every thread count.
 //
 // `run_query_naive` is the oracle: a sequential ShardReader walk that
-// decodes everything and filters decoded groups. The differential query
-// suite asserts the two produce identical bytes for arbitrary queries.
+// decodes everything, filters decoded groups, renders every matched row
+// and aggregates the rendered rows. The differential query suite asserts
+// the two produce identical bytes for arbitrary queries.
 #pragma once
 
 #include <cstdint>

@@ -4,18 +4,35 @@ namespace iotls::store {
 
 namespace {
 
+/// Slice-by-8 tables for the reflected polynomial 0xEDB88320: entries[0]
+/// is the classic bytewise table, and entries[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight table lookups fold eight input bytes.
 struct Crc32Table {
-  std::array<std::uint32_t, 256> entries;
+  std::array<std::array<std::uint32_t, 256>, 8> entries;
   Crc32Table() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xFFu] ^ (prev >> 8);
+      }
     }
   }
 };
+
+/// Little-endian 32-bit load from four bytes.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 common::Month read_month(common::ByteReader& reader) {
   common::Month m;
@@ -37,10 +54,18 @@ void write_month(common::ByteWriter& writer, common::Month m) {
 
 std::uint32_t crc32(common::BytesView data) {
   static const Crc32Table table;
+  const auto& t = table.entries;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc = table.entries[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

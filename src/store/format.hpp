@@ -94,7 +94,8 @@ struct ShardHeader {
 common::Bytes encode_shard_header(const ShardHeader& header);
 ShardHeader decode_shard_header(common::BytesView payload);
 
-/// CRC-32 (IEEE 802.3, reflected), the per-block checksum.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the per-frame
+/// checksum; computed slice-by-8, eight bytes per step.
 std::uint32_t crc32(common::BytesView data);
 
 }  // namespace iotls::store

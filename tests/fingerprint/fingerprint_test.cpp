@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "fingerprint/database.hpp"
 #include "fingerprint/graph.hpp"
 
@@ -51,7 +54,11 @@ TEST(FingerprintTest, TextHasJa3FieldStructure) {
 TEST(DatabaseTest, ReferenceDbHasDistinctApplications) {
   const auto db = build_reference_db();
   EXPECT_GE(db.applications().size(), 7u);
-  EXPECT_GE(db.fingerprint_count(), 7u);
+  std::set<std::string> hashes;
+  for (const auto& app : db.applications()) {
+    for (const auto& fp : db.fingerprints_of(app)) hashes.insert(fp.hash);
+  }
+  EXPECT_GE(hashes.size(), 7u);
 }
 
 TEST(DatabaseTest, LookupRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,6 +79,40 @@ TEST(Varint, RejectsTruncationAndOverflow) {
   overflow.push_back(0x7F);
   CodecReader r3{BytesView(overflow)};
   EXPECT_THROW((void)r3.varint(), StoreFormatError);
+}
+
+/// Bytewise reflected CRC-32, bit by bit: the definition the frame
+/// checksum must agree with.
+std::uint32_t reference_crc32(BytesView data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  const Bytes bytes(check.begin(), check.end());
+  EXPECT_EQ(iotls::store::crc32(bytes), 0xCBF43926u);  // CRC-32/ISO-HDLC
+  EXPECT_EQ(iotls::store::crc32(Bytes{}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Bytes buffer(64 + 8);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<std::uint8_t>(i * 151 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const BytesView slice(buffer.data() + offset, len);
+      EXPECT_EQ(iotls::store::crc32(slice), reference_crc32(slice))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(Dictionary, InternAssignsStableIdsAndRejectsBadLookups) {
